@@ -1,54 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, one pure-numpy implementation per operation.
 
-The backend is chosen once at import from the environment variable
-``BIASCUBE_BACKEND``: ``numba`` forces the jitted path, ``numpy`` forces the
-fallback, ``auto`` (the default) takes numba when it imports. Every public
-kernel also accepts an explicit ``backend=`` override so tests and the
-benchmark script can compare both paths in one process.
-
-Both paths compute the same quantities; they may disagree in the last ulp
-because summation order differs.
+``batch_influences`` scans a batch of truth tables with one reshaped
+comparison and one matrix product per coordinate. ``connected_batch`` decides
+graph connectivity for a batch of sampled edge sets with a bit-parallel
+breadth-first search: every vertex holds a bitmask of its neighbours in
+``ceil(m/64)`` uint64 words per sample, and a reach mask grown from vertex 0
+is full exactly when the graph is connected. The search is exact for every
+vertex count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-BACKEND_ENV = "BIASCUBE_BACKEND"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
-
-
-def _resolve_backend(choice: str | None = None) -> str:
-    if choice is None:
-        choice = os.environ.get(BACKEND_ENV, "auto")
-    choice = choice.lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}: expected auto, numba, or numpy")
-    if choice == "numpy":
-        return "numpy"
-    if HAS_NUMBA:
-        return "numba"
-    if choice == "numba":
-        raise RuntimeError("BIASCUBE_BACKEND=numba but numba is not importable")
-    return "numpy"
-
-
-ACTIVE_BACKEND = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Backend name used when no explicit override is passed."""
-    return ACTIVE_BACKEND
-
 
 # ---------------------------------------------------------------------------
 # batch influence scan
@@ -61,7 +24,10 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _batch_influences_numpy(tables: np.ndarray, n: int, base_weights: np.ndarray) -> np.ndarray:
+def batch_influences(tables: np.ndarray, n: int, base_weights: np.ndarray) -> np.ndarray:
+    """Influence vectors for a batch of packed truth tables."""
+    tables = np.ascontiguousarray(tables, dtype=np.uint8)
+    base_weights = np.ascontiguousarray(base_weights, dtype=np.float64)
     m = tables.shape[0]
     out = np.empty((m, n), dtype=np.float64)
     for b in range(n):
@@ -71,114 +37,55 @@ def _batch_influences_numpy(tables: np.ndarray, n: int, base_weights: np.ndarray
     return out
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _batch_influences_nb(tables, n, base_weights):  # pragma: no cover - jitted
-        m = tables.shape[0]
-        out = np.empty((m, n), dtype=np.float64)
-        for f in numba.prange(m):
-            for b in range(n):
-                acc = 0.0
-                hi_count = 1 << (n - 1 - b)
-                lo_count = 1 << b
-                for hi in range(hi_count):
-                    x0 = hi << (b + 1)
-                    y0 = hi << b
-                    for lo in range(lo_count):
-                        x = x0 | lo
-                        if tables[f, x] != tables[f, x | (1 << b)]:
-                            acc += base_weights[y0 | lo]
-                out[f, b] = acc
-        return out
-
-
-def batch_influences(
-    tables: np.ndarray, n: int, base_weights: np.ndarray, backend: str | None = None
-) -> np.ndarray:
-    """Influence vectors for a batch of packed truth tables."""
-    tables = np.ascontiguousarray(tables, dtype=np.uint8)
-    base_weights = np.ascontiguousarray(base_weights, dtype=np.float64)
-    if _resolve_backend(backend) == "numba":
-        return _batch_influences_nb(tables, n, base_weights)
-    return _batch_influences_numpy(tables, n, base_weights)
-
-
 # ---------------------------------------------------------------------------
 # batch connectivity test
 #
 # present: (s, E) uint8, one row of edge indicators per sample. edge_u/edge_v:
-# (E,) int32 endpoints, vertices 0..m_vertices-1. Output: (s,) uint8, 1 where
-# the spanning subgraph on all m_vertices is connected.
+# (E,) endpoints, vertices 0..m_vertices-1. Output: (s,) uint8, 1 where the
+# spanning subgraph on all m_vertices is connected. Vertex w is bit (w % 64)
+# of word (w // 64) in every mask; masks run along the sample axis, so each
+# word operation below acts on all s samples at once.
 # ---------------------------------------------------------------------------
 
 
-def _connected_batch_numpy(
-    present: np.ndarray, m_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> np.ndarray:
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    s = present.shape[0]
-    out = np.empty(s, dtype=np.uint8)
-    chunk = max(1, (1 << 22) // max(1, m_vertices))
-    for start in range(0, s, chunk):
-        block = present[start : start + chunk]
-        rows_in_block = block.shape[0]
-        sample_idx, edge_idx = np.nonzero(block)
-        u = sample_idx.astype(np.int64) * m_vertices + edge_u[edge_idx]
-        v = sample_idx.astype(np.int64) * m_vertices + edge_v[edge_idx]
-        size = rows_in_block * m_vertices
-        graph = coo_matrix(
-            (np.ones(len(u), dtype=np.int8), (u, v)), shape=(size, size)
-        )
-        _, labels = connected_components(graph, directed=False)
-        labels = labels.reshape(rows_in_block, m_vertices)
-        out[start : start + rows_in_block] = (labels == labels[:, :1]).all(axis=1)
-    return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _connected_batch_nb(present, m_vertices, edge_u, edge_v):  # pragma: no cover - jitted
-        s = present.shape[0]
-        n_edges = edge_u.shape[0]
-        out = np.zeros(s, dtype=np.uint8)
-        for k in numba.prange(s):
-            parent = np.empty(m_vertices, dtype=np.int32)
-            for v in range(m_vertices):
-                parent[v] = v
-            components = m_vertices
-            for e in range(n_edges):
-                if present[k, e]:
-                    a = edge_u[e]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    b = edge_v[e]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        components -= 1
-            if components == 1:
-                out[k] = 1
-        return out
-
-
 def connected_batch(
-    present: np.ndarray,
-    m_vertices: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    backend: str | None = None,
+    present: np.ndarray, m_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray
 ) -> np.ndarray:
     """Connectivity indicator for a batch of sampled edge sets."""
     present = np.ascontiguousarray(present, dtype=np.uint8)
-    edge_u = np.ascontiguousarray(edge_u, dtype=np.int32)
-    edge_v = np.ascontiguousarray(edge_v, dtype=np.int32)
-    if _resolve_backend(backend) == "numba":
-        return _connected_batch_nb(present, m_vertices, edge_u, edge_v)
-    return _connected_batch_numpy(present, m_vertices, edge_u, edge_v)
+    edge_u = np.asarray(edge_u, dtype=np.int64)
+    edge_v = np.asarray(edge_v, dtype=np.int64)
+    s = present.shape[0]
+    words = -(-m_vertices // 64)
+    columns = np.ascontiguousarray(present.T)
+    ends = np.concatenate((edge_u, edge_v))
+    others = np.concatenate((edge_v, edge_u))
+    edge_ids = np.tile(np.arange(edge_u.size), 2)
+    adjacency = np.zeros((m_vertices, words, s), dtype=np.uint64)
+    for v in range(m_vertices):
+        incident = ends == v
+        edges = edge_ids[incident]
+        neighbours = others[incident]
+        for word in range(words):
+            in_word = (neighbours >> 6) == word
+            shifts = (neighbours[in_word] & 63).astype(np.uint64)
+            adjacency[v, word] = np.bitwise_or.reduce(
+                columns[edges[in_word]].astype(np.uint64) << shifts[:, None], axis=0
+            )
+    # Sweeps update the reach mask in place, so one sweep can follow a path
+    # through several vertices. Once a sweep adds nothing, the reach mask is
+    # the component of vertex 0.
+    one = np.uint64(1)
+    reach = np.zeros((words, s), dtype=np.uint64)
+    reach[0] = one
+    while True:
+        before = reach.copy()
+        for v in range(m_vertices):
+            reached = (reach[v >> 6] >> np.uint64(v & 63)) & one
+            reach |= adjacency[v] * reached
+        if np.array_equal(reach, before):
+            break
+    full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if m_vertices % 64:
+        full[-1] = (one << np.uint64(m_vertices % 64)) - one
+    return (reach == full[:, None]).all(axis=0).view(np.uint8)

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from . import bounds, mc, suites
+from . import __version__, bounds, mc, suites
 from .booleans import (
     FamilySpec,
     build_family,
@@ -36,8 +36,6 @@ from .measure import (
     variance,
 )
 from .threshold import threshold_width
-
-__version__ = "0.1.0"
 
 _CSV_HEADER = "p,mu,dmu_dp,c_ls,pqcls,thm41_rhs,pass"
 

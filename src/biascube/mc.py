@@ -28,8 +28,8 @@ from .measure import bias_value
 RNG_ID = "philox4x64:seedseq-path"
 WORKERS_ENV = "BIASCUBE_WORKERS"
 
-# 95% two-sided normal quantile, fixed so intervals never drift with the
-# scipy version.
+# 95% two-sided normal quantile, written out so intervals never depend on a
+# statistics library.
 WILSON_Z = 1.959963984540054
 
 SAMPLE_CAP = 1 << 24

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -38,12 +37,6 @@ class BoundReport:
             "tol": self.tol,
             "context": self.context,
         }
-
-    def to_flat_dict(self) -> dict:
-        """CSV-friendly record; the context collapses to canonical JSON."""
-        row = self.to_dict()
-        row["context"] = json.dumps(self.context, sort_keys=True, separators=(",", ":"))
-        return row
 
 
 def checked(label: str, lhs: float, rhs: float, orientation: str = "le",
