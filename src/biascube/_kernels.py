@@ -1,12 +1,12 @@
 """Hot numeric kernels, one pure-numpy implementation per operation.
 
-``batch_influences`` scans a batch of truth tables with one reshaped
-comparison and one matrix product per coordinate. ``connected_batch`` decides
-graph connectivity for a batch of sampled edge sets with a bit-parallel
-breadth-first search: every vertex holds a bitmask of its neighbours in
-``ceil(m/64)`` uint64 words per sample, and a reach mask grown from vertex 0
-is full exactly when the graph is connected. The search is exact for every
-vertex count.
+``_fiber_sums`` is the one weighted sweep over coordinate fibers: influences
+(``batch_influences``), the Russo derivative and the Dirichlet energy run on
+it. ``connected_batch`` decides graph connectivity for a batch of sampled
+edge sets with a bit-parallel breadth-first search: every vertex holds a
+bitmask of its neighbours in ``ceil(m/64)`` uint64 words per sample, and a
+reach mask grown from vertex 0 is full exactly when the graph is connected.
+The search is exact for every vertex count.
 """
 
 from __future__ import annotations
@@ -14,27 +14,36 @@ from __future__ import annotations
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# batch influence scan
+# coordinate fibers
 #
-# tables: (m, 2**n) uint8 truth tables, point x indexed so that bit (i-1) of x
-# is coordinate i. base_weights: (2**(n-1),) product-measure weights of the
-# base points left after dropping one coordinate (the same vector serves every
-# coordinate because dropping bit b just reindexes the remaining bits in
-# order). Output: (m, n) float64, out[f, b] = influence of coordinate b+1.
+# Bit b of point x is coordinate b+1. Along its last axis a table splits into
+# blocks of 2**(b+1) entries: 2**b points with bit b clear, then the same
+# points with it set. The lower halves, read in order, list the 2**(n-1) base
+# points left after dropping bit b, so one vector of base-point weights serves
+# every coordinate.
 # ---------------------------------------------------------------------------
 
 
+def _fibers(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Writable (..., 2**(n-1-b), 2**b) views of the lower and upper points."""
+    r = values.reshape(values.shape[:-1] + (-1, 2, 1 << b))
+    return r[..., 0, :], r[..., 1, :]
+
+
+def _fiber_sums(values: np.ndarray, n: int, base_weights: np.ndarray, term) -> np.ndarray:
+    """``out[..., b] = base_weights @ term(lower, upper)`` over the bit-b fibers."""
+    lead = values.shape[:-1]
+    out = np.empty(lead + (n,), dtype=np.float64)
+    for b in range(n):
+        out[..., b] = term(*_fibers(values, b)).reshape(lead + (-1,)) @ base_weights
+    return out
+
+
 def batch_influences(tables: np.ndarray, n: int, base_weights: np.ndarray) -> np.ndarray:
-    """Influence vectors for a batch of packed truth tables."""
+    """(m, n) influence vectors of a batch of (m, 2**n) packed truth tables."""
     tables = np.ascontiguousarray(tables, dtype=np.uint8)
     base_weights = np.ascontiguousarray(base_weights, dtype=np.float64)
-    m = tables.shape[0]
-    out = np.empty((m, n), dtype=np.float64)
-    for b in range(n):
-        r = tables.reshape(m, 1 << (n - 1 - b), 2, 1 << b)
-        differs = r[:, :, 0, :] != r[:, :, 1, :]
-        out[:, b] = differs.reshape(m, -1) @ base_weights
-    return out
+    return _fiber_sums(tables, n, base_weights, np.not_equal)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ the point integer, so ``table[x]`` is f(x).
 
 Dense tables are capped at ``arity_cap()`` coordinates (default 24, i.e.
 16 Mi entries); larger instances go through the closed-form or Monte Carlo
-paths instead.
+paths instead. Every table constructor checks the cap before it allocates.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from ._kernels import _fibers
 
 DEFAULT_ARITY_CAP = 24
 ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
@@ -43,6 +45,15 @@ def arity_cap() -> int:
     if cap < 1:
         raise ValueError(f"{ARITY_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
+
+
+def _check_arity(n: int) -> None:
+    cap = arity_cap()
+    if n > cap:
+        raise ValueError(
+            f"arity {n} exceeds the dense-table cap {cap}; use a closed-form "
+            "family or the Monte Carlo estimators"
+        )
 
 
 @lru_cache(maxsize=32)
@@ -109,18 +120,13 @@ class BooleanFunction:
         return f"n={self.n}:hex={value:X}"
 
 
-def make_from_table(n: int, bits, cap: int | None = None) -> BooleanFunction:
+def make_from_table(n: int, bits) -> BooleanFunction:
     """Build a BooleanFunction from an explicit table, enforcing the arity cap."""
-    cap = arity_cap() if cap is None else cap
-    if n > cap:
-        raise ValueError(
-            f"arity {n} exceeds the dense-table cap {cap}; use a closed-form "
-            "family or the Monte Carlo estimators"
-        )
+    _check_arity(n)
     return BooleanFunction(n, np.asarray(bits))
 
 
-def parse_table_string(text: str, cap: int | None = None) -> BooleanFunction:
+def parse_table_string(text: str) -> BooleanFunction:
     """Parse the ``n=<arity>:hex=<table>`` serialization."""
     try:
         n_part, hex_part = text.split(":", 1)
@@ -132,12 +138,13 @@ def parse_table_string(text: str, cap: int | None = None) -> BooleanFunction:
         raise ValueError(f"malformed table string {text!r}, expected n=<arity>:hex=<hex>")
     if n < 1:
         raise ValueError("arity must be at least 1")
+    _check_arity(n)
     if value < 0 or value.bit_length() > (1 << n):
         raise ValueError(f"hex table does not fit 2**{n} bits")
     nbytes = ((1 << n) + 7) // 8
     raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
     bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
-    return make_from_table(n, bits, cap=cap)
+    return BooleanFunction(n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +156,35 @@ def dictator(n: int, i: int) -> BooleanFunction:
     """f(x) = x_i."""
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range for arity {n}")
+    _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint32)
-    return make_from_table(n, (points >> (i - 1)) & 1)
+    return BooleanFunction(n, (points >> (i - 1)) & 1)
 
 
 def and_all(n: int) -> BooleanFunction:
+    _check_arity(n)
     table = np.zeros(1 << n, dtype=np.uint8)
     table[-1] = 1
-    return make_from_table(n, table)
+    return BooleanFunction(n, table)
 
 
 def or_all(n: int) -> BooleanFunction:
+    _check_arity(n)
     table = np.ones(1 << n, dtype=np.uint8)
     table[0] = 0
-    return make_from_table(n, table)
+    return BooleanFunction(n, table)
 
 
 def majority(n: int) -> BooleanFunction:
     if n % 2 == 0:
         raise ValueError("majority requires odd arity")
-    return make_from_table(n, popcounts(n) >= (n + 1) // 2)
+    _check_arity(n)
+    return BooleanFunction(n, popcounts(n) >= (n + 1) // 2)
 
 
 def parity(n: int) -> BooleanFunction:
-    return make_from_table(n, popcounts(n) % 2)
+    _check_arity(n)
+    return BooleanFunction(n, popcounts(n) % 2)
 
 
 def tribes(k: int, m: int) -> BooleanFunction:
@@ -180,31 +192,21 @@ def tribes(k: int, m: int) -> BooleanFunction:
     if k < 1 or m < 1:
         raise ValueError("tribes requires k >= 1 and m >= 1")
     n = k * m
-    cap = arity_cap()
-    if n > cap:
-        raise ValueError(
-            f"arity {n} exceeds the dense-table cap {cap}; use a closed-form "
-            "family or the Monte Carlo estimators"
-        )
+    _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint64)
     table = np.zeros(1 << n, dtype=np.uint8)
     block = (1 << k) - 1
     for t in range(m):
         mask = np.uint64(block << (t * k))
         table |= ((points & mask) == mask).astype(np.uint8)
-    return make_from_table(n, table)
+    return BooleanFunction(n, table)
 
 
 def cyclic_run(n: int, length: int) -> BooleanFunction:
     """1 iff some cyclic run of `length` consecutive coordinates is all ones."""
     if not 1 <= length <= n:
         raise ValueError("run length must satisfy 1 <= length <= n")
-    cap = arity_cap()
-    if n > cap:
-        raise ValueError(
-            f"arity {n} exceeds the dense-table cap {cap}; use a closed-form "
-            "family or the Monte Carlo estimators"
-        )
+    _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint64)
     bits = [((points >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
     table = np.zeros(1 << n, dtype=np.uint8)
@@ -213,7 +215,7 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
         for off in range(length):
             acc &= bits[(start + off) % n]
         table |= acc
-    return make_from_table(n, table)
+    return BooleanFunction(n, table)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,8 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
 def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any single coordinate never lowers f."""
     for b in range(f.n):
-        r = f.table.reshape(1 << (f.n - 1 - b), 2, 1 << b)
-        if ((r[:, 0, :] == 1) & (r[:, 1, :] == 0)).any():
+        lower, upper = _fibers(f.table, b)
+        if (lower > upper).any():
             return False
     return True
 
@@ -426,15 +428,17 @@ def family_symmetry(spec: FamilySpec) -> tuple[str | None, PermutationGenerators
 
 def random_function(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Uniformly random truth table."""
-    return make_from_table(n, rng.integers(0, 2, size=1 << n))
+    _check_arity(n)
+    return BooleanFunction(n, rng.integers(0, 2, size=1 << n))
 
 
 def random_monotone_function(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Random monotone function: union of up-sets of a few random points."""
+    _check_arity(n)
     seeds = rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))
     points = np.arange(1 << n, dtype=np.uint32)
     table = np.zeros(1 << n, dtype=np.uint8)
     for s in seeds:
         s = np.uint32(s)
         table |= ((points & s) == s).astype(np.uint8)
-    return make_from_table(n, table)
+    return BooleanFunction(n, table)

@@ -38,9 +38,10 @@ from .measure import (
     weights,
 )
 from .reports import BoundReport, checked
-from .threshold import supremum_on_interval, threshold_width
+from .threshold import ThresholdResult, supremum_on_interval, threshold_width
 
 SERIES_SWITCH = 1e-7
+WIDTH_TOL = 1e-9
 
 _LOG_ENVELOPE_C = (2.0 + 4.0 / math.e) - (5.0 + 4.0 / math.e) * math.log(2.0)
 _ENVELOPE_POWER = 3.0 + 4.0 / math.e
@@ -427,15 +428,13 @@ def derivative_bound_check(
     pv = bias_value(p)
     mu = expectation(A, pv)
     lhs = expectation_derivative(A, pv)
-    rate = rate_value(A.n)
-    rhs = rate.value / (pv * (1.0 - pv) * log_sobolev_constant(pv)) * mu * (1.0 - mu)
-    return checked(
-        "derivative_lower_bound", lhs, rhs, "ge", tol, n=A.n, p=pv, mu=mu, rate=rate.value
-    )
+    rhs = derivative_bound_rhs(A.n, pv, mu)
+    rate = rate_value(A.n).value
+    return checked("derivative_lower_bound", lhs, rhs, "ge", tol, n=A.n, p=pv, mu=mu, rate=rate)
 
 
 def derivative_bound_rhs(n: int, p, mu: float) -> float:
-    """Right-hand side of the derivative bound, for sweep output."""
+    """Right-hand side of the derivative bound, for the check and the sweep."""
     pv = bias_value(p)
     return rate_value(n).value / (pv * (1.0 - pv) * log_sobolev_constant(pv)) * mu * (1.0 - mu)
 
@@ -444,22 +443,18 @@ def width_bound_check(
     target,
     eps: float,
     gens: PermutationGenerators | None = None,
-    tol: float = 1e-9,
+    tol: float = WIDTH_TOL,
 ) -> tuple[BoundReport, BoundReport]:
-    """Threshold width against its two closed-form ceilings.
+    """Threshold width against its two closed-form ceilings (``width_bounds``),
+    once the set has passed ``width_bound_arity``: hypotheses come first."""
+    n = width_bound_arity(target, gens)
+    return width_bounds(n, threshold_width(target, eps), tol)
 
-    The tighter one multiplies 2 log((1-eps)/eps)/rate by the supremum of
-    p(1-p)c(p) over the bracket the threshold itself occupies. Integrating
-    the derivative bound from p(eps) to p(1-eps) turns the log-odds of each
-    endpoint into that combined log term, with the supremum pulled out of
-    the integral; the factor 2 is log((1-eps)^2/eps^2) collapsing. The
-    simpler ceiling is log((1-eps)/eps)/rate outright, which follows from
-    the first via the 1/2 cap on p(1-p)c(p), so tight <= plain always. That
-    cap is re-asserted on a grid and folded into the first report.
-    Hypotheses are as in derivative_bound_check; a FamilySpec brings its
-    own symmetry evidence, so closed-form families work above the dense
-    arity cap.
-    """
+
+def width_bound_arity(target, gens: PermutationGenerators | None) -> int:
+    """Arity of a set meeting the hypotheses of derivative_bound_check; raises
+    otherwise. A FamilySpec brings its own symmetry evidence, so closed-form
+    families work above the dense arity cap."""
     if isinstance(target, FamilySpec):
         if gens is not None:
             _check_set_hypotheses(build_family(target), gens)
@@ -471,16 +466,27 @@ def width_bound_check(
                 raise ValueError(
                     "hypothesis failed: the family carries no transitive symmetry"
                 )
-        n = target.arity
-    elif isinstance(target, BooleanFunction):
+        return target.arity
+    if isinstance(target, BooleanFunction):
         _check_set_hypotheses(target, gens)
-        n = target.n
-    else:
-        raise TypeError(f"expected a BooleanFunction or FamilySpec, got {type(target).__name__}")
+        return target.n
+    raise TypeError(f"expected a BooleanFunction or FamilySpec, got {type(target).__name__}")
 
-    result = threshold_width(target, eps)
+
+def width_bounds(n: int, result: ThresholdResult, tol: float) -> tuple[BoundReport, BoundReport]:
+    """A measured threshold width against its two closed-form ceilings.
+
+    The tighter one multiplies 2 log((1-eps)/eps)/rate by the supremum of
+    p(1-p)c(p) over the bracket the threshold itself occupies. Integrating
+    the derivative bound from p(eps) to p(1-eps) turns the log-odds of each
+    endpoint into that combined log term, with the supremum pulled out of
+    the integral; the factor 2 is log((1-eps)^2/eps^2) collapsing. The
+    simpler ceiling is log((1-eps)/eps)/rate outright, which follows from
+    the first via the 1/2 cap on p(1-p)c(p), so tight <= plain always. That
+    cap is re-asserted on a grid and folded into the first report.
+    """
     rate = rate_value(n).value
-    log_odds = math.log((1.0 - eps) / eps)
+    log_odds = math.log((1.0 - result.eps) / result.eps)
     sup_scaled = supremum_on_interval(
         scaled_log_sobolev_constant, result.p_low, result.p_high
     )
@@ -488,7 +494,7 @@ def width_bound_check(
 
     shared = {
         "n": int(n),
-        "eps": float(eps),
+        "eps": float(result.eps),
         "rate": rate,
         "p_low": result.p_low,
         "p_high": result.p_high,

@@ -199,9 +199,11 @@ def cmd_threshold(args, out) -> int:
     payload = _report_head("threshold", echo)
     payload["family"] = spec.to_string()
     payload["eps"] = args.eps
-    payload["result"] = threshold_width(spec, args.eps).to_dict()
+    result = threshold_width(spec, args.eps)
+    payload["result"] = result.to_dict()
     try:
-        tight, plain = bounds.width_bound_check(spec, args.eps)
+        n = bounds.width_bound_arity(spec, None)
+        tight, plain = bounds.width_bounds(n, result, bounds.WIDTH_TOL)
         payload["width_bounds"] = {
             "scaled_constant": tight.to_dict(),
             "rate": plain.to_dict(),

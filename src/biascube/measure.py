@@ -129,17 +129,15 @@ def entropy(g, p) -> float:
 def _fiber_split(values: np.ndarray, n: int, i: int):
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} out of range for arity {n}")
-    b = i - 1
-    r = values.reshape(1 << (n - 1 - b), 2, 1 << b)
-    return r[:, 0, :], r[:, 1, :]
+    return _kernels._fibers(values, i - 1)
 
 
 def _fill_fibers(n: int, i: int, lower_vals, upper_vals) -> np.ndarray:
-    b = i - 1
-    out = np.empty((1 << (n - 1 - b), 2, 1 << b), dtype=np.float64)
-    out[:, 0, :] = lower_vals
-    out[:, 1, :] = upper_vals
-    return out.reshape(-1)
+    out = np.empty(1 << n, dtype=np.float64)
+    lower, upper = _kernels._fibers(out, i - 1)
+    lower[...] = lower_vals
+    upper[...] = upper_vals
+    return out
 
 
 def _gradient(values: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -155,9 +153,7 @@ def _average(values: np.ndarray, n: int, p: float, i: int) -> np.ndarray:
 
 
 def _center(values: np.ndarray, n: int, p: float, i: int) -> np.ndarray:
-    lower, upper = _fiber_split(values, n, i)
-    mean = (1.0 - p) * lower + p * upper
-    return _fill_fibers(n, i, lower - mean, upper - mean)
+    return values - _average(values, n, p, i)
 
 
 def coordinate_gradient(g, i: int) -> CubeFunction:
@@ -199,16 +195,19 @@ def generator_apply(g, p) -> CubeFunction:
     return CubeFunction(n, acc)
 
 
+def _squared_difference(lower, upper):
+    diff = upper - lower
+    return np.multiply(diff, diff, out=diff)
+
+
 def dirichlet_energy(g, p) -> float:
     """Sum over coordinates of the integrated squared centering operator."""
     n, v = _as_values(g)
     p = bias_value(p)
-    w = weights(n, p)
-    total = 0.0
-    for i in range(1, n + 1):
-        centered = _center(v, n, p, i)
-        total += float(w @ (centered * centered))
-    return total
+    # A fiber's centering is -p and 1-p times its gradient at points weighing
+    # 1-p and p times the base weight: p(1-p) times the squared gradient.
+    sums = _kernels._fiber_sums(v, n, weights(n - 1, p), _squared_difference)
+    return p * (1.0 - p) * float(sums.sum())
 
 
 def moment_identity(f, p, i: int, alpha: float) -> tuple[float, float]:
@@ -267,11 +266,9 @@ def influences(f: BooleanFunction, p) -> np.ndarray:
 def expectation_derivative(g, p) -> float:
     """d/dp of the expectation: the sum of integrated coordinate gradients."""
     n, v = _as_values(g)
-    w = weights(n, p)
-    total = 0.0
-    for i in range(1, n + 1):
-        total += float(w @ _gradient(v, n, i))
-    return total
+    # the gradient is constant on a fiber, whose two points weigh its base weight
+    sums = _kernels._fiber_sums(v, n, weights(n - 1, p), lambda lower, upper: upper - lower)
+    return float(sums.sum())
 
 
 def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
@@ -286,8 +283,10 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
         raise ValueError("requires a monotone function (no negative gradients)")
     p = bias_value(p)
     lhs = expectation_derivative(f, p)
-    rhs = dirichlet_energy(f, p) / (p * (1.0 - p))
-    return lhs, rhs
+    # the energy by its definition, not through the fiber sweep the derivative uses
+    v, w = f.values(), weights(f.n, p)
+    energy = sum(float(w @ _center(v, f.n, p, i) ** 2) for i in range(1, f.n + 1))
+    return lhs, energy / (p * (1.0 - p))
 
 
 def random_cube_function(n: int, rng: np.random.Generator, positive: bool = False) -> CubeFunction:

@@ -34,11 +34,8 @@ CLOSED_FORM_KINDS = frozenset({"or_all", "and_all", "tribes", "dictator"})
 class MuCurve:
     """Measure-versus-bias curve of a monotone nontrivial set."""
 
-    n: int
-    label: str
     mu: Callable[[float], float]
     derivative: Callable[[float], float] | None = None
-    closed_inverse: Callable[[float], float] | None = None
 
 
 def dense_curve(f: BooleanFunction) -> MuCurve:
@@ -47,12 +44,8 @@ def dense_curve(f: BooleanFunction) -> MuCurve:
         raise ValueError("the set is trivial: its measure is constant in p")
     if not is_monotone(f):
         raise ValueError("bisection requires a monotone set")
-    return MuCurve(
-        f.n,
-        "dense",
-        mu=lambda p: expectation(f, p),
-        derivative=lambda p: expectation_derivative(f, p),
-    )
+    return MuCurve(mu=lambda p: expectation(f, p),
+                   derivative=lambda p: expectation_derivative(f, p))
 
 
 def family_curve(spec: FamilySpec) -> MuCurve:
@@ -62,24 +55,17 @@ def family_curve(spec: FamilySpec) -> MuCurve:
     at any arity. Everything else needs a dense table, so the arity cap
     applies and larger instances must go through the Monte Carlo estimators.
     """
-    label = spec.to_string()
     if spec.kind == "or_all":
         n = spec.param("n")
         return MuCurve(
-            n,
-            label,
             mu=lambda p: -math.expm1(n * math.log1p(-p)),
             derivative=lambda p: n * math.exp((n - 1) * math.log1p(-p)),
-            closed_inverse=lambda a: -math.expm1(math.log1p(-a) / n),
         )
     if spec.kind == "and_all":
         n = spec.param("n")
         return MuCurve(
-            n,
-            label,
             mu=lambda p: math.exp(n * math.log(p)),
             derivative=lambda p: n * math.exp((n - 1) * math.log(p)),
-            closed_inverse=lambda a: math.exp(math.log(a) / n),
         )
     if spec.kind == "tribes":
         k, m = spec.param("k"), spec.param("m")
@@ -91,18 +77,9 @@ def family_curve(spec: FamilySpec) -> MuCurve:
             q = math.exp(k * math.log(p))
             return m * math.exp((m - 1) * math.log1p(-q)) * k * math.exp((k - 1) * math.log(p))
 
-        def inverse(a):
-            return math.exp(math.log(-math.expm1(math.log1p(-a) / m)) / k)
-
-        return MuCurve(k * m, label, mu=mu, derivative=derivative, closed_inverse=inverse)
+        return MuCurve(mu=mu, derivative=derivative)
     if spec.kind == "dictator":
-        return MuCurve(
-            spec.param("n"),
-            label,
-            mu=lambda p: p,
-            derivative=lambda p: 1.0,
-            closed_inverse=lambda a: a,
-        )
+        return MuCurve(mu=lambda p: p, derivative=lambda p: 1.0)
     return dense_curve(build_family(spec))
 
 

@@ -4,6 +4,8 @@ Oracles here are deliberately dumb: per-point Python loops over explicit
 bit strings, compared against the vectorized implementations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,3 +217,17 @@ def test_arity_cap_env(monkeypatch):
     monkeypatch.setenv("BIASCUBE_MAX_ARITY", "0")
     with pytest.raises(ValueError):
         arity_cap()
+
+
+def test_oversize_tables_refused_before_allocation(monkeypatch):
+    monkeypatch.setenv("BIASCUBE_MAX_ARITY", "10")
+    for build in (lambda: dictator(24, 1), lambda: majority(23),
+                  lambda: parse_table_string("n=24:hex=1")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense-table cap"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from biascube import cli
+from biascube import cli, threshold
 from biascube.mc import RNG_ID
 
 
@@ -161,6 +161,21 @@ class TestThreshold:
         bounds = payload["width_bounds"]
         assert bounds["scaled_constant"]["pass"] is True
         assert bounds["rate"]["pass"] is True
+
+    def test_bisects_each_level_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(curve, alpha, tol):
+            calls.append(alpha)
+            return bisect(curve, alpha, tol)
+
+        bisect = threshold._bisect
+        monkeypatch.setattr(threshold, "_bisect", counting)
+        payload = run_json(
+            capsys, "threshold", "--family", "majority", "--n", "9", "--eps", "0.1"
+        )
+        assert payload["width_bounds"]["rate"]["pass"] is True
+        assert calls == [0.1, 0.9]
 
     def test_dictator_width_without_symmetric_bound(self, capsys):
         payload = run_json(

@@ -5,7 +5,9 @@ from p**w * (1-p)**(n-w); operator tests check definitions on explicitly
 flipped points before trusting any identity built on top of them.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +53,16 @@ def slow_expectation(values, n, p):
 def random_g(n, seed):
     rng = np.random.default_rng(seed)
     return CubeFunction(n, rng.normal(size=1 << n))
+
+
+def peak_bytes(fn, *args):
+    """Peak of the memory traced while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWeights:
@@ -152,15 +164,20 @@ class TestOperators:
         assert np.allclose(generator_apply(g, p).values, total, atol=1e-12)
 
     def test_energy_two_definitions(self):
-        g, p = random_g(5, seed=13), 0.6
-        w = weights(5, p)
-        by_centerings = sum(
-            float(w @ coordinate_center(g, p, i).values ** 2) for i in range(1, 6)
-        )
-        against_generator = -float(w @ (g.values * generator_apply(g, p).values))
-        e = dirichlet_energy(g, p)
-        assert math.isclose(e, by_centerings, abs_tol=1e-12)
-        assert math.isclose(e, against_generator, abs_tol=1e-12)
+        for n, p in itertools.product(range(1, 11), BIASES):
+            g = random_g(n, seed=13 + n)
+            w = weights(n, p)
+            by_centerings = sum(
+                float(w @ coordinate_center(g, p, i).values ** 2) for i in range(1, n + 1)
+            )
+            against_generator = -float(w @ (g.values * generator_apply(g, p).values))
+            e = dirichlet_energy(g, p)
+            assert math.isclose(e, by_centerings, abs_tol=1e-12)
+            assert math.isclose(e, against_generator, abs_tol=1e-12)
+
+    def test_energy_allocates_no_dense_array_per_coordinate(self):
+        g = random_g(20, seed=4)
+        assert peak_bytes(dirichlet_energy, g, 0.3) < 16 << 20
 
 
 class TestMomentIdentity:
@@ -227,6 +244,21 @@ class TestDerivative:
         h = 1e-6
         fd = (expectation(g, p + h) - expectation(g, p - h)) / (2 * h)
         assert math.isclose(expectation_derivative(g, p), fd, rel_tol=1e-6, abs_tol=1e-8)
+
+    def test_gradient_sum_definition(self):
+        for n, p in itertools.product(range(1, 11), BIASES):
+            g = random_g(n, seed=31 + n)
+            w = weights(n, p)
+            by_gradients = sum(
+                float(w @ coordinate_gradient(g, i).values) for i in range(1, n + 1)
+            )
+            assert math.isclose(
+                expectation_derivative(g, p), by_gradients, rel_tol=1e-12, abs_tol=1e-12
+            )
+
+    def test_allocates_no_dense_array_per_coordinate(self):
+        g = random_g(20, seed=5)
+        assert peak_bytes(expectation_derivative, g, 0.3) < 16 << 20
 
     def test_energy_derivative_sides_agree(self):
         for seed, p in ((1, 0.3), (2, 0.5), (3, 0.85)):
