@@ -14,7 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biascube.booleans import dictator, majority, or_all, parity, with_coordinate
+from biascube.booleans import (
+    BooleanFunction,
+    and_all,
+    cyclic_run,
+    dictator,
+    majority,
+    or_all,
+    parity,
+    random_function,
+    random_monotone_function,
+    tribes,
+    with_coordinate,
+)
 from biascube.measure import (
     Bias,
     CubeFunction,
@@ -289,6 +301,46 @@ class TestEntropy:
         g = CubeFunction(2, np.array([1.0, -0.5, 0.2, 0.3]))
         with pytest.raises(ValueError):
             entropy(g, 0.5)
+
+
+AGREEMENT_BIASES = (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
+BOOLEAN_QUANTITIES = (expectation, variance, entropy, expectation_derivative, dirichlet_energy)
+
+
+def boolean_cases(n):
+    """Every family at arity n, both constants and two seeded random functions."""
+    rng = np.random.default_rng(4000 + n)
+    yield dictator(n, 1)
+    yield dictator(n, n)
+    yield and_all(n)
+    yield or_all(n)
+    yield parity(n)
+    if n % 2:
+        yield majority(n)
+    for k in range(1, n + 1):
+        if n % k == 0:
+            yield tribes(k, n // k)
+    for length in sorted({1, (n + 1) // 2, n}):
+        yield cyclic_run(n, length)
+    yield BooleanFunction(n, np.zeros(1 << n))
+    yield BooleanFunction(n, np.ones(1 << n))
+    yield random_function(n, rng)
+    yield random_monotone_function(n, rng)
+
+
+class TestBooleanAgreesWithDense:
+    """A Boolean function and the same table as a real function give the
+    same measure, variance, entropy, derivative and energy."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_five_quantities(self, n):
+        for f in boolean_cases(n):
+            dense = CubeFunction.from_boolean(f)
+            for p in AGREEMENT_BIASES:
+                for quantity in BOOLEAN_QUANTITIES:
+                    a, b = quantity(f, p), quantity(dense, p)
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (
+                        quantity.__name__, f.to_table_string()[:40], p, a, b)
 
 
 def test_random_cube_function_positive_flag():
