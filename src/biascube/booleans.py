@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,6 +113,19 @@ class BooleanFunction:
 
     def is_constant(self) -> bool:
         return bool((self.table == self.table[0]).all())
+
+    @cached_property
+    def level_counts(self) -> np.ndarray:
+        """Read-only int64 ``a_k = #{x : f(x) = 1, |x| = k}`` for k = 0..n.
+
+        The measure at any bias is ``sum_k a_k p**k (1-p)**(n-k)``, so these
+        n+1 integers carry all of f's dependence on p. The table is
+        read-only, so the cached counts cannot go stale.
+        """
+        weights_of_ones = popcounts(self.n)[self.table.view(bool)]
+        counts = np.bincount(weights_of_ones, minlength=self.n + 1).astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        return counts
 
     def to_table_string(self) -> str:
         packed = np.packbits(self.table, bitorder="little").tobytes()

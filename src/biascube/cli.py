@@ -9,7 +9,8 @@ diffed byte for byte. Floats in CSV are printed with 17 significant digits,
 which round-trips IEEE doubles exactly.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for usage
-errors (bad flags, malformed inputs, hypothesis violations).
+errors (bad flags, malformed inputs, hypothesis violations) and for running
+out of memory.
 """
 
 from __future__ import annotations
@@ -390,6 +391,10 @@ def main(argv=None) -> int:
         if "dense-table cap" in message:
             message += " (the mc subcommands sample at any arity)"
         print(f"error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower the arity or use the mc subcommands",
+              file=sys.stderr)
         return 2
 
 

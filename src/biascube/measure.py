@@ -13,10 +13,17 @@ Two first-order operators act along a coordinate i:
 
 The Dirichlet energy is the sum over coordinates of the integrated squared
 centering operator.
+
+A Boolean function's measure is a polynomial in p with integer coefficients,
+its level counts a_k (``BooleanFunction.level_counts``). Its expectation,
+variance, entropy and Russo derivative are therefore read off those n+1
+counts at O(n) cost per bias; only real-valued ``CubeFunction`` arguments
+are summed over the dense table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +91,48 @@ def point_weight(n: int, p, x: int) -> float:
     return p**w * (1.0 - p) ** (n - w)
 
 
+def level_weights(m: int, p) -> np.ndarray:
+    """Weight p**k * (1-p)**(m-k) of one point of level k in {0,1}^m, k = 0..m."""
+    p = bias_value(p)
+    k = np.arange(m + 1, dtype=np.float64)
+    return p**k * (1.0 - p) ** (m - k)
+
+
 def weights(n: int, p) -> np.ndarray:
     """Dense weight vector over all 2**n points."""
-    p = bias_value(p)
-    k = np.arange(n + 1, dtype=np.float64)
-    by_weight = p**k * (1.0 - p) ** (n - k)
-    return by_weight[popcounts(n)]
+    return level_weights(n, p)[popcounts(n)]
+
+
+def _level_mean(f: BooleanFunction, p) -> float:
+    return float(level_weights(f.n, p) @ f.level_counts)
+
+
+def _derivative_counts(counts: np.ndarray) -> np.ndarray:
+    """Integer c_k = (k+1) a_{k+1} - (n-k) a_k, k = 0..n-1, of a level count
+    vector a; the Russo derivative is sum_k c_k p**k (1-p)**(n-1-k).
+
+    Every c_k is nonnegative for an up-set: each of the a_k points of level
+    k has n-k upper neighbours, all in the set, and each point of level k+1
+    has only k+1 lower neighbours.
+    """
+    n = counts.size - 1
+    k = np.arange(n, dtype=np.int64)
+    return (k + 1) * counts[1:] - (n - k) * counts[:-1]
 
 
 def expectation(g, p) -> float:
+    if isinstance(g, BooleanFunction):
+        return _level_mean(g, p)
     n, v = _as_values(g)
     return float(weights(n, p) @ v)
 
 
 def variance(g, p) -> float:
-    """Variance; two-pass below 2**20 entries, the moment formula above."""
+    """Variance; mu(1-mu) for a Boolean function. For a real function,
+    two-pass below 2**20 entries, the moment formula above."""
+    if isinstance(g, BooleanFunction):
+        mean = _level_mean(g, p)
+        return max(mean * (1.0 - mean), 0.0)
     n, v = _as_values(g)
     w = weights(n, p)
     mean = float(w @ v)
@@ -111,6 +145,10 @@ def variance(g, p) -> float:
 
 def entropy(g, p) -> float:
     """Entropy functional: int g log g - (int g) log(int g), with 0 log 0 = 0."""
+    if isinstance(g, BooleanFunction):
+        # g log g vanishes on {0,1}; 0.0 - keeps the sign of a zero entropy at mu = 1
+        mean = _level_mean(g, p)
+        return 0.0 if mean <= 0.0 else 0.0 - mean * math.log(mean)
     n, v = _as_values(g)
     if (v < 0).any():
         raise ValueError("entropy requires a nonnegative function")
@@ -202,8 +240,11 @@ def _squared_difference(lower, upper):
 
 def dirichlet_energy(g, p) -> float:
     """Sum over coordinates of the integrated squared centering operator."""
-    n, v = _as_values(g)
     p = bias_value(p)
+    if isinstance(g, BooleanFunction):
+        # on 0/1 values the squared gradient is the pivotal indicator
+        return p * (1.0 - p) * float(influences(g, p).sum())
+    n, v = _as_values(g)
     # A fiber's centering is -p and 1-p times its gradient at points weighing
     # 1-p and p times the base weight: p(1-p) times the squared gradient.
     sums = _kernels._fiber_sums(v, n, weights(n - 1, p), _squared_difference)
@@ -265,6 +306,8 @@ def influences(f: BooleanFunction, p) -> np.ndarray:
 
 def expectation_derivative(g, p) -> float:
     """d/dp of the expectation: the sum of integrated coordinate gradients."""
+    if isinstance(g, BooleanFunction):
+        return float(level_weights(g.n - 1, p) @ _derivative_counts(g.level_counts))
     n, v = _as_values(g)
     # the gradient is constant on a fiber, whose two points weigh its base weight
     sums = _kernels._fiber_sums(v, n, weights(n - 1, p), lambda lower, upper: upper - lower)
@@ -283,7 +326,7 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
         raise ValueError("requires a monotone function (no negative gradients)")
     p = bias_value(p)
     lhs = expectation_derivative(f, p)
-    # the energy by its definition, not through the fiber sweep the derivative uses
+    # the energy by its definition, not from the level counts the derivative uses
     v, w = f.values(), weights(f.n, p)
     energy = sum(float(w @ _center(v, f.n, p, i) ** 2) for i in range(1, f.n + 1))
     return lhs, energy / (p * (1.0 - p))

@@ -39,7 +39,8 @@ class MuCurve:
 
 
 def dense_curve(f: BooleanFunction) -> MuCurve:
-    """Curve backed by the dense table; requires monotone and nontrivial."""
+    """Curve of a dense table, read off its level counts at O(n) per bias;
+    requires monotone and nontrivial."""
     if f.is_constant():
         raise ValueError("the set is trivial: its measure is constant in p")
     if not is_monotone(f):
@@ -109,6 +110,14 @@ def set_measure(target, p) -> float:
     return float(_as_curve(target).mu(pv))
 
 
+def _check_tol(tol: float) -> None:
+    """Bisection tolerances must leave the bracket [tol, 1 - tol] inside (0,1)."""
+    if not 0.0 < tol < 0.5 or 1.0 - tol == 1.0:
+        raise ValueError(
+            f"tolerance must lie in (0, 0.5) with 1 - tol below 1.0, got {tol}"
+        )
+
+
 def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int, float]:
     lo, hi = tol, 1.0 - tol
     mu_lo, mu_hi = curve.mu(lo), curve.mu(hi)
@@ -120,6 +129,8 @@ def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int, float
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent doubles: no bracket is narrower
+            break
         value = curve.mu(mid)
         iterations += 1
         if abs(value - alpha) <= tol:
@@ -128,8 +139,6 @@ def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int, float
             lo = mid
         else:
             hi = mid
-        if iterations >= 200:  # safety cap; the bracket halves every step
-            break
     mid = 0.5 * (lo + hi)
     return mid, iterations, abs(curve.mu(mid) - alpha)
 
@@ -138,8 +147,7 @@ def bias_at_level(target, alpha: float, tol: float = DEFAULT_BISECTION_TOL) -> f
     """The bias at which the measure reaches level alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0,1), got {alpha}")
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 0.5), got {tol}")
+    _check_tol(tol)
     curve = _as_curve(target)
     p, _, _ = _bisect(curve, alpha, tol)
     return p
@@ -167,6 +175,7 @@ def threshold_width(target, eps: float, tol: float = DEFAULT_BISECTION_TOL) -> T
     """Width of the window where the measure climbs from eps to 1-eps."""
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    _check_tol(tol)
     curve = _as_curve(target)
     p_low, it_low, _ = _bisect(curve, eps, tol)
     p_high, it_high, _ = _bisect(curve, 1.0 - eps, tol)

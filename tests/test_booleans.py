@@ -202,6 +202,18 @@ class TestSymmetryEvidence:
             assert mapping[x] == y
 
 
+def test_level_counts_by_weight():
+    f = majority(7)
+    assert f.level_counts.dtype == np.int64
+    assert list(f.level_counts) == [0, 0, 0, 0, 35, 21, 7, 1]
+    assert f.level_counts is f.level_counts
+    assert not f.level_counts.flags.writeable
+    rng = np.random.default_rng(3)
+    g = random_monotone_function(6, rng)
+    by_hand = [sum(g(x) for x in range(64) if bin(x).count("1") == k) for k in range(7)]
+    assert list(g.level_counts) == by_hand
+
+
 def test_random_monotone_is_monotone():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -302,6 +302,19 @@ class TestMonteCarlo:
         assert first == second
 
 
+class TestErrors:
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(args, out):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._DISPATCH, "analyze", exhausted)
+        code, out, err = run_cli(capsys, "analyze", "--family", "or", "--n", "3", "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

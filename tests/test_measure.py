@@ -5,8 +5,10 @@ from p**w * (1-p)**(n-w); operator tests check definitions on explicitly
 flipped points before trusting any identity built on top of them.
 """
 
+import functools
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biascube import cli, measure
 from biascube.booleans import (
     BooleanFunction,
     and_all,
@@ -29,6 +32,7 @@ from biascube.booleans import (
 )
 from biascube.measure import (
     Bias,
+    _derivative_counts,
     CubeFunction,
     bias_value,
     center_projection_sides,
@@ -44,12 +48,14 @@ from biascube.measure import (
     generator_apply,
     influence,
     influences,
+    level_weights,
     moment_identity,
     point_weight,
     random_cube_function,
     variance,
     weights,
 )
+from biascube.threshold import threshold_width
 
 BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -90,6 +96,13 @@ class TestWeights:
             k = bin(x).count("1")
             assert math.isclose(w[x], p**k * (1 - p) ** (n - k), rel_tol=1e-14)
             assert math.isclose(point_weight(n, p, x), w[x], rel_tol=1e-15)
+
+    @pytest.mark.parametrize("p", BIASES)
+    def test_dense_vector_indexes_level_weights(self, p):
+        for n in (1, 6, 11):
+            levels = level_weights(n, p)
+            assert levels.shape == (n + 1,)
+            assert np.array_equal(weights(n, p), levels[[bin(x).count("1") for x in range(1 << n)]])
 
     def test_bias_validation(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
@@ -341,6 +354,61 @@ class TestBooleanAgreesWithDense:
                     a, b = quantity(f, p), quantity(dense, p)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (
                         quantity.__name__, f.to_table_string()[:40], p, a, b)
+
+
+def test_derivative_counts_nonnegative_for_monotone():
+    rng = np.random.default_rng(17)
+    for n in range(1, 15):
+        for _ in range(6):
+            counts = _derivative_counts(random_monotone_function(n, rng).level_counts)
+            assert counts.shape == (n,)
+            assert (counts >= 0).all()
+    # a non-monotone function has a negative coefficient: parity(2) is 0,1,1,0
+    assert list(_derivative_counts(parity(2).level_counts)) == [2, -2]
+
+
+@pytest.fixture
+def rescans(monkeypatch):
+    """Counts dense weight-vector builds and level-count passes, per function."""
+    seen = {"weights": 0, "level_counts": []}
+    dense = measure.weights
+
+    def counting_weights(n, p):
+        seen["weights"] += 1
+        return dense(n, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biascube") and getattr(module, "weights", None) is dense:
+            monkeypatch.setattr(module, "weights", counting_weights)
+
+    count_levels = BooleanFunction.__dict__["level_counts"].func
+
+    def counting_levels(f):
+        seen["level_counts"].append(f)
+        return count_levels(f)
+
+    cached = functools.cached_property(counting_levels)
+    cached.__set_name__(BooleanFunction, "level_counts")
+    monkeypatch.setattr(BooleanFunction, "level_counts", cached)
+    return seen
+
+
+class TestNoRescan:
+    """The p-curve of a Boolean function comes from one pass over its table."""
+
+    def test_threshold_width(self, rescans):
+        f = majority(15)
+        threshold_width(f, 0.1)
+        assert rescans["weights"] == 0
+        assert rescans["level_counts"] == [f]
+
+    def test_sweep(self, rescans, capsys):
+        code = cli.main(["sweep", "--family", "majority", "--n", "13",
+                         "--grid", "0.05:0.95:0.05"])
+        assert code == 0
+        assert capsys.readouterr().out.count("\n") == 5 + 19
+        assert rescans["weights"] == 0
+        assert len(rescans["level_counts"]) == 1
 
 
 def test_random_cube_function_positive_flag():

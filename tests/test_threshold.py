@@ -16,6 +16,7 @@ from biascube.booleans import (
     tribes,
 )
 from biascube.threshold import (
+    MuCurve,
     bias_at_level,
     choose_tribe_count,
     dense_curve,
@@ -98,6 +99,31 @@ class TestBisection:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             bias_at_level(family_spec("or_all", n=4), 1.5)
+
+    @pytest.mark.parametrize("target", (family_spec("or_all", n=4), or_all(4)))
+    def test_rejects_tolerance_that_rounds_the_bracket_to_one(self, target):
+        # 1 - 1e-17 == 1.0: the closed form would hit log(0), the dense
+        # curve a bias of 1.0
+        for tol in (1e-17, 5e-17, 0.0, 0.5):
+            with pytest.raises(ValueError, match="tolerance"):
+                bias_at_level(target, 0.5, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                threshold_width(target, 0.1, tol=tol)
+        assert 1.0 - 1e-16 < 1.0
+        assert math.isclose(bias_at_level(target, 0.5, tol=1e-16), or_level(4, 0.5),
+                            abs_tol=1e-15)
+
+    def test_stops_when_the_bracket_is_two_adjacent_doubles(self):
+        calls = []
+
+        def step(p):  # never within tol of the level, so only the bracket can stop it
+            calls.append(p)
+            return 0.25 if p < 0.7 else 0.75
+
+        # doubles next to 0.7 lie 1.1e-16 apart, so hi - lo never drops to tol
+        p = bias_at_level(MuCurve(mu=step), 0.5, tol=1e-16)
+        assert abs(p - 0.7) <= math.ulp(0.7)
+        assert len(calls) < 100
 
 
 class TestWidth:
