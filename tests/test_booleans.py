@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_measure import boolean_cases
 
+from biascube._kernels import _fibers
 from biascube.booleans import (
     arity_cap,
     and_all,
+    BooleanFunction,
     build_family,
     coordinate,
     cyclic_run,
@@ -219,6 +222,37 @@ def test_random_monotone_is_monotone():
     for _ in range(25):
         f = random_monotone_function(int(rng.integers(2, 7)), rng)
         assert is_monotone(f)
+
+
+def test_table_entries_above_one_rejected():
+    # packing maps every nonzero byte to 1, so the table check must see the 2
+    table = np.zeros(8, dtype=np.uint8)
+    table[5] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        BooleanFunction(3, table)
+
+
+def fiber_is_monotone(f):
+    """No coordinate fiber has its lower point above its upper point,
+    read off the unpacked table."""
+    for b in range(f.n):
+        lower, upper = _fibers(f.table, b)
+        if (lower > upper).any():
+            return False
+    return True
+
+
+def test_is_monotone_agrees_with_fiber_definition():
+    rng = np.random.default_rng(11)
+    for n in range(1, 15):
+        cases = list(boolean_cases(n))
+        # one flipped point breaks a monotone table along a few coordinates only
+        for _ in range(4):
+            table = random_monotone_function(n, rng).table.copy()
+            table[rng.integers(0, 1 << n)] ^= 1
+            cases.append(BooleanFunction(n, table))
+        for f in cases:
+            assert is_monotone(f) == fiber_is_monotone(f), f.to_table_string()[:40]
 
 
 def test_arity_cap_env(monkeypatch):

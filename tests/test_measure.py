@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biascube import cli, measure
+from biascube import _kernels, cli, measure
 from biascube.booleans import (
     BooleanFunction,
     and_all,
@@ -354,6 +354,23 @@ class TestBooleanAgreesWithDense:
                     a, b = quantity(f, p), quantity(dense, p)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (
                         quantity.__name__, f.to_table_string()[:40], p, a, b)
+
+
+class TestInfluencesAgreeWithFiberSweep:
+    """Influences, and the Boolean energy p(1-p) times their sum, against the
+    dense fiber sweep over the truth table."""
+
+    @pytest.mark.parametrize("n", [*range(1, 15), 20])
+    def test_influences_and_energy(self, n):
+        for f in boolean_cases(n):
+            for p in AGREEMENT_BIASES:
+                swept = _kernels._fiber_sums(f.table, n, weights(n - 1, p), np.not_equal)
+                got = influences(f, p)
+                assert np.all(np.abs(got - swept) <= 1e-12 * np.abs(swept)), (
+                    f.to_table_string()[:40], p, got, swept)
+                energy = p * (1 - p) * float(swept.sum())
+                assert abs(dirichlet_energy(f, p) - energy) <= 1e-12 * energy, (
+                    f.to_table_string()[:40], p)
 
 
 def test_derivative_counts_nonnegative_for_monotone():
