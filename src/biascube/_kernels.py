@@ -1,15 +1,22 @@
 """Hot numeric kernels, one pure-numpy implementation per operation.
 
-``_fiber_sums`` is the one weighted sweep over coordinate fibers: influences
-(``batch_influences``), the Russo derivative and the Dirichlet energy run on
-it. ``connected_batch`` decides graph connectivity for a batch of sampled
-edge sets with a bit-parallel breadth-first search: every vertex holds a
-bitmask of its neighbours in ``ceil(m/64)`` uint64 words per sample, and a
-reach mask grown from vertex 0 is full exactly when the graph is connected.
-The search is exact for every vertex count.
+A Boolean truth table is counted, not swept: ``pack_tables`` packs it into
+uint64 words, and ``level_counts`` and ``pivotal_counts`` turn those words
+into the integers that carry all of a Boolean function's dependence on the
+bias (points of f by Hamming weight, and pivotal base points of each
+coordinate by weight). ``_fiber_sums`` is the one weighted sweep over
+coordinate fibers of a real-valued table: the Russo derivative and the
+Dirichlet energy of a real function run on it. ``connected_batch`` decides
+graph connectivity for a batch of sampled edge sets with a bit-parallel
+breadth-first search: every vertex holds a bitmask of its neighbours in
+``ceil(m/64)`` uint64 words per sample, and a reach mask grown from vertex 0
+is full exactly when the graph is connected. The search is exact for every
+vertex count.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,11 +46,83 @@ def _fiber_sums(values: np.ndarray, n: int, base_weights: np.ndarray, term) -> n
     return out
 
 
-def batch_influences(tables: np.ndarray, n: int, base_weights: np.ndarray) -> np.ndarray:
-    """(m, n) influence vectors of a batch of (m, 2**n) packed truth tables."""
-    tables = np.ascontiguousarray(tables, dtype=np.uint8)
-    base_weights = np.ascontiguousarray(base_weights, dtype=np.float64)
-    return _fiber_sums(tables, n, base_weights, np.not_equal)
+# ---------------------------------------------------------------------------
+# packed truth tables
+#
+# Point x of a table is bit (x & 63) of word (x >> 6), so its weight is
+# popcount(x >> 6) + popcount(x & 63): the popcount of its word index plus
+# its in-word level. Tables shorter than a word are zero-padded, and a padded
+# bit is never set, so it counts nowhere.
+# ---------------------------------------------------------------------------
+
+# bit positions 0..63 of a word, by in-word level (their popcount, 0..6)
+_IN_WORD_LEVELS = np.array(
+    [sum(1 << q for q in range(64) if q.bit_count() == j) for j in range(7)], dtype=np.uint64
+)
+# bit positions with bit b clear, b = 0..5: the lower points of in-word fibers
+_IN_WORD_LOWER = np.array(
+    [sum(1 << q for q in range(64) if not q >> b & 1) for b in range(6)], dtype=np.uint64
+)
+
+
+def pack_tables(tables: np.ndarray) -> np.ndarray:
+    """(..., ceil(2**n / 64)) uint64 words of (..., 2**n) 0/1 uint8 tables."""
+    packed = np.packbits(tables, axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
+    return np.ascontiguousarray(packed).view("<u8")
+
+
+def _word_fibers(words: np.ndarray, b: int, term) -> np.ndarray:
+    """``term(lower, upper)`` over the bit-b fibers of packed words.
+
+    Bit j of word t of the result stands for the base point 64 t + j of the
+    cube without bit b, at level popcount(t) + popcount(j). For b >= 6 the
+    fiber halves are whole words and the result has half as many; for b < 6
+    both halves sit in one word, and only its lower bit positions are kept.
+    """
+    if b >= 6:
+        lower, upper = _fibers(words, b - 6)
+        return term(lower, upper).reshape(words.shape[:-1] + (-1,))
+    return term(words, words >> np.uint64(1 << b)) & _IN_WORD_LOWER[b]
+
+
+@lru_cache(maxsize=32)
+def _word_level_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For 2**m words: their indices sorted by popcount, where each popcount
+    starts in that order, and the 0/1 matrix adding in-word level j at word
+    popcount l into level j + l."""
+    word_levels = np.bitwise_count(np.arange(1 << m, dtype=np.uint64))
+    order = np.argsort(word_levels, kind="stable")
+    starts = np.searchsorted(word_levels[order], np.arange(m + 1))
+    j, level = np.indices((7, m + 1))
+    shift = np.zeros((7, m + 1, m + 7), dtype=np.int64)
+    shift[j, level, j + level] = 1
+    return order, starts, shift.reshape(-1, m + 7)
+
+
+def _count_by_level(words: np.ndarray, size: int) -> np.ndarray:
+    """(..., size) int64 counts of the set bits of 2**m words by level."""
+    m = words.shape[-1].bit_length() - 1
+    order, starts, shift = _word_level_layout(m)
+    bits = np.bitwise_count(words[..., None, order] & _IN_WORD_LEVELS[:, None])
+    by_level = np.add.reduceat(bits, starts, axis=-1, dtype=np.int64)
+    return by_level.reshape(words.shape[:-1] + (-1,)) @ shift[:, :size]
+
+
+def level_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., n+1) int64: the points of each level k where a packed table is 1."""
+    return _count_by_level(words, n + 1)
+
+
+def pivotal_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, n) int64: ``[..., b, k]`` counts the level-k base points of the
+    (n-1)-cube at which coordinate b+1 of a packed table is pivotal."""
+    out = np.empty(words.shape[:-1] + (n, n), dtype=np.int64)
+    for b in range(n):
+        out[..., b, :] = _count_by_level(_word_fibers(words, b, np.bitwise_xor), n)
+    return out
 
 
 # ---------------------------------------------------------------------------

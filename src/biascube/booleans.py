@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._kernels import _fibers
+from . import _kernels
 
 DEFAULT_ARITY_CAP = 24
 ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
@@ -94,7 +94,7 @@ class BooleanFunction:
             raise ValueError(
                 f"table length {table.shape} does not match 2**{self.n}"
             )
-        if not np.isin(table, (0, 1)).all():
+        if not (table <= 1).all():
             raise ValueError("table entries must be 0 or 1")
         table = np.ascontiguousarray(table)
         table.flags.writeable = False
@@ -115,6 +115,11 @@ class BooleanFunction:
         return bool((self.table == self.table[0]).all())
 
     @cached_property
+    def _words(self) -> np.ndarray:
+        """The table packed into uint64 words (``_kernels.pack_tables``)."""
+        return _kernels.pack_tables(self.table)
+
+    @cached_property
     def level_counts(self) -> np.ndarray:
         """Read-only int64 ``a_k = #{x : f(x) = 1, |x| = k}`` for k = 0..n.
 
@@ -122,8 +127,19 @@ class BooleanFunction:
         n+1 integers carry all of f's dependence on p. The table is
         read-only, so the cached counts cannot go stale.
         """
-        weights_of_ones = popcounts(self.n)[self.table.view(bool)]
-        counts = np.bincount(weights_of_ones, minlength=self.n + 1).astype(np.int64, copy=False)
+        counts = _kernels.level_counts(self._words, self.n)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def pivotal_counts(self) -> np.ndarray:
+        """Read-only int64 (n, n) ``b[i-1, k]``: the level-k points of the
+        (n-1)-cube left after dropping coordinate i at which i is pivotal.
+
+        The influence of coordinate i at any bias is
+        ``sum_k b[i-1, k] p**k (1-p)**(n-1-k)``. Cached like ``level_counts``.
+        """
+        counts = _kernels.pivotal_counts(self._words, self.n)
         counts.flags.writeable = False
         return counts
 
@@ -236,13 +252,13 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
+def _lowered(lower, upper):
+    return lower & ~upper
+
+
 def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any single coordinate never lowers f."""
-    for b in range(f.n):
-        lower, upper = _fibers(f.table, b)
-        if (lower > upper).any():
-            return False
-    return True
+    return not any(_kernels._word_fibers(f._words, b, _lowered).any() for b in range(f.n))
 
 
 def is_fully_symmetric(f: BooleanFunction) -> bool:

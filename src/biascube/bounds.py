@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import batch_influences
+from . import _kernels
 from .booleans import (
     BooleanFunction,
     FamilySpec,
@@ -34,8 +34,8 @@ from .measure import (
     expectation,
     expectation_derivative,
     influences,
+    level_weights,
     variance,
-    weights,
 )
 from .reports import BoundReport, checked
 from .threshold import ThresholdResult, supremum_on_interval, threshold_width
@@ -363,10 +363,10 @@ def max_influence_bound_scan(tables, n: int, p, tol: float = 1e-12) -> BoundRepo
     if n < 2:
         raise ValueError("influence bound needs arity at least 2")
     pv = bias_value(p)
-    tables = np.ascontiguousarray(np.asarray(tables, dtype=np.uint8))
-    infl = batch_influences(tables, n, weights(n - 1, pv))
+    words = _kernels.pack_tables(np.asarray(tables, dtype=np.uint8))
+    infl = _kernels.pivotal_counts(words, n) @ level_weights(n - 1, pv)
     lhs = infl.max(axis=1)
-    mu = tables.astype(np.float64) @ weights(n, pv)
+    mu = _kernels.level_counts(words, n) @ level_weights(n, pv)
     var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
     scale = rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
     rhs = var * scale
@@ -383,7 +383,7 @@ def max_influence_bound_scan(tables, n: int, p, tol: float = 1e-12) -> BoundRepo
         context={
             "n": int(n),
             "p": pv,
-            "count": int(tables.shape[0]),
+            "count": int(words.shape[0]),
             "failures": failures,
             "worst_index": worst,
         },

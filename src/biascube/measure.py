@@ -17,8 +17,10 @@ centering operator.
 A Boolean function's measure is a polynomial in p with integer coefficients,
 its level counts a_k (``BooleanFunction.level_counts``). Its expectation,
 variance, entropy and Russo derivative are therefore read off those n+1
-counts at O(n) cost per bias; only real-valued ``CubeFunction`` arguments
-are summed over the dense table.
+counts at O(n) cost per bias. Its influences, and with them its Dirichlet
+energy, are read off the integer pivotal counts
+(``BooleanFunction.pivotal_counts``) at O(n**2) cost per bias. Only
+real-valued ``CubeFunction`` arguments are summed over the dense table.
 """
 
 from __future__ import annotations
@@ -295,13 +297,13 @@ def influence(f: BooleanFunction, p, i: int) -> float:
 def influences(f: BooleanFunction, p) -> np.ndarray:
     """All coordinate influences of a Boolean function.
 
-    Computed by definition: a fiber scan weighted by the product measure on
-    the remaining n-1 coordinates.
+    Read off its pivotal counts (``BooleanFunction.pivotal_counts``): the
+    influence of coordinate i is ``sum_k b[i-1, k] p**k (1-p)**(n-1-k)``, so
+    the table is counted once and each bias costs an n-by-n product.
     """
     if not isinstance(f, BooleanFunction):
         raise TypeError("influences are defined for Boolean functions")
-    p = bias_value(p)
-    return _kernels.batch_influences(f.table[None, :], f.n, weights(f.n - 1, p))[0]
+    return f.pivotal_counts @ level_weights(f.n - 1, p)
 
 
 def expectation_derivative(g, p) -> float:

@@ -7,8 +7,8 @@ import textwrap
 
 import numpy as np
 
-from biascube._kernels import batch_influences, connected_batch
-from biascube.measure import weights
+from biascube._kernels import connected_batch, pack_tables, pivotal_counts
+from biascube.measure import level_weights
 
 
 def brute_influences(table, n, p):
@@ -43,11 +43,13 @@ def brute_connected(bits, m, edge_u, edge_v):
 
 class TestBatchInfluences:
     def test_numpy_matches_reference_implementation(self):
+        # n < 6 fills one zero-padded word; n = 7 is the first arity with a
+        # coordinate (bit 6) whose fiber halves are whole words
         rng = np.random.default_rng(0)
-        for n in (3, 6, 9):
+        for n in range(1, 10):
             tables = (rng.random((20, 1 << n)) < 0.5).astype(np.uint8)
             p = 0.35
-            got = batch_influences(tables, n, weights(n - 1, p))
+            got = pivotal_counts(pack_tables(tables), n) @ level_weights(n - 1, p)
             for row in range(20):
                 expected = brute_influences(tables[row], n, p)
                 assert np.allclose(got[row], expected, rtol=0.0, atol=1e-14)

@@ -7,6 +7,7 @@ flipped points before trusting any identity built on top of them.
 
 import functools
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -386,8 +387,9 @@ def test_derivative_counts_nonnegative_for_monotone():
 
 @pytest.fixture
 def rescans(monkeypatch):
-    """Counts dense weight-vector builds and level-count passes, per function."""
-    seen = {"weights": 0, "level_counts": []}
+    """Counts dense weight-vector builds, and level-count and pivotal-count
+    passes per function."""
+    seen = {"weights": 0, "level_counts": [], "pivotal_counts": []}
     dense = measure.weights
 
     def counting_weights(n, p):
@@ -398,15 +400,16 @@ def rescans(monkeypatch):
         if name.startswith("biascube") and getattr(module, "weights", None) is dense:
             monkeypatch.setattr(module, "weights", counting_weights)
 
-    count_levels = BooleanFunction.__dict__["level_counts"].func
+    for counts in ("level_counts", "pivotal_counts"):
+        count = BooleanFunction.__dict__[counts].func
 
-    def counting_levels(f):
-        seen["level_counts"].append(f)
-        return count_levels(f)
+        def counting(f, count=count, passes=seen[counts]):
+            passes.append(f)
+            return count(f)
 
-    cached = functools.cached_property(counting_levels)
-    cached.__set_name__(BooleanFunction, "level_counts")
-    monkeypatch.setattr(BooleanFunction, "level_counts", cached)
+        cached = functools.cached_property(counting)
+        cached.__set_name__(BooleanFunction, counts)
+        monkeypatch.setattr(BooleanFunction, counts, cached)
     return seen
 
 
@@ -426,6 +429,16 @@ class TestNoRescan:
         assert capsys.readouterr().out.count("\n") == 5 + 19
         assert rescans["weights"] == 0
         assert len(rescans["level_counts"]) == 1
+
+    def test_analyze(self, rescans, capsys):
+        # influences, the energy and the influence bound all read the
+        # pivotal counts of the one table
+        code = cli.main(["analyze", "--family", "majority", "--n", "13", "--p", "0.3"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["influences"]) == 13
+        assert rescans["weights"] == 0
+        assert len(rescans["pivotal_counts"]) == 1
+        assert rescans["level_counts"] == rescans["pivotal_counts"]
 
 
 def test_random_cube_function_positive_flag():
