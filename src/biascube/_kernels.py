@@ -71,7 +71,7 @@ def pack_tables(tables: np.ndarray) -> np.ndarray:
     pad = -packed.shape[-1] % 8
     if pad:
         packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
-    return np.ascontiguousarray(packed).view("<u8")
+    return packed.view("<u8")
 
 
 def _word_fibers(words: np.ndarray, b: int, term) -> np.ndarray:
@@ -107,6 +107,8 @@ def _count_by_level(words: np.ndarray, size: int) -> np.ndarray:
     m = words.shape[-1].bit_length() - 1
     order, starts, shift = _word_level_layout(m)
     bits = np.bitwise_count(words[..., None, order] & _IN_WORD_LEVELS[:, None])
+    if m == 0:  # one word per table: the in-word levels are the levels
+        return bits[..., :size, 0].astype(np.int64)
     by_level = np.add.reduceat(bits, starts, axis=-1, dtype=np.int64)
     return by_level.reshape(words.shape[:-1] + (-1,)) @ shift[:, :size]
 

@@ -144,8 +144,7 @@ class BooleanFunction:
         return counts
 
     def to_table_string(self) -> str:
-        packed = np.packbits(self.table, bitorder="little").tobytes()
-        value = int.from_bytes(packed, "little")
+        value = int.from_bytes(self._words.tobytes(), "little")
         return f"n={self.n}:hex={value:X}"
 
 
@@ -252,13 +251,12 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
-def _lowered(lower, upper):
-    return lower & ~upper
-
-
 def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any single coordinate never lowers f."""
-    return not any(_kernels._word_fibers(f._words, b, _lowered).any() for b in range(f.n))
+    return not any(
+        _kernels._word_fibers(f._words, b, lambda lower, upper: lower & ~upper).any()
+        for b in range(f.n)
+    )
 
 
 def is_fully_symmetric(f: BooleanFunction) -> bool:
