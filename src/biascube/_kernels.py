@@ -102,20 +102,17 @@ def _word_level_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, starts, shift.reshape(-1, m + 7)
 
 
-def _count_by_level(words: np.ndarray, size: int) -> np.ndarray:
-    """(..., size) int64 counts of the set bits of 2**m words by level."""
+def level_counts(words: np.ndarray, size: int) -> np.ndarray:
+    """(..., size) int64: the set bits of 2**m packed words at each level k.
+
+    For a packed n-cube table, ``size = n + 1`` counts the points where it
+    is 1.
+    """
     m = words.shape[-1].bit_length() - 1
     order, starts, shift = _word_level_layout(m)
     bits = np.bitwise_count(words[..., None, order] & _IN_WORD_LEVELS[:, None])
-    if m == 0:  # one word per table: the in-word levels are the levels
-        return bits[..., :size, 0].astype(np.int64)
     by_level = np.add.reduceat(bits, starts, axis=-1, dtype=np.int64)
     return by_level.reshape(words.shape[:-1] + (-1,)) @ shift[:, :size]
-
-
-def level_counts(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., n+1) int64: the points of each level k where a packed table is 1."""
-    return _count_by_level(words, n + 1)
 
 
 def pivotal_counts(words: np.ndarray, n: int) -> np.ndarray:
@@ -123,7 +120,7 @@ def pivotal_counts(words: np.ndarray, n: int) -> np.ndarray:
     (n-1)-cube at which coordinate b+1 of a packed table is pivotal."""
     out = np.empty(words.shape[:-1] + (n, n), dtype=np.int64)
     for b in range(n):
-        out[..., b, :] = _count_by_level(_word_fibers(words, b, np.bitwise_xor), n)
+        out[..., b, :] = level_counts(_word_fibers(words, b, np.bitwise_xor), n)
     return out
 
 

@@ -127,7 +127,7 @@ class BooleanFunction:
         n+1 integers carry all of f's dependence on p. The table is
         read-only, so the cached counts cannot go stale.
         """
-        counts = _kernels.level_counts(self._words, self.n)
+        counts = _kernels.level_counts(self._words, self.n + 1)
         counts.flags.writeable = False
         return counts
 

@@ -354,40 +354,47 @@ def max_influence_bound_check(f: BooleanFunction, p, tol: float = 1e-12) -> Boun
     )
 
 
-def max_influence_bound_scan(tables, n: int, p, tol: float = 1e-12) -> BoundReport:
+def max_influence_bound_scan(tables, n: int, biases, tol: float = 1e-12) -> list[BoundReport]:
     """Same bound checked over a whole batch of Boolean tables at once.
 
-    ``tables`` is a (count, 2**n) 0/1 array. The report's lhs/rhs are the
+    ``tables`` is a (count, 2**n) 0/1 array, counted once (pivotal and level
+    counts) for all of ``biases``. One report per bias: its lhs/rhs are the
     worst instance's; the context counts failures.
     """
     if n < 2:
         raise ValueError("influence bound needs arity at least 2")
-    pv = bias_value(p)
     words = _kernels.pack_tables(np.asarray(tables, dtype=np.uint8))
-    infl = _kernels.pivotal_counts(words, n) @ level_weights(n - 1, pv)
-    lhs = infl.max(axis=1)
-    mu = _kernels.level_counts(words, n) @ level_weights(n, pv)
-    var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
-    scale = rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
-    rhs = var * scale
-    slack = lhs - rhs
-    worst = int(slack.argmin())
-    failures = int((slack < -tol).sum())
-    return BoundReport(
-        "max_influence_lower_bound_scan",
-        lhs=float(lhs[worst]),
-        rhs=float(rhs[worst]),
-        passed=failures == 0,
-        orientation="ge",
-        tol=tol,
-        context={
-            "n": int(n),
-            "p": pv,
-            "count": int(words.shape[0]),
-            "failures": failures,
-            "worst_index": worst,
-        },
-    )
+    pivotal = _kernels.pivotal_counts(words, n)
+    level = _kernels.level_counts(words, n + 1)
+    reports = []
+    for p in biases:
+        pv = bias_value(p)
+        lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
+        mu = level @ level_weights(n, pv)
+        var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
+        scale = rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
+        rhs = var * scale
+        slack = lhs - rhs
+        worst = int(slack.argmin())
+        failures = int((slack < -tol).sum())
+        reports.append(
+            BoundReport(
+                "max_influence_lower_bound_scan",
+                lhs=float(lhs[worst]),
+                rhs=float(rhs[worst]),
+                passed=failures == 0,
+                orientation="ge",
+                tol=tol,
+                context={
+                    "n": int(n),
+                    "p": pv,
+                    "count": int(words.shape[0]),
+                    "failures": failures,
+                    "worst_index": worst,
+                },
+            )
+        )
+    return reports
 
 
 def _check_set_hypotheses(A: BooleanFunction, gens: PermutationGenerators | None) -> None:

@@ -289,8 +289,7 @@ def suite_thm42(seed: int, trials: int = 1000, n_max: int = 12, **_) -> dict:
     biases = (0.25, 0.5, 0.75)
     for n in range(5, n_max + 1):
         tables = (rng.random((trials, 1 << n)) < 0.5).astype(np.uint8)
-        for p in biases:
-            rep = bounds.max_influence_bound_scan(tables, n, p)
+        for p, rep in zip(biases, bounds.max_influence_bound_scan(tables, n, biases)):
             checks.append(rep)
             _collect(failures, rep, n=n, p=p)
     return _result("thm42", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
@@ -417,8 +416,7 @@ def suite_exhaustive_n4(seed: int, p=None, **_) -> dict:
     codes = np.arange(1 << 16, dtype=np.uint32)
     tables = ((codes[:, None] >> np.arange(16)) & 1).astype(np.uint8)
     checks, failures = [], []
-    for pv in biases:
-        rep = bounds.max_influence_bound_scan(tables, 4, pv)
+    for pv, rep in zip(biases, bounds.max_influence_bound_scan(tables, 4, biases)):
         checks.append(rep)
         _collect(failures, rep, p=pv)
     out = _result("exhaustive-n4", {"seed": seed, "p": list(biases)}, checks, failures)

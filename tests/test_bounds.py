@@ -207,13 +207,27 @@ class TestInfluenceBounds:
     def test_scan_matches_single_checks(self):
         rng = np.random.default_rng(3)
         tables = (rng.random((50, 32)) < 0.5).astype(np.uint8)
-        rep = max_influence_bound_scan(tables, 5, 0.25)
+        [rep] = max_influence_bound_scan(tables, 5, [0.25])
         assert rep.passed
         assert rep.context["count"] == 50
         single = max_influence_bound_check(
             BooleanFunction(5, tables[7]), 0.25
         )
         assert single.passed
+
+    def test_scan_counts_once_for_all_biases(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        tables = (rng.random((40, 64)) < 0.5).astype(np.uint8)
+        biases = (0.25, 0.5, 0.75)
+        one_at_a_time = [max_influence_bound_scan(tables, 6, [p])[0] for p in biases]
+        passes = []
+        counts = bounds._kernels.pivotal_counts
+        monkeypatch.setattr(
+            bounds._kernels, "pivotal_counts", lambda *a: passes.append(1) or counts(*a)
+        )
+        reports = max_influence_bound_scan(tables, 6, biases)
+        assert len(passes) == 1
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in one_at_a_time]
 
     def test_rejects_arity_one(self):
         with pytest.raises(ValueError):
