@@ -8,9 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import boolean_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_measure import boolean_cases
 
 from biascube._kernels import _fibers
 from biascube.booleans import (

@@ -14,21 +14,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import AGREEMENT_BIASES, boolean_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biascube import _kernels, cli, measure
 from biascube.booleans import (
     BooleanFunction,
-    and_all,
-    cyclic_run,
     dictator,
     majority,
     or_all,
     parity,
-    random_function,
     random_monotone_function,
-    tribes,
     with_coordinate,
 )
 from biascube.measure import (
@@ -317,29 +314,7 @@ class TestEntropy:
             entropy(g, 0.5)
 
 
-AGREEMENT_BIASES = (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
 BOOLEAN_QUANTITIES = (expectation, variance, entropy, expectation_derivative, dirichlet_energy)
-
-
-def boolean_cases(n):
-    """Every family at arity n, both constants and two seeded random functions."""
-    rng = np.random.default_rng(4000 + n)
-    yield dictator(n, 1)
-    yield dictator(n, n)
-    yield and_all(n)
-    yield or_all(n)
-    yield parity(n)
-    if n % 2:
-        yield majority(n)
-    for k in range(1, n + 1):
-        if n % k == 0:
-            yield tribes(k, n // k)
-    for length in sorted({1, (n + 1) // 2, n}):
-        yield cyclic_run(n, length)
-    yield BooleanFunction(n, np.zeros(1 << n))
-    yield BooleanFunction(n, np.ones(1 << n))
-    yield random_function(n, rng)
-    yield random_monotone_function(n, rng)
 
 
 class TestBooleanAgreesWithDense:
