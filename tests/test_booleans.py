@@ -37,10 +37,12 @@ from biascube.booleans import (
     permutation_point_map,
     popcounts,
     PermutationGenerators,
+    random_function,
     random_monotone_function,
     tribes,
     with_coordinate,
 )
+from biascube.suites import _family_schedule
 
 
 def bits_of(x: int, n: int) -> list[int]:
@@ -253,6 +255,43 @@ def test_is_monotone_agrees_with_fiber_definition():
             cases.append(BooleanFunction(n, table))
         for f in cases:
             assert is_monotone(f) == fiber_is_monotone(f), f.to_table_string()[:40]
+
+
+def table_is_constant(f):
+    """Every table entry equals the first, read off the table."""
+    return bool((f.table == f.table[0]).all())
+
+
+def table_is_fully_symmetric(f):
+    """Every Hamming-weight class of the table is constant."""
+    weight = popcounts(f.n)
+    for k in range(f.n + 1):
+        cls = f.table[weight == k]
+        if cls.size and not (cls == cls[0]).all():
+            return False
+    return True
+
+
+def test_structure_checks_agree_with_table_definitions():
+    rng = np.random.default_rng(17)
+    cases = [build_family(spec) for spec in _family_schedule(16)]
+    for n in range(1, 15):
+        cases += boolean_cases(n)
+        cases.append(random_function(n, rng))
+        # weight-determined tables, then the same with one point flipped
+        by_weight = rng.integers(0, 2, size=n + 1)[popcounts(n)]
+        cases.append(BooleanFunction(n, by_weight))
+        flipped = by_weight.copy()
+        flipped[rng.integers(0, 1 << n)] ^= 1
+        cases.append(BooleanFunction(n, flipped))
+        # a single one, and a single zero
+        one = np.zeros(1 << n, dtype=np.uint8)
+        one[rng.integers(0, 1 << n)] = 1
+        cases += [BooleanFunction(n, one), BooleanFunction(n, 1 - one)]
+    for f in cases:
+        label = f.to_table_string()[:40]
+        assert f.is_constant() == table_is_constant(f), label
+        assert is_fully_symmetric(f) == table_is_fully_symmetric(f), label
 
 
 def test_arity_cap_env(monkeypatch):

@@ -38,8 +38,11 @@ from biascube.bounds import (
     scan_rate_positive,
     scan_scaled_constant_cap,
     width_bound_check,
+    width_bounds,
 )
 from biascube.measure import CubeFunction, dirichlet_energy, entropy, variance
+from biascube.suites import _family_schedule
+from biascube.threshold import ThresholdResult, supremum_on_interval, threshold_width
 
 BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -51,6 +54,12 @@ def rate_oracle(n):
     ln = math.log(n)
     envelope = log_c + power * math.log(math.log(n / ln**2))
     return ln - max(envelope, 2 * math.log(ln))
+
+
+def closed_form_supremum(a, b):
+    """The supremum of p(1-p)c(p) over [a, b] that ``width_bounds`` reports."""
+    tight, _ = width_bounds(8, ThresholdResult(0.1, a, b, b - a, (0, 0)), 1e-9)
+    return tight.context["sup_scaled_constant"]
 
 
 def random_g(n, seed, positive=False):
@@ -293,6 +302,47 @@ class TestWidthBounds:
     def test_rejects_non_monotone_family(self):
         with pytest.raises(ValueError, match="monotone"):
             width_bound_check(family_spec("parity", n=4), 0.2)
+
+    def test_supremum_agrees_with_numeric_search_on_measured_brackets(self):
+        # every bracket the cor43 schedule measures, plus brackets below,
+        # above, straddling and ending at 1/2: never below the grid and
+        # golden-section search, and at most one double above it
+        results = [
+            threshold_width(spec, eps)
+            for spec in _family_schedule(16)
+            for eps in (0.05, 0.1, 0.25, 0.4)
+        ]
+        brackets = [(r.p_low, r.p_high) for r in results] + [
+            (1e-6, 1e-3), (0.01, 0.2), (0.3, 0.45), (0.6, 0.95), (0.9, 1 - 1e-6),
+            (0.3, 0.7), (0.1, 0.5), (0.5, 0.9), (0.25, 0.25), (0.5 - 1e-9, 0.5),
+            (0.5, 0.5 + 1e-9), (0.5 - 1e-12, 0.5 + 1e-12),
+        ]
+        for a, b in brackets:
+            numeric = supremum_on_interval(scaled_log_sobolev_constant, a, b)
+            closed = closed_form_supremum(a, b)
+            assert numeric <= closed <= math.nextafter(numeric, math.inf), (a, b)
+
+    def test_supremum_within_rounding_where_flat(self):
+        # Where p(1-p)c(p) is flat to within its rounding error (a bracket
+        # ending within about 1e-3 of 1/2, or narrower than about 1e-10),
+        # the search's maximum over rounded values can land a few doubles
+        # above the rounded value at the true argmax. Each evaluation is a
+        # handful of correctly rounded operations, so allow 8 doubles there.
+        rng = np.random.default_rng(43)
+        brackets = [(0.5 - 1e-4, 0.5 - 1e-6), (0.5 - 1e-7, 0.5 - 1e-8),
+                    (0.5 - 6e-8, 0.5 - 4e-8), (0.5 + 1e-8, 0.5 + 1e-7)]
+        for _ in range(60):
+            a, b = sorted(rng.random(2))
+            brackets.append((float(a), float(b)))
+            brackets.append((0.4 * float(rng.random()), 0.5 - 10.0 ** -rng.integers(1, 9)))
+            mid = 0.5 + float(rng.normal()) * 10.0 ** -rng.integers(2, 9)
+            half = float(rng.random()) * 10.0 ** -rng.integers(3, 13)
+            brackets.append((mid - half, mid + half))
+        for a, b in brackets:
+            numeric = supremum_on_interval(scaled_log_sobolev_constant, a, b)
+            closed = closed_form_supremum(a, b)
+            assert numeric - 8 * math.ulp(numeric) <= closed, (a, b)
+            assert closed <= math.nextafter(numeric, math.inf), (a, b)
 
 
 def test_prior_constants_table_shape():
