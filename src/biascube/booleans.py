@@ -12,6 +12,7 @@ paths instead. Every table constructor checks the cap before it allocates.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -112,7 +113,9 @@ class BooleanFunction:
         return self.table.astype(np.float64)
 
     def is_constant(self) -> bool:
-        return bool((self.table == self.table[0]).all())
+        """True iff f is 0 everywhere or 1 everywhere: the level counts sum
+        to 0 or 2**n."""
+        return int(self.level_counts.sum()) in (0, 1 << self.n)
 
     @cached_property
     def _words(self) -> np.ndarray:
@@ -260,13 +263,9 @@ def is_monotone(f: BooleanFunction) -> bool:
 
 
 def is_fully_symmetric(f: BooleanFunction) -> bool:
-    """True iff f depends on the point only through its Hamming weight."""
-    weight = popcounts(f.n)
-    for k in range(f.n + 1):
-        cls = f.table[weight == k]
-        if cls.size and not (cls == cls[0]).all():
-            return False
-    return True
+    """True iff f depends on the point only through its Hamming weight:
+    every level count a_k is 0 or C(n, k)."""
+    return all(int(a) in (0, math.comb(f.n, k)) for k, a in enumerate(f.level_counts))
 
 
 @dataclass(frozen=True)
@@ -285,15 +284,19 @@ class PermutationGenerators:
                 raise ValueError(f"{perm} is not a permutation of 1..{self.n}")
 
 
+@lru_cache(maxsize=4)
 def permutation_point_map(perm: tuple[int, ...], n: int) -> np.ndarray:
-    """Index map sending each point x to the point with permuted coordinates.
+    """Read-only index map sending each point x to the point with permuted
+    coordinates.
 
-    The image point y has y_{perm[i-1]} = x_i.
+    The image point y has y_{perm[i-1]} = x_i. Cached, so checking one set
+    at many biases builds each map once.
     """
     points = np.arange(1 << n, dtype=np.uint32)
     out = np.zeros(1 << n, dtype=np.uint32)
     for i in range(1, n + 1):
         out |= ((points >> np.uint32(i - 1)) & np.uint32(1)) << np.uint32(perm[i - 1] - 1)
+    out.flags.writeable = False
     return out
 
 
@@ -354,6 +357,11 @@ class FamilySpec:
             if k == key:
                 return v
         raise KeyError(key)
+
+    @property
+    def monotone(self) -> bool:
+        """Every family is monotone by construction at any arity, except parity."""
+        return self.kind != "parity"
 
     @property
     def arity(self) -> int:

@@ -46,11 +46,6 @@ WIDTH_TOL = 1e-9
 _LOG_ENVELOPE_C = (2.0 + 4.0 / math.e) - (5.0 + 4.0 / math.e) * math.log(2.0)
 _ENVELOPE_POWER = 3.0 + 4.0 / math.e
 
-# Families that are monotone by construction, at any arity.
-_MONOTONE_KINDS = frozenset(
-    {"dictator", "and_all", "or_all", "majority", "tribes", "cyclic_run"}
-)
-
 
 def log_sobolev_constant(p) -> float:
     """Optimal constant of the one-coordinate log-Sobolev inequality.
@@ -213,12 +208,18 @@ def scan_constant_floor(points: int = 10001) -> BoundReport:
 
 @lru_cache(maxsize=8)
 def scan_scaled_constant_cap(points: int = 10001) -> BoundReport:
-    """p(1-p) c(p) <= 1/2 on the grid, equality only at p = 1/2."""
+    """p(1-p) c(p) <= 1/2 on the grid, equality only at p = 1/2, strictly
+    increasing up to 1/2 and strictly decreasing after it."""
     grid = np.arange(1, points + 1, dtype=np.float64) / (points + 1.0)
     vals = grid * (1.0 - grid) * _constant_grid(grid)
     worst = int(vals.argmax())
     eq = grid[np.abs(vals - 0.5) <= 1e-12]
-    passed = bool(vals[worst] <= 0.5) and eq.size == 1 and float(eq[0]) == 0.5
+    steps = np.diff(vals)
+    rising = grid[1:] <= 0.5
+    increasing_to_half = bool((steps[rising] > 0).all() and (steps[~rising] < 0).all())
+    passed = (
+        bool(vals[worst] <= 0.5) and eq.size == 1 and float(eq[0]) == 0.5 and increasing_to_half
+    )
     return BoundReport(
         "scaled_constant_cap",
         lhs=float(vals[worst]),
@@ -230,6 +231,7 @@ def scan_scaled_constant_cap(points: int = 10001) -> BoundReport:
             "points": int(points),
             "argmax_p": float(grid[worst]),
             "equality_points": [float(x) for x in eq],
+            "increasing_to_half": increasing_to_half,
         },
     )
 
@@ -466,7 +468,7 @@ def width_bound_arity(target, gens: PermutationGenerators | None) -> int:
         if gens is not None:
             _check_set_hypotheses(build_family(target), gens)
         else:
-            if target.kind not in _MONOTONE_KINDS:
+            if not target.monotone:
                 raise ValueError("hypothesis failed: the family is not monotone")
             mode, _ = family_symmetry(target)
             if mode is None:
@@ -489,14 +491,18 @@ def width_bounds(n: int, result: ThresholdResult, tol: float) -> tuple[BoundRepo
     endpoint into that combined log term, with the supremum pulled out of
     the integral; the factor 2 is log((1-eps)^2/eps^2) collapsing. The
     simpler ceiling is log((1-eps)/eps)/rate outright, which follows from
-    the first via the 1/2 cap on p(1-p)c(p), so tight <= plain always. That
-    cap is re-asserted on a grid and folded into the first report.
+    the first via the 1/2 cap on p(1-p)c(p), so tight <= plain always.
+
+    The supremum is p(1-p)c(p) at the point of the bracket nearest 1/2.
+    For p < 1/2 put t = (1-p)/p > 1; then p(1-p)c(p) = t log t / (t^2 - 1),
+    whose t-derivative has the sign of t^2 - 1 - (t^2 + 1) log t < 0,
+    because log s > 2(s-1)/(s+1) for s = t^2 > 1. So the function rises
+    strictly on (0, 1/2] and is symmetric under p <-> 1-p. The cap and this
+    shape are re-asserted on a grid and folded into the first report.
     """
     rate = rate_value(n).value
     log_odds = math.log((1.0 - result.eps) / result.eps)
-    sup_scaled = supremum_on_interval(
-        scaled_log_sobolev_constant, result.p_low, result.p_high
-    )
+    sup_scaled = scaled_log_sobolev_constant(min(max(0.5, result.p_low), result.p_high))
     cap = scan_scaled_constant_cap()
 
     shared = {

@@ -172,7 +172,7 @@ def cmd_sweep(args, out) -> int:
     _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
     # The derivative lower bound needs a monotone set with a transitive
     # symmetry; families without one leave the last two columns empty.
-    eligible = spec.kind != "parity" and family_symmetry(spec)[0] is not None
+    eligible = spec.monotone and family_symmetry(spec)[0] is not None
     for p in grid:
         mu = expectation(f, p)
         dmu = expectation_derivative(f, p)
@@ -191,7 +191,7 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_threshold(args, out) -> int:
     spec = _family_from_flags(args)
-    if spec.kind == "parity":
+    if not spec.monotone:
         raise UsageError("threshold needs a nontrivial monotone family")
     if not 0.0 < args.eps < 0.5:
         raise UsageError(f"eps must lie in (0, 0.5), got {args.eps}")

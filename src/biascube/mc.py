@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import connected_batch
-from .booleans import BooleanFunction, FamilySpec
+from .booleans import FamilySpec
 from .measure import bias_value
 
 RNG_ID = "philox4x64:seedseq-path"
@@ -91,8 +91,6 @@ def family_oracle(spec: FamilySpec) -> OracleFunction:
     elif kind == "dictator":
         i = spec.param("i")
         fn = lambda b: b[:, i - 1] != 0
-    elif kind == "parity":
-        fn = lambda b: (b.sum(axis=1, dtype=np.int64) & 1) != 0
     elif kind == "majority":
         half = n // 2
         fn = lambda b: b.sum(axis=1, dtype=np.int64) > half
@@ -107,26 +105,11 @@ def family_oracle(spec: FamilySpec) -> OracleFunction:
             windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
             return windows.all(axis=2).any(axis=1)
 
-    else:
-        raise ValueError(f"no oracle form for family {kind!r}")
-    monotone = kind != "parity"
-    return OracleFunction(n, lambda b: np.asarray(fn(b), dtype=np.uint8), monotone, spec.to_string())
-
-
-def from_boolean_function(f: BooleanFunction, monotone_declared: bool | None = None) -> OracleFunction:
-    """Oracle backed by a dense table; mostly for agreement tests."""
-    from .booleans import is_monotone
-
-    if monotone_declared is None:
-        monotone_declared = is_monotone(f)
-    table = f.table
-    shifts = np.arange(f.n, dtype=np.int64)
-
-    def fn(bits):
-        idx = (bits.astype(np.int64) << shifts).sum(axis=1)
-        return table[idx]
-
-    return OracleFunction(f.n, fn, monotone_declared, f"table:n={f.n}")
+    else:  # parity, the one family left
+        fn = lambda b: (b.sum(axis=1, dtype=np.int64) & 1) != 0
+    return OracleFunction(
+        n, lambda b: np.asarray(fn(b), dtype=np.uint8), spec.monotone, spec.to_string()
+    )
 
 
 def connectivity_oracle(m: int) -> OracleFunction:
@@ -146,12 +129,6 @@ def connectivity_oracle(m: int) -> OracleFunction:
         return connected_batch(np.ascontiguousarray(bits, dtype=np.uint8), m, edge_u, edge_v)
 
     return OracleFunction(n, fn, True, f"connectivity:m={m}")
-
-
-def sample_points(n: int, p, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, n) matrix of independent Bernoulli(p) coordinates."""
-    pv = bias_value(p)
-    return (rng.random((count, n)) < pv).view(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,6 @@ import numpy as np
 from . import _kernels
 from .booleans import BooleanFunction, is_monotone, popcounts
 
-TWO_PASS_VARIANCE_MAX_ARITY = 20
-
 
 @dataclass(frozen=True)
 class Bias:
@@ -130,19 +128,15 @@ def expectation(g, p) -> float:
 
 
 def variance(g, p) -> float:
-    """Variance; mu(1-mu) for a Boolean function. For a real function,
-    two-pass below 2**20 entries, the moment formula above."""
+    """Variance; mu(1-mu) for a Boolean function, the two-pass formula
+    E[(g - mu)^2] for a real one."""
     if isinstance(g, BooleanFunction):
         mean = _level_mean(g, p)
         return max(mean * (1.0 - mean), 0.0)
     n, v = _as_values(g)
     w = weights(n, p)
     mean = float(w @ v)
-    if n <= TWO_PASS_VARIANCE_MAX_ARITY:
-        var = float(w @ (v - mean) ** 2)
-    else:
-        var = float(w @ (v * v)) - mean * mean
-    return max(var, 0.0)
+    return float(w @ (v - mean) ** 2)
 
 
 def entropy(g, p) -> float:

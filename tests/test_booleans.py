@@ -206,6 +206,13 @@ class TestSymmetryEvidence:
             y = b[1] | (b[0] << 1) | (b[2] << 2)
             assert mapping[x] == y
 
+    def test_permutation_map_is_read_only(self):
+        # the map is cached and shared, so no caller may write to it
+        mapping = permutation_point_map((2, 3, 1), 3)
+        with pytest.raises(ValueError):
+            mapping[0] = 1
+        assert permutation_point_map((2, 3, 1), 3) is mapping
+
 
 def test_level_counts_by_weight():
     f = majority(7)

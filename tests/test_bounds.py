@@ -105,6 +105,7 @@ class TestConstant:
         rep = scan_scaled_constant_cap()
         assert rep.passed
         assert rep.context["equality_points"] == [0.5]
+        assert rep.context["increasing_to_half"] is True
 
 
 class TestRateSequence:

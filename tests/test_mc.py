@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from biascube import mc
-from biascube.booleans import family_spec, parity, tribes
+from biascube.booleans import family_spec, parity
 from biascube.mc import (
     OracleFunction,
     RNG_ID,
@@ -19,9 +19,7 @@ from biascube.mc import (
     estimate_influence,
     estimate_mu,
     family_oracle,
-    from_boolean_function,
     mc_p_of_alpha,
-    sample_points,
     spot_check_monotone,
     substream,
     wilson_estimate,
@@ -96,12 +94,6 @@ class TestOracles:
         assert family_oracle(family_spec("or_all", n=4)).monotone_declared
         assert not family_oracle(family_spec("parity", n=4)).monotone_declared
 
-    def test_from_boolean_function(self):
-        oracle = from_boolean_function(tribes(2, 3))
-        pts = np.eye(6, dtype=np.uint8)
-        assert oracle.evaluate_batch(pts).tolist() == [0] * 6
-        assert oracle.monotone_declared
-
     def test_connectivity_extremes(self):
         oracle = connectivity_oracle(6)
         n_edges = 15
@@ -114,11 +106,6 @@ class TestOracles:
         assert oracle.evaluate_batch(empty).tolist() == [0]
         assert oracle.evaluate_batch(star).tolist() == [1]
         assert oracle.monotone_declared
-
-    def test_sample_points_bias(self):
-        pts = sample_points(20, 0.1, substream(0, 99), 2000)
-        assert pts.shape == (2000, 20)
-        assert 0.05 < pts.mean() < 0.15
 
 
 class TestEstimators:
