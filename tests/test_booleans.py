@@ -121,6 +121,11 @@ class TestFamilies:
         assert is_monotone(tribes(2, 3))
         assert is_monotone(cyclic_run(5, 2))
         assert not is_monotone(parity(3))
+        # each family's declared flag matches its table
+        for text in ("dictator:n=5,i=2", "and_all:n=5", "or_all:n=5", "majority:n=5",
+                     "parity:n=5", "tribes:k=2,m=3", "cyclic_run:n=6,len=3"):
+            spec = parse_family_string(text)
+            assert spec.monotone == is_monotone(build_family(spec)), text
 
     def test_full_symmetry(self):
         assert is_fully_symmetric(majority(5))
