@@ -202,3 +202,72 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("BIASCUBE_WORKERS", "0")
     with pytest.raises(ValueError):
         worker_count()
+
+
+# Seeded outputs of the current stream (RNG_ID above), at 1 and 2 workers.
+# Any change to streams, tags, chunk boundaries or draw order shows here;
+# a new sampler re-pins these under its new RNG_ID.
+PINNED = {
+    0: {
+        "mu": {"mean": 0.47365, "stderr": 0.0024965259737282927, "samples": 40000,
+               "ci_lo": 0.46875966360990196, "ci_hi": 0.47854539702608867},
+        "influence": {"mean": 0.0791, "stderr": 0.0013494738789617234, "samples": 40000,
+                      "ci_lo": 0.07649531584729274, "ci_hi": 0.0817855198904098},
+        "level": {"p_hat": 0.296875, "alpha": 0.5,
+                  "estimate": {"mean": 0.47075, "stderr": 0.0035294789806712265,
+                               "samples": 20000, "ci_lo": 0.46383862733878867,
+                               "ci_hi": 0.4776726067704935},
+                  "flagged": False, "steps": 5, "evaluations": 120000, "seed": 0,
+                  "rng": "philox4x64:seedseq-path"},
+        "spot_mislabel": 1032,
+    },
+    1: {
+        "mu": {"mean": 0.47105, "stderr": 0.0024958059695216694, "samples": 40000,
+               "ci_lo": 0.4661613242595902, "ci_hi": 0.4759442357180922},
+        "influence": {"mean": 0.080875, "stderr": 0.0013632152652369323, "samples": 40000,
+                      "ci_lo": 0.07824321975525454, "ci_hi": 0.08358727508571619},
+        "level": {"p_hat": 0.296875, "alpha": 0.5,
+                  "estimate": {"mean": 0.47215, "stderr": 0.003530045166141646,
+                               "samples": 20000, "ci_lo": 0.46523724910516734,
+                               "ci_hi": 0.47907344730315776},
+                  "flagged": False, "steps": 5, "evaluations": 120000, "seed": 1,
+                  "rng": "philox4x64:seedseq-path"},
+        "spot_mislabel": 999,
+    },
+}
+
+
+WORKERS = pytest.mark.parametrize("workers", (1, 2))
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+class TestPinnedStream:
+    """Estimates are bit-identical to the pinned values at every worker count.
+
+    Sample counts above one 16384-sample chunk, so two workers really split
+    the work."""
+
+    @WORKERS
+    def test_mu_or64(self, seed, workers):
+        oracle = family_oracle(family_spec("or_all", n=64))
+        est = estimate_mu(oracle, 0.01, 40_000, seed, workers=workers)
+        assert est.to_dict() == PINNED[seed]["mu"]
+
+    @WORKERS
+    def test_influence_majority101(self, seed, workers):
+        oracle = family_oracle(family_spec("majority", n=101))
+        est = estimate_influence(oracle, 0.5, 7, 40_000, seed, workers=workers)
+        assert est.to_dict() == PINNED[seed]["influence"]
+
+    @WORKERS
+    def test_level_search_connectivity8(self, seed, workers):
+        result = mc_p_of_alpha(connectivity_oracle(8), 0.5, 20_000, 1 / 32, seed, workers=workers)
+        assert result.to_dict() == PINNED[seed]["level"]
+
+    def test_spot_check_tribes(self, seed):
+        oracle = family_oracle(family_spec("tribes", k=3, m=10))
+        assert spot_check_monotone(oracle, 0.3, 40_000, seed=seed) == 0
+        table = parity(8).table
+        mislabel = OracleFunction(
+            8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
+        assert spot_check_monotone(mislabel, 0.5, 4000, seed=seed) == PINNED[seed]["spot_mislabel"]
