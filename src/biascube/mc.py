@@ -75,10 +75,6 @@ class OracleFunction:
     monotone_declared: bool
     name: str
 
-    def evaluate(self, point) -> int:
-        bits = np.asarray(point, dtype=np.uint8).reshape(1, self.n)
-        return int(self.evaluate_batch(bits)[0])
-
 
 def family_oracle(spec: FamilySpec) -> OracleFunction:
     """Formula-backed oracle for a named family, valid at any arity."""
@@ -165,54 +161,61 @@ def wilson_estimate(successes: int, samples: int) -> Estimate:
     return Estimate(phat, stderr, samples, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _chunk_counts(samples: int) -> list[int]:
-    full, rem = divmod(samples, _STREAM_CHUNK)
-    counts = [_STREAM_CHUNK] * full
-    if rem:
-        counts.append(rem)
-    return counts
+def _split(total: int, size: int) -> list[int]:
+    """Block sizes covering ``total``: full blocks of ``size``, then the rest."""
+    full, rem = divmod(max(total, 0), size)
+    return [size] * full + [rem] * (rem > 0)
+
+
+def _blocks(oracle: OracleFunction, count: int) -> list[int]:
+    # rows per block keep one draw near _CHUNK_SCALARS scalars
+    return _split(count, max(1, _CHUNK_SCALARS // max(oracle.n, 1)))
+
+
+def _bernoulli(rng: np.random.Generator, rows: int, cols: int, pv: float) -> np.ndarray:
+    """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates."""
+    return (rng.random((rows, cols)) < pv).view(np.uint8)
+
+
+def _values(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
+    return np.asarray(oracle.evaluate_batch(bits), dtype=np.uint8)
 
 
 def _count_hits(oracle: OracleFunction, pv: float, count: int, rng: np.random.Generator) -> int:
-    hits = 0
-    left = count
-    block_rows = max(1, _CHUNK_SCALARS // max(oracle.n, 1))
-    while left > 0:
-        rows = min(left, block_rows)
-        bits = (rng.random((rows, oracle.n)) < pv).view(np.uint8)
-        hits += int(np.asarray(oracle.evaluate_batch(bits), dtype=np.uint8).sum())
-        left -= rows
-    return hits
+    return sum(
+        int(_values(oracle, _bernoulli(rng, rows, oracle.n, pv)).sum())
+        for rows in _blocks(oracle, count)
+    )
 
 
 def _count_fiber_splits(
     oracle: OracleFunction, pv: float, i: int, count: int, rng: np.random.Generator
 ) -> int:
     hits = 0
-    left = count
-    block_rows = max(1, _CHUNK_SCALARS // max(oracle.n, 1))
     col = i - 1
-    while left > 0:
-        rows = min(left, block_rows)
-        base = (rng.random((rows, oracle.n - 1)) < pv).view(np.uint8)
+    for rows in _blocks(oracle, count):
+        base = _bernoulli(rng, rows, oracle.n - 1, pv)
         full = np.empty((rows, oracle.n), dtype=np.uint8)
         full[:, :col] = base[:, :col]
         full[:, col + 1 :] = base[:, col:]
         full[:, col] = 0
-        low = np.asarray(oracle.evaluate_batch(full), dtype=np.uint8)
+        low = _values(oracle, full)
         full[:, col] = 1
-        high = np.asarray(oracle.evaluate_batch(full), dtype=np.uint8)
-        hits += int((low != high).sum())
-        left -= rows
+        hits += int((low != _values(oracle, full)).sum())
     return hits
 
 
-def _run_chunks(per_chunk: Callable[[int, int], int], counts: list[int], workers: int) -> int:
+def _estimate(per_chunk: Callable[[int, int], int], samples: int, workers: int) -> Estimate:
+    """Wilson estimate from ``per_chunk(c, count)`` hit counts over the
+    fixed-size stream chunks of ``samples``, run serially or on a pool."""
+    counts = _split(samples, _STREAM_CHUNK)
     # the reduction is a sum of ints, so scheduling cannot change the total
     if workers == 1 or len(counts) == 1:
-        return sum(per_chunk(c, count) for c, count in enumerate(counts))
-    with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
-        return sum(pool.map(per_chunk, range(len(counts)), counts))
+        hits = sum(per_chunk(c, count) for c, count in enumerate(counts))
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
+            hits = sum(pool.map(per_chunk, range(len(counts)), counts))
+    return wilson_estimate(hits, samples)
 
 
 def estimate_mu(
@@ -222,12 +225,11 @@ def estimate_mu(
     if samples < 1:
         raise ValueError("needs at least one sample")
     pv = bias_value(p)
-    nworkers = worker_count(workers)
-
-    def per_chunk(c: int, count: int) -> int:
-        return _count_hits(oracle, pv, count, substream(seed, _TAG_MU, c))
-
-    return wilson_estimate(_run_chunks(per_chunk, _chunk_counts(samples), nworkers), samples)
+    return _estimate(
+        lambda c, count: _count_hits(oracle, pv, count, substream(seed, _TAG_MU, c)),
+        samples,
+        worker_count(workers),
+    )
 
 
 def estimate_influence(
@@ -244,21 +246,13 @@ def estimate_influence(
     if not 1 <= i <= oracle.n:
         raise ValueError(f"coordinate {i} out of range for arity {oracle.n}")
     pv = bias_value(p)
-    nworkers = worker_count(workers)
-
-    def per_chunk(c: int, count: int) -> int:
-        return _count_fiber_splits(oracle, pv, i, count, substream(seed, _TAG_INFLUENCE, i, c))
-
-    return wilson_estimate(_run_chunks(per_chunk, _chunk_counts(samples), nworkers), samples)
-
-
-def _estimate_at(
-    oracle: OracleFunction, pv: float, samples: int, seed: int, tag: int, step: int, workers: int
-) -> Estimate:
-    def per_chunk(c: int, count: int) -> int:
-        return _count_hits(oracle, pv, count, substream(seed, tag, step, c))
-
-    return wilson_estimate(_run_chunks(per_chunk, _chunk_counts(samples), workers), samples)
+    return _estimate(
+        lambda c, count: _count_fiber_splits(
+            oracle, pv, i, count, substream(seed, _TAG_INFLUENCE, i, c)
+        ),
+        samples,
+        worker_count(workers),
+    )
 
 
 @dataclass(frozen=True)
@@ -315,6 +309,13 @@ def mc_p_of_alpha(
         raise ValueError("needs at least one sample per step")
     nworkers = worker_count(workers)
 
+    def measure_at(pv: float, samples: int, tag: int, step: int) -> Estimate:
+        return _estimate(
+            lambda c, count: _count_hits(oracle, pv, count, substream(seed, tag, step, c)),
+            samples,
+            nworkers,
+        )
+
     lo, hi = 0.0, 1.0
     flagged = False
     steps = 0
@@ -323,7 +324,7 @@ def mc_p_of_alpha(
         mid = 0.5 * (lo + hi)
         samples = samples_per_step
         while True:
-            est = _estimate_at(oracle, mid, samples, seed, _TAG_BISECT, steps, nworkers)
+            est = measure_at(mid, samples, _TAG_BISECT, steps)
             evaluations += samples
             if est.ci_lo > alpha or est.ci_hi < alpha:
                 break
@@ -338,7 +339,7 @@ def mc_p_of_alpha(
         steps += 1
 
     p_hat = 0.5 * (lo + hi)
-    final = _estimate_at(oracle, p_hat, samples_per_step, seed, _TAG_FINAL, 0, nworkers)
+    final = measure_at(p_hat, samples_per_step, _TAG_FINAL, 0)
     evaluations += samples_per_step
     return LevelSearchResult(p_hat, final, alpha, flagged, steps, evaluations, seed)
 
@@ -354,15 +355,8 @@ def spot_check_monotone(
     pv = bias_value(p)
     rng = substream(seed, _TAG_SPOT)
     violations = 0
-    left = pairs
-    block_rows = max(1, _CHUNK_SCALARS // max(oracle.n, 1))
-    while left > 0:
-        rows = min(left, block_rows)
-        x = (rng.random((rows, oracle.n)) < pv).view(np.uint8)
-        up = (rng.random((rows, oracle.n)) < pv).view(np.uint8)
-        y = x | up
-        fx = np.asarray(oracle.evaluate_batch(x), dtype=np.uint8)
-        fy = np.asarray(oracle.evaluate_batch(y), dtype=np.uint8)
-        violations += int((fx > fy).sum())
-        left -= rows
+    for rows in _blocks(oracle, pairs):
+        x = _bernoulli(rng, rows, oracle.n, pv)
+        y = x | _bernoulli(rng, rows, oracle.n, pv)
+        violations += int((_values(oracle, x) > _values(oracle, y)).sum())
     return violations
