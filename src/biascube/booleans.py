@@ -108,10 +108,6 @@ class BooleanFunction:
 
     __call__ = evaluate
 
-    def values(self) -> np.ndarray:
-        """Truth table as float64, for use with the measure calculus."""
-        return self.table.astype(np.float64)
-
     def is_constant(self) -> bool:
         """True iff f is 0 everywhere or 1 everywhere: the level counts sum
         to 0 or 2**n."""
@@ -121,6 +117,14 @@ class BooleanFunction:
     def _words(self) -> np.ndarray:
         """The table packed into uint64 words (``_kernels.pack_tables``)."""
         return _kernels.pack_tables(self.table)
+
+    @cached_property
+    def _monotone(self) -> bool:
+        """``is_monotone``'s verdict, cached like ``level_counts``."""
+        return not any(
+            _kernels._word_fibers(self._words, b, lambda lower, upper: lower & ~upper).any()
+            for b in range(self.n)
+        )
 
     @cached_property
     def level_counts(self) -> np.ndarray:
@@ -255,11 +259,11 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
 
 
 def is_monotone(f: BooleanFunction) -> bool:
-    """True iff raising any single coordinate never lowers f."""
-    return not any(
-        _kernels._word_fibers(f._words, b, lambda lower, upper: lower & ~upper).any()
-        for b in range(f.n)
-    )
+    """True iff raising any single coordinate never lowers f.
+
+    One word pass per function: the verdict is cached on f, so a check
+    repeated at many biases reads the table once."""
+    return f._monotone
 
 
 def is_fully_symmetric(f: BooleanFunction) -> bool:

@@ -71,10 +71,6 @@ class CubeFunction:
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", np.ascontiguousarray(values))
 
-    @classmethod
-    def from_boolean(cls, f: BooleanFunction) -> "CubeFunction":
-        return cls(f.n, f.table.astype(np.float64))
-
 
 def _as_values(g) -> tuple[int, np.ndarray]:
     if isinstance(g, BooleanFunction):
@@ -82,13 +78,6 @@ def _as_values(g) -> tuple[int, np.ndarray]:
     if isinstance(g, CubeFunction):
         return g.n, g.values
     raise TypeError(f"expected a BooleanFunction or CubeFunction, got {type(g).__name__}")
-
-
-def point_weight(n: int, p, x: int) -> float:
-    """Measure of a single point."""
-    p = bias_value(p)
-    w = bin(x).count("1")
-    return p**w * (1.0 - p) ** (n - w)
 
 
 def level_weights(m: int, p) -> np.ndarray:
@@ -323,7 +312,8 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
     p = bias_value(p)
     lhs = expectation_derivative(f, p)
     # the energy by its definition, not from the level counts the derivative uses
-    v, w = f.values(), weights(f.n, p)
+    _, v = _as_values(f)
+    w = weights(f.n, p)
     energy = sum(float(w @ _center(v, f.n, p, i) ** 2) for i in range(1, f.n + 1))
     return lhs, energy / (p * (1.0 - p))
 

@@ -12,6 +12,7 @@ from conftest import boolean_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biascube import _kernels
 from biascube._kernels import _fibers
 from biascube.booleans import (
     arity_cap,
@@ -267,6 +268,17 @@ def test_is_monotone_agrees_with_fiber_definition():
             cases.append(BooleanFunction(n, table))
         for f in cases:
             assert is_monotone(f) == fiber_is_monotone(f), f.to_table_string()[:40]
+
+
+def test_is_monotone_reads_the_table_once(monkeypatch):
+    f, g = majority(7), parity(5)
+    assert is_monotone(f) and not is_monotone(g)
+
+    def rescan(*args):
+        raise AssertionError("the monotone verdict was recomputed")
+
+    monkeypatch.setattr(_kernels, "_word_fibers", rescan)
+    assert is_monotone(f) and not is_monotone(g)
 
 
 def table_is_constant(f):

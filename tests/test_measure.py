@@ -48,7 +48,6 @@ from biascube.measure import (
     influences,
     level_weights,
     moment_identity,
-    point_weight,
     random_cube_function,
     variance,
     weights,
@@ -93,7 +92,6 @@ class TestWeights:
         for x in (0, 7, 21, 31):
             k = bin(x).count("1")
             assert math.isclose(w[x], p**k * (1 - p) ** (n - k), rel_tol=1e-14)
-            assert math.isclose(point_weight(n, p, x), w[x], rel_tol=1e-15)
 
     @pytest.mark.parametrize("p", BIASES)
     def test_dense_vector_indexes_level_weights(self, p):
@@ -324,7 +322,7 @@ class TestBooleanAgreesWithDense:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_five_quantities(self, n):
         for f in boolean_cases(n):
-            dense = CubeFunction.from_boolean(f)
+            dense = CubeFunction(f.n, f.table)
             for p in AGREEMENT_BIASES:
                 for quantity in BOOLEAN_QUANTITIES:
                     a, b = quantity(f, p), quantity(dense, p)
