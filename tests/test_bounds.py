@@ -14,8 +14,10 @@ from biascube import bounds
 from biascube.booleans import (
     BooleanFunction,
     PermutationGenerators,
+    build_family,
     dictator,
     family_spec,
+    family_symmetry,
     majority,
     or_all,
     parity,
@@ -271,6 +273,57 @@ class TestDerivativeBound:
         stuck = PermutationGenerators(4, ((1, 2, 3, 4),))  # identity only
         with pytest.raises(ValueError, match="transitively"):
             derivative_bound_check(or_all(4), 0.5, gens=stuck)
+
+
+def hypothesis_verdict(check, target, gens=None):
+    """None when the bound's hypotheses hold, else the refusal message."""
+    try:
+        check(target, 0.25, gens=gens)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestHypothesisVerdicts:
+    """The verdict and message of the bound hypotheses, pinned case by case,
+    on the dense path (``derivative_bound_check``) and the family path
+    (``width_bound_check``)."""
+
+    SHIFT4 = PermutationGenerators(4, (tuple(i % 4 + 1 for i in range(1, 5)),))
+    SWAP4 = PermutationGenerators(4, ((2, 1, 4, 3),))  # two orbits, {1,2} and {3,4}
+
+    def test_schedule_families_meet_the_hypotheses_on_both_paths(self):
+        for spec in _family_schedule(16):
+            _, gens = family_symmetry(spec)
+            assert hypothesis_verdict(derivative_bound_check, build_family(spec), gens) is None
+            assert hypothesis_verdict(width_bound_check, spec) is None
+
+    def test_refusals_name_the_failed_hypothesis(self):
+        zeros = BooleanFunction(4, np.zeros(16, dtype=np.uint8))
+        ones = BooleanFunction(4, np.ones(16, dtype=np.uint8))
+        cases = [
+            (derivative_bound_check, dictator(6, 2), None,
+             "hypothesis failed: not invariant under all coordinate permutations "
+             "and no generators were supplied"),
+            (derivative_bound_check, parity(6), None, "hypothesis failed: the set is not monotone"),
+            (width_bound_check, family_spec("dictator", n=6, i=2), None,
+             "hypothesis failed: the family carries no transitive symmetry"),
+            (width_bound_check, family_spec("parity", n=6), None,
+             "hypothesis failed: the family is not monotone"),
+            (derivative_bound_check, zeros, self.SHIFT4, "hypothesis failed: the set is trivial"),
+            (derivative_bound_check, ones, None, "hypothesis failed: the set is trivial"),
+            (derivative_bound_check, dictator(4, 1), self.SHIFT4,
+             "hypothesis failed: not invariant under the supplied generators"),
+            (width_bound_check, family_spec("dictator", n=4, i=1), self.SHIFT4,
+             "hypothesis failed: not invariant under the supplied generators"),
+            (derivative_bound_check, or_all(4), self.SWAP4,
+             "hypothesis failed: the supplied generators do not act transitively"),
+            (width_bound_check, family_spec("or_all", n=4), self.SWAP4,
+             "hypothesis failed: the supplied generators do not act transitively"),
+            (derivative_bound_check, dictator(1, 1), None, "the bound needs arity at least 2"),
+        ]
+        for check, target, gens, message in cases:
+            assert hypothesis_verdict(check, target, gens) == message, (check.__name__, target)
 
 
 class TestWidthBounds:
