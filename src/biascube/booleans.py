@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -24,15 +24,17 @@ from . import _kernels
 DEFAULT_ARITY_CAP = 24
 ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
 
-FAMILY_NAMES = (
-    "dictator",
-    "and_all",
-    "or_all",
-    "majority",
-    "parity",
-    "tribes",
-    "cyclic_run",
-)
+# family name -> its integer parameters, in serialization order
+_FAMILY_PARAM_ORDER = {
+    "dictator": ("n", "i"),
+    "and_all": ("n",),
+    "or_all": ("n",),
+    "majority": ("n",),
+    "parity": ("n",),
+    "tribes": ("k", "m"),
+    "cyclic_run": ("n", "len"),
+}
+FAMILY_NAMES = tuple(_FAMILY_PARAM_ORDER)
 
 _FAMILY_ALIASES = {"or": "or_all", "and": "and_all"}
 
@@ -86,6 +88,8 @@ class BooleanFunction:
 
     n: int
     table: np.ndarray
+    # ``is_invariant``'s verdicts, one per generator set
+    _invariant: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -189,14 +193,14 @@ def parse_table_string(text: str) -> BooleanFunction:
 
 def dictator(n: int, i: int) -> BooleanFunction:
     """f(x) = x_i."""
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} out of range for arity {n}")
+    family_spec("dictator", n=n, i=i)
     _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint32)
     return BooleanFunction(n, (points >> (i - 1)) & 1)
 
 
 def and_all(n: int) -> BooleanFunction:
+    family_spec("and_all", n=n)
     _check_arity(n)
     table = np.zeros(1 << n, dtype=np.uint8)
     table[-1] = 1
@@ -204,6 +208,7 @@ def and_all(n: int) -> BooleanFunction:
 
 
 def or_all(n: int) -> BooleanFunction:
+    family_spec("or_all", n=n)
     _check_arity(n)
     table = np.ones(1 << n, dtype=np.uint8)
     table[0] = 0
@@ -211,21 +216,20 @@ def or_all(n: int) -> BooleanFunction:
 
 
 def majority(n: int) -> BooleanFunction:
-    if n % 2 == 0:
-        raise ValueError("majority requires odd arity")
+    family_spec("majority", n=n)
     _check_arity(n)
     return BooleanFunction(n, popcounts(n) >= (n + 1) // 2)
 
 
 def parity(n: int) -> BooleanFunction:
+    family_spec("parity", n=n)
     _check_arity(n)
     return BooleanFunction(n, popcounts(n) % 2)
 
 
 def tribes(k: int, m: int) -> BooleanFunction:
     """OR of m disjoint ANDs over consecutive blocks of k coordinates."""
-    if k < 1 or m < 1:
-        raise ValueError("tribes requires k >= 1 and m >= 1")
+    family_spec("tribes", k=k, m=m)
     n = k * m
     _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint64)
@@ -239,8 +243,7 @@ def tribes(k: int, m: int) -> BooleanFunction:
 
 def cyclic_run(n: int, length: int) -> BooleanFunction:
     """1 iff some cyclic run of `length` consecutive coordinates is all ones."""
-    if not 1 <= length <= n:
-        raise ValueError("run length must satisfy 1 <= length <= n")
+    family_spec("cyclic_run", n=n, len=length)
     _check_arity(n)
     points = np.arange(1 << n, dtype=np.uint64)
     bits = [((points >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
@@ -305,35 +308,32 @@ def permutation_point_map(perm: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def is_invariant(f: BooleanFunction, gens: PermutationGenerators) -> bool:
+    """True iff every generator maps f to itself; cached on f per generator
+    set, so a check repeated at many biases gathers the table once."""
     if gens.n != f.n:
         raise ValueError("generator arity does not match the function")
-    for perm in gens.perms:
-        mapped = permutation_point_map(perm, f.n)
-        if not (f.table[mapped] == f.table).all():
-            return False
-    return True
+    if gens not in f._invariant:
+        f._invariant[gens] = all(
+            (f.table[permutation_point_map(perm, f.n)] == f.table).all() for perm in gens.perms
+        )
+    return f._invariant[gens]
 
 
 def is_transitive(gens: PermutationGenerators) -> bool:
-    """True iff the generated group has a single coordinate orbit.
+    """True iff the orbit of coordinate 1 is every coordinate.
 
-    Orbit closure under the generators alone suffices because permutations
-    are invertible, so generator edges already connect the full orbit.
+    Closing under the generators alone suffices because permutations of a
+    finite set are invertible: some power of each generator is its inverse.
     """
-    parent = list(range(gens.n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for perm in gens.perms:
-        for i in range(1, gens.n + 1):
-            ra, rb = find(i), find(perm[i - 1])
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(i) for i in range(1, gens.n + 1)}) == 1
+    orbit, frontier = {1}, [1]
+    while frontier:
+        i = frontier.pop()
+        for perm in gens.perms:
+            j = perm[i - 1]
+            if j not in orbit:
+                orbit.add(j)
+                frontier.append(j)
+    return len(orbit) == gens.n
 
 
 def is_invariant_and_transitive(f: BooleanFunction, gens: PermutationGenerators) -> bool:
@@ -353,8 +353,20 @@ class FamilySpec:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        # value rules live here, so every path (dense, closed form, sampled) keeps them
         if self.kind not in FAMILY_NAMES:
             raise ValueError(f"unknown family {self.kind!r}")
+        params = dict(self.params)
+        if self.kind == "dictator" and not 1 <= params["i"] <= params["n"]:
+            raise ValueError(f"coordinate {params['i']} out of range for arity {params['n']}")
+        if self.kind == "majority" and params["n"] % 2 == 0:
+            raise ValueError("majority requires odd arity")
+        if self.kind == "tribes" and (params["k"] < 1 or params["m"] < 1):
+            raise ValueError("tribes requires k >= 1 and m >= 1")
+        if self.kind == "cyclic_run" and not 1 <= params["len"] <= params["n"]:
+            raise ValueError("run length must satisfy 1 <= length <= n")
+        if self.arity < 1:
+            raise ValueError("arity must be at least 1")
 
     def param(self, key: str) -> int:
         for k, v in self.params:
@@ -376,17 +388,6 @@ class FamilySpec:
     def to_string(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.kind}:{inner}"
-
-
-_FAMILY_PARAM_ORDER = {
-    "dictator": ("n", "i"),
-    "and_all": ("n",),
-    "or_all": ("n",),
-    "majority": ("n",),
-    "parity": ("n",),
-    "tribes": ("k", "m"),
-    "cyclic_run": ("n", "len"),
-}
 
 
 def family_spec(kind: str, **params: int) -> FamilySpec:

@@ -399,24 +399,46 @@ def max_influence_bound_scan(tables, n: int, biases, tol: float = 1e-12) -> list
     return reports
 
 
-def _check_set_hypotheses(A: BooleanFunction, gens: PermutationGenerators | None) -> None:
-    if A.n < 2:
+def bound_hypotheses(target, gens: PermutationGenerators | None = None) -> int:
+    """Arity of a set meeting the hypotheses of the derivative bound and the
+    width ceilings; raises on the first that fails.
+
+    The set must have arity at least 2, be nontrivial and monotone, and be
+    invariant under a transitive group: every coordinate permutation when
+    ``gens`` is None, else the group ``gens`` generates. A FamilySpec without
+    ``gens`` brings its own symmetry evidence, so closed-form families work
+    above the dense arity cap. The table checks are cached on the function,
+    so a set checked at many biases is read once.
+    """
+    if isinstance(target, FamilySpec) and gens is None:
+        if target.arity < 2:
+            raise ValueError("the bound needs arity at least 2")
+        if not target.monotone:
+            raise ValueError("hypothesis failed: the family is not monotone")
+        if family_symmetry(target)[0] is None:
+            raise ValueError("hypothesis failed: the family carries no transitive symmetry")
+        return target.arity
+    if isinstance(target, FamilySpec):
+        target = build_family(target)
+    if not isinstance(target, BooleanFunction):
+        raise TypeError(f"expected a BooleanFunction or FamilySpec, got {type(target).__name__}")
+    if target.n < 2:
         raise ValueError("the bound needs arity at least 2")
-    if A.is_constant():
+    if target.is_constant():
         raise ValueError("hypothesis failed: the set is trivial")
-    if not is_monotone(A):
+    if not is_monotone(target):
         raise ValueError("hypothesis failed: the set is not monotone")
     if gens is None:
-        if not is_fully_symmetric(A):
+        if not is_fully_symmetric(target):
             raise ValueError(
                 "hypothesis failed: not invariant under all coordinate "
                 "permutations and no generators were supplied"
             )
-    else:
-        if not is_invariant(A, gens):
-            raise ValueError("hypothesis failed: not invariant under the supplied generators")
-        if not is_transitive(gens):
-            raise ValueError("hypothesis failed: the supplied generators do not act transitively")
+    elif not is_invariant(target, gens):
+        raise ValueError("hypothesis failed: not invariant under the supplied generators")
+    elif not is_transitive(gens):
+        raise ValueError("hypothesis failed: the supplied generators do not act transitively")
+    return target.n
 
 
 def derivative_bound_check(
@@ -433,7 +455,7 @@ def derivative_bound_check(
     hypothesis raises and names itself: the bound is simply not claimed
     there.
     """
-    _check_set_hypotheses(A, gens)
+    bound_hypotheses(A, gens)
     pv = bias_value(p)
     mu = expectation(A, pv)
     lhs = expectation_derivative(A, pv)
@@ -455,31 +477,9 @@ def width_bound_check(
     tol: float = WIDTH_TOL,
 ) -> tuple[BoundReport, BoundReport]:
     """Threshold width against its two closed-form ceilings (``width_bounds``),
-    once the set has passed ``width_bound_arity``: hypotheses come first."""
-    n = width_bound_arity(target, gens)
+    once the set has passed ``bound_hypotheses``: hypotheses come first."""
+    n = bound_hypotheses(target, gens)
     return width_bounds(n, threshold_width(target, eps), tol)
-
-
-def width_bound_arity(target, gens: PermutationGenerators | None) -> int:
-    """Arity of a set meeting the hypotheses of derivative_bound_check; raises
-    otherwise. A FamilySpec brings its own symmetry evidence, so closed-form
-    families work above the dense arity cap."""
-    if isinstance(target, FamilySpec):
-        if gens is not None:
-            _check_set_hypotheses(build_family(target), gens)
-        else:
-            if not target.monotone:
-                raise ValueError("hypothesis failed: the family is not monotone")
-            mode, _ = family_symmetry(target)
-            if mode is None:
-                raise ValueError(
-                    "hypothesis failed: the family carries no transitive symmetry"
-                )
-        return target.arity
-    if isinstance(target, BooleanFunction):
-        _check_set_hypotheses(target, gens)
-        return target.n
-    raise TypeError(f"expected a BooleanFunction or FamilySpec, got {type(target).__name__}")
 
 
 def width_bounds(n: int, result: ThresholdResult, tol: float) -> tuple[BoundReport, BoundReport]:

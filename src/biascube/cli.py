@@ -25,7 +25,6 @@ from .booleans import (
     FamilySpec,
     build_family,
     family_spec,
-    family_symmetry,
     parse_table_string,
 )
 from .measure import (
@@ -167,17 +166,20 @@ def cmd_sweep(args, out) -> int:
     spec = _family_from_flags(args)
     f = build_family(spec)
     _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
-    # The derivative lower bound needs a monotone set with a transitive
-    # symmetry; families without one leave the last two columns empty.
-    eligible = spec.monotone and family_symmetry(spec)[0] is not None
+    # Sets that fail the derivative bound's hypotheses leave the last two
+    # columns empty.
+    try:
+        bound_n = bounds.bound_hypotheses(spec)
+    except ValueError:
+        bound_n = None
     for p in grid:
         mu = expectation(f, p)
         dmu = expectation_derivative(f, p)
         c = bounds.log_sobolev_constant(p)
         pqc = bounds.scaled_log_sobolev_constant(p)
         row = [_fmt(p), _fmt(mu), _fmt(dmu), _fmt(c), _fmt(pqc)]
-        if eligible and 0.0 < mu < 1.0:
-            rhs = bounds.derivative_bound_rhs(f.n, p, mu)
+        if bound_n is not None and 0.0 < mu < 1.0:
+            rhs = bounds.derivative_bound_rhs(bound_n, p, mu)
             row.append(_fmt(rhs))
             row.append("true" if dmu >= rhs - 1e-9 else "false")
         else:
@@ -198,7 +200,7 @@ def cmd_threshold(args, out) -> int:
     result = threshold_width(spec, args.eps)
     payload["result"] = result.to_dict()
     try:
-        n = bounds.width_bound_arity(spec, None)
+        n = bounds.bound_hypotheses(spec)
         tight, plain = bounds.width_bounds(n, result, bounds.WIDTH_TOL)
         payload["width_bounds"] = {
             "scaled_constant": tight.to_dict(),

@@ -9,6 +9,8 @@ estimators.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import bounds, martingale
@@ -62,7 +64,7 @@ def _collect(failures: list[dict], report: BoundReport, **extra) -> None:
         failures.append(record)
 
 
-def suite_russo(seed: int, trials: int = 200, n_max: int = 10, **_) -> dict:
+def suite_russo(seed: int, trials: int = 200, n_max: int = 10) -> dict:
     """Summed influences against a central finite difference of the measure."""
     rng = _suite_rng("russo", seed)
     h = 1e-5
@@ -90,7 +92,7 @@ def suite_russo(seed: int, trials: int = 200, n_max: int = 10, **_) -> dict:
     )
 
 
-def suite_moment(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
+def suite_moment(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     """Centering-versus-gradient moment identity at alpha 1 and 2."""
     rng = _suite_rng("moment", seed)
     checks, failures = [], []
@@ -113,7 +115,7 @@ def suite_moment(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
     return _result("moment", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
 
 
-def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
+def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     """Self-adjointness and idempotence of the centering operator."""
     rng = _suite_rng("adjoint", seed)
     checks, failures = [], []
@@ -142,7 +144,7 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
     return _result("adjoint", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
 
 
-def suite_lsi(seed: int, trials: int = 500, n_max: int = 8, **_) -> dict:
+def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     """Entropy-energy inequality in squared form, plus two-point sharpness.
 
     The literal (unsquared) form is tallied for nonnegative instances and
@@ -197,7 +199,7 @@ def suite_lsi(seed: int, trials: int = 500, n_max: int = 8, **_) -> dict:
     return out
 
 
-def suite_poincare(seed: int, trials: int = 500, n_max: int = 8, **_) -> dict:
+def suite_poincare(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     """Variance below energy, with equality on one-coordinate functions."""
     rng = _suite_rng("poincare", seed)
     checks, failures = [], []
@@ -229,7 +231,7 @@ def suite_poincare(seed: int, trials: int = 500, n_max: int = 8, **_) -> dict:
     return _result("poincare", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
 
 
-def suite_martingale(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
+def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     """Every identity of the coordinate-revealing decomposition."""
     rng = _suite_rng("martingale", seed)
     checkers = (
@@ -255,10 +257,7 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
             worst[rep.label] = max(worst.get(rep.label, 0.0), err)
             if rep.label == "increment-representation":
                 signs.add(rep.context.get("matched_sign"))
-            if not rep.passed:
-                record = rep.to_dict()
-                record["context"] = {**rep.context, "trial": t, "p": p}
-                failures.append(record)
+            _collect(failures, rep, trial=t, p=p)
     checks = [
         checked(label, value, 1e-12, "le", 0.0, trials=trials)
         for label, value in sorted(worst.items())
@@ -268,7 +267,7 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8, **_) -> dict:
     return out
 
 
-def suite_thm42(seed: int, trials: int = 1000, n_max: int = 12, **_) -> dict:
+def suite_thm42(seed: int, trials: int = 1000, n_max: int = 12) -> dict:
     """Max-influence lower bound on batches of random Boolean functions."""
     rng = _suite_rng("thm42", seed)
     checks, failures = [], []
@@ -294,7 +293,7 @@ def _family_schedule(n_max: int = 16) -> list[FamilySpec]:
     return specs
 
 
-def suite_thm41(seed: int, n_max: int = 16, **_) -> dict:
+def suite_thm41(seed: int, n_max: int = 16) -> dict:
     """Derivative lower bound across the symmetric family schedule."""
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
     checks, failures = [], []
@@ -307,10 +306,7 @@ def suite_thm41(seed: int, n_max: int = 16, **_) -> dict:
         for p in grid:
             rep = bounds.derivative_bound_check(f, p, gens=gens, tol=1e-9)
             worst = max(worst, rep.slack)
-            if not rep.passed:
-                record = rep.to_dict()
-                record["context"] = {**rep.context, "family": spec.to_string()}
-                failures.append(record)
+            _collect(failures, rep, family=spec.to_string())
         checks.append(
             checked("derivative_lower_bound_grid", worst, 0.0, "le", 1e-9,
                     family=spec.to_string(), grid_points=len(grid))
@@ -318,30 +314,23 @@ def suite_thm41(seed: int, n_max: int = 16, **_) -> dict:
     return _result("thm41", {"seed": seed, "n_max": n_max, "grid": grid}, checks, failures)
 
 
-def suite_cor43(seed: int, n_max: int = 16, **_) -> dict:
+def suite_cor43(seed: int, n_max: int = 16) -> dict:
     """Both threshold-width ceilings across families and epsilon levels."""
     eps_levels = (0.05, 0.1, 0.25, 0.4)
     checks, failures = [], []
     for spec in _family_schedule(n_max):
-        worst_tight = np.inf
-        worst_plain = np.inf
-        ok = True
+        worst = np.inf
+        failed_before = len(failures)
         for eps in eps_levels:
-            tight, plain = bounds.width_bound_check(spec, eps, tol=1e-9)
-            worst_tight = min(worst_tight, tight.slack)
-            worst_plain = min(worst_plain, plain.slack)
-            for rep in (tight, plain):
-                if not rep.passed:
-                    ok = False
-                    record = rep.to_dict()
-                    record["context"] = {**rep.context, "family": spec.to_string()}
-                    failures.append(record)
+            for rep in bounds.width_bound_check(spec, eps, tol=1e-9):
+                worst = min(worst, rep.slack)
+                _collect(failures, rep, family=spec.to_string())
         checks.append(
             BoundReport(
                 "width_bounds_family",
-                lhs=-min(worst_tight, worst_plain),
+                lhs=-worst,
                 rhs=0.0,
-                passed=ok,
+                passed=len(failures) == failed_before,
                 orientation="le",
                 tol=1e-9,
                 context={"family": spec.to_string(), "eps_levels": list(eps_levels)},
@@ -350,7 +339,7 @@ def suite_cor43(seed: int, n_max: int = 16, **_) -> dict:
     return _result("cor43", {"seed": seed, "n_max": n_max, "eps_levels": list(eps_levels)}, checks, failures)
 
 
-def suite_sn_claims(seed: int, n_max: int = 1_000_000, **_) -> dict:
+def suite_sn_claims(seed: int, n_max: int = 1_000_000) -> dict:
     """Scans behind the printed numeric claims about the rate and constants."""
     checks = [
         checked("constant_at_half_exact", bounds.log_sobolev_constant(0.5), 2.0, "eq", 0.0),
@@ -396,7 +385,7 @@ def suite_sn_claims(seed: int, n_max: int = 1_000_000, **_) -> dict:
     return out
 
 
-def suite_exhaustive_n4(seed: int, p=None, **_) -> dict:
+def suite_exhaustive_n4(seed: int, p=None) -> dict:
     """Max-influence bound over every Boolean function on four coordinates."""
     biases = (0.25, 0.5) if p is None else (float(p),)
     codes = np.arange(1 << 16, dtype=np.uint32)
@@ -430,14 +419,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None,
               p: float | None = None, n_max: int | None = None) -> dict:
-    """Run one named suite; unknown names raise KeyError for the CLI to map."""
+    """Run one named suite; unknown names raise KeyError for the CLI to map,
+    and overrides the suite does not read raise ValueError."""
     if name not in _SUITES:
         raise KeyError(name)
-    kwargs: dict = {"seed": seed}
-    if trials is not None:
-        kwargs["trials"] = trials
-    if p is not None:
-        kwargs["p"] = p
-    if n_max is not None:
-        kwargs["n_max"] = n_max
-    return _SUITES[name](**kwargs)
+    suite = _SUITES[name]
+    overrides = {k: v for k, v in {"trials": trials, "p": p, "n_max": n_max}.items() if v is not None}
+    accepted = [key for key in inspect.signature(suite).parameters if key != "seed"]
+    refused = [key for key in overrides if key not in accepted]
+    if refused:
+        raise ValueError(
+            f"suite {name!r} does not read {', '.join(refused)}; "
+            f"it accepts {', '.join(accepted)}"
+        )
+    return suite(seed=seed, **overrides)

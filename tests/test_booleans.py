@@ -176,6 +176,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_family_string("tribes:k=2")
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("dictator", {"n": 5, "i": 9}, "coordinate 9 out of range for arity 5"),
+        ("dictator", {"n": 5, "i": 0}, "coordinate 0 out of range for arity 5"),
+        ("majority", {"n": 4}, "majority requires odd arity"),
+        ("tribes", {"k": 2, "m": 0}, "tribes requires k >= 1 and m >= 1"),
+        ("tribes", {"k": 0, "m": 3}, "tribes requires k >= 1 and m >= 1"),
+        ("cyclic_run", {"n": 4, "len": 6}, "run length must satisfy 1 <= length <= n"),
+        ("or_all", {"n": 0}, "arity must be at least 1"),
+        ("and_all", {"n": -3}, "arity must be at least 1"),
+        ("parity", {"n": 0}, "arity must be at least 1"),
+    ])
+    def test_spec_refuses_functions_that_do_not_exist(self, kind, params, message):
+        # the spec holds every value rule, so no path (dense, closed-form
+        # or sampled) sees a family that does not exist
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            family_spec(kind, **params)
+
+    def test_family_string_with_invalid_values_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed family string"):
+            parse_family_string("majority:n=4")
+
 
 class TestSymmetryEvidence:
     def test_dictator_under_shift(self):
@@ -279,6 +300,19 @@ def test_is_monotone_reads_the_table_once(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_word_fibers", rescan)
     assert is_monotone(f) and not is_monotone(g)
+
+
+@pytest.mark.parametrize("perms, n, transitive", [
+    (((2, 3, 4, 1),), 4, True),
+    (((2, 1, 4, 3),), 4, False),
+    (((2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)), 4, True),
+    (((1, 2, 3),), 3, False),
+    ((), 1, True),
+    ((), 2, False),
+    (((1, 3, 2),), 3, False),  # coordinate 1 is fixed though 2 and 3 swap
+])
+def test_is_transitive_is_one_orbit(perms, n, transitive):
+    assert is_transitive(PermutationGenerators(n, perms)) is transitive
 
 
 def table_is_constant(f):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from biascube import bounds
+from biascube import booleans, bounds
 from biascube.booleans import (
     BooleanFunction,
     PermutationGenerators,
@@ -324,6 +324,39 @@ class TestHypothesisVerdicts:
         ]
         for check, target, gens, message in cases:
             assert hypothesis_verdict(check, target, gens) == message, (check.__name__, target)
+
+
+class TestBoundHypotheses:
+    def test_gate_returns_the_arity_on_both_paths(self):
+        spec = family_spec("tribes", k=3, m=4)
+        _, gens = family_symmetry(spec)
+        assert bounds.bound_hypotheses(spec) == 12
+        assert bounds.bound_hypotheses(build_family(spec), gens) == 12
+        assert bounds.bound_hypotheses(family_spec("or_all", n=500)) == 500
+
+    def test_family_path_needs_arity_two(self):
+        for spec in (family_spec("or_all", n=1), family_spec("majority", n=1),
+                     family_spec("tribes", k=1, m=1)):
+            with pytest.raises(ValueError, match="^the bound needs arity at least 2$"):
+                bounds.bound_hypotheses(spec)
+
+    def test_rejects_other_targets(self):
+        with pytest.raises(TypeError, match="BooleanFunction or FamilySpec"):
+            bounds.bound_hypotheses("or_all:n=4")
+
+    def test_grid_of_checks_gathers_each_generator_once(self, monkeypatch):
+        # thm41 checks each set at 19 biases; the invariance gather runs
+        # once per generator, not once per bias
+        f = build_family(family_spec("cyclic_run", n=12, len=3))
+        _, gens = family_symmetry(family_spec("cyclic_run", n=12, len=3))
+        gathers = []
+        point_map = booleans.permutation_point_map
+        monkeypatch.setattr(
+            booleans, "permutation_point_map", lambda *a: gathers.append(a) or point_map(*a)
+        )
+        for k in range(1, 20):
+            assert derivative_bound_check(f, 0.05 * k, gens=gens, tol=1e-9).passed
+        assert len(gathers) == len(gens.perms) == 1
 
 
 class TestWidthBounds:

@@ -131,6 +131,16 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_arity_one_leaves_bound_columns_empty(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "or", "--n", "1", "--grid", "0.1:0.3:0.1"
+        )
+        assert code == 0, err
+        rows = out.splitlines()[5:]
+        assert len(rows) == 3
+        for line in rows:
+            assert line.endswith(",,")
+
     def test_func_and_family_are_exclusive(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep", "--func", "cls", "--family", "or", "--n", "4",
@@ -185,6 +195,14 @@ class TestThreshold:
         assert payload["width_bounds"] is None
         assert "bound_note" in payload
 
+    def test_arity_one_notes_the_gate(self, capsys):
+        payload = run_json(
+            capsys, "threshold", "--family", "or", "--n", "1", "--eps", "0.1"
+        )
+        assert payload["result"]["width"] == pytest.approx(0.8, abs=1e-9)
+        assert payload["width_bounds"] is None
+        assert payload["bound_note"] == "the bound needs arity at least 2"
+
     def test_parity_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "threshold", "--family", "parity", "--n", "4", "--eps", "0.1"
@@ -216,6 +234,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
         assert "sn-claims" in err
+
+    def test_unread_overrides_are_usage_errors(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "thm41", "--trials", "3", "--p", "0.9"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite 'thm41' does not read trials, p; it accepts n_max\n"
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def always_red(seed=0, **_):
@@ -313,6 +339,33 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestFamilyParameters:
+    """Values that name no function are refused on every path: dense,
+    closed-form and sampled."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("threshold", "--family", "dictator", "--n", "5", "--i", "9", "--eps", "0.1"),
+         "coordinate 9 out of range for arity 5"),
+        (("mc", "mu", "--family", "majority", "--n", "4"), "majority requires odd arity"),
+        (("mc", "mu", "--family", "dictator", "--n", "5", "--i", "0"),
+         "coordinate 0 out of range for arity 5"),
+        (("mc", "mu", "--family", "or", "--n", "0"), "arity must be at least 1"),
+        (("mc", "threshold", "--family", "tribes", "--k", "2", "--m", "0", "--alpha", "0.5"),
+         "tribes requires k >= 1 and m >= 1"),
+        (("mc", "mu", "--family", "cyclic_run", "--n", "4", "--len", "6"),
+         "run length must satisfy 1 <= length <= n"),
+        (("threshold", "--family", "tribes", "--k", "0", "--m", "3", "--eps", "0.1"),
+         "tribes requires k >= 1 and m >= 1"),
+        (("threshold", "--family", "and", "--n", "-3", "--eps", "0.1"),
+         "arity must be at least 1"),
+    ])
+    def test_invalid_values_exit_two_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestParser:
