@@ -6,6 +6,7 @@ import sys
 import textwrap
 
 import numpy as np
+import pytest
 
 from biascube._kernels import connected_batch, pack_tables, pivotal_counts
 from biascube.measure import level_weights
@@ -72,6 +73,20 @@ class TestConnectedBatch:
                 got = connected_batch(present, m, edge_u, edge_v)
                 for row in range(120):
                     assert got[row] == brute_connected(present[row], m, edge_u, edge_v)
+
+    @pytest.mark.parametrize("m", (2, 16, 65, 100))
+    @pytest.mark.parametrize("samples", (1, 63, 64, 65, 130))
+    def test_sample_counts_straddle_word_lanes(self, m, samples):
+        # batches of one word of samples, less, more and two; each row has
+        # its own bias around the threshold log(m)/m
+        rng = np.random.default_rng(m * 1000 + samples)
+        edge_u, edge_v = self.edges(m)
+        p = np.array((2.0, 1.0, 0.5))[np.arange(samples) % 3] * math.log(m) / m
+        present = (rng.random((samples, edge_u.size)) < p[:, None]).astype(np.uint8)
+        got = connected_batch(present, m, edge_u, edge_v)
+        assert got.dtype == np.uint8 and got.shape == (samples,)
+        want = [brute_connected(row, m, edge_u, edge_v) for row in present]
+        assert got.tolist() == want
 
 
 def test_runs_with_numpy_as_the_only_dependency():

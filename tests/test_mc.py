@@ -271,3 +271,42 @@ class TestPinnedStream:
         mislabel = OracleFunction(
             8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
         assert spot_check_monotone(mislabel, 0.5, 4000, seed=seed) == PINNED[seed]["spot_mislabel"]
+
+
+# The benchmark's level search: connectivity on 16 vertices at seed 7. Its
+# steps next to the level double their sample count, so this pins the
+# doubling path, which the connectivity-8 search above never takes.
+LEVEL_SEARCH_M16 = {
+    "p_hat": 0.19091796875, "alpha": 0.5,
+    "estimate": {"mean": 0.488525390625, "stderr": 0.00781044243748461, "samples": 4096,
+                 "ci_lo": 0.4732351258095087, "ci_hi": 0.5038371583399768},
+    "flagged": False, "steps": 10, "evaluations": 2256896, "seed": 7,
+    "rng": "philox4x64:seedseq-path",
+}
+
+
+@WORKERS
+def test_level_search_connectivity16_doubling(workers):
+    result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
+    assert result.to_dict() == LEVEL_SEARCH_M16
+
+
+@pytest.mark.parametrize(
+    "pv", (5e-324, 2.0**-53, 0.0138, 0.19091796875, 0.5, 1.0 - 2.0**-53)
+)
+def test_bernoulli_matches_float_compare(pv):
+    # 37 * 11 = 407 words is not a multiple of Philox's 4-word block, so
+    # each later draw starts inside a block the one before it opened
+    rng, reference = substream(3, 9), substream(3, 9)
+    for rows, cols in ((37, 11), (5, 13), (64, 7)):
+        got = mc._bernoulli(rng, rows, cols, pv)
+        want = (reference.random((rows, cols)) < pv).view(np.uint8)
+        assert got.dtype == np.uint8 and got.shape == (rows, cols)
+        assert np.array_equal(got, want)
+        assert _philox_state(rng) == _philox_state(reference)
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            tuple(state["buffer"]), state["buffer_pos"])
