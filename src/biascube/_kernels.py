@@ -67,7 +67,11 @@ _IN_WORD_LOWER = np.array(
 
 def pack_tables(tables: np.ndarray) -> np.ndarray:
     """(..., ceil(2**n / 64)) uint64 words of (..., 2**n) 0/1 uint8 tables."""
-    packed = np.packbits(tables, axis=-1, bitorder="little")
+    return _as_words(np.packbits(tables, axis=-1, bitorder="little"))
+
+
+def _as_words(packed: np.ndarray) -> np.ndarray:
+    """Little-endian uint64 words of bytes along the last axis, zero-padded."""
     pad = -packed.shape[-1] % 8
     if pad:
         packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
@@ -128,11 +132,24 @@ def pivotal_counts(words: np.ndarray, n: int) -> np.ndarray:
 # batch connectivity test
 #
 # present: (s, E) uint8, one row of edge indicators per sample. edge_u/edge_v:
-# (E,) endpoints, vertices 0..m_vertices-1. Output: (s,) uint8, 1 where the
-# spanning subgraph on all m_vertices is connected. Vertex w is bit (w % 64)
-# of word (w // 64) in every mask; masks run along the sample axis, so each
-# word operation below acts on all s samples at once.
+# (E,) endpoints of distinct vertex pairs, vertices 0..m_vertices-1. Output:
+# (s,) uint8, 1 where the spanning subgraph on all m_vertices is connected.
+# The search runs on sample lanes: sample j is bit (j % 64) of word (j // 64)
+# in every mask, so each word operation below acts on 64 samples at once.
 # ---------------------------------------------------------------------------
+
+
+def _sample_lanes(present: np.ndarray) -> np.ndarray:
+    """(E, ceil(s/64)) uint64 per-edge columns of (s, E) 0/1 uint8 rows.
+
+    The same words as ``pack_tables(present.T)``, packed 8 rows at a time so
+    that only the packed bytes are transposed.
+    """
+    octets = np.zeros((-(-present.shape[0] // 8), present.shape[1]), dtype=np.uint8)
+    for k in range(8):
+        rows = present[k::8]
+        octets[: rows.shape[0]] |= rows << np.uint8(k)
+    return _as_words(np.ascontiguousarray(octets.T))
 
 
 def connected_batch(
@@ -140,39 +157,22 @@ def connected_batch(
 ) -> np.ndarray:
     """Connectivity indicator for a batch of sampled edge sets."""
     present = np.ascontiguousarray(present, dtype=np.uint8)
-    edge_u = np.asarray(edge_u, dtype=np.int64)
-    edge_v = np.asarray(edge_v, dtype=np.int64)
     s = present.shape[0]
-    words = -(-m_vertices // 64)
-    columns = np.ascontiguousarray(present.T)
-    ends = np.concatenate((edge_u, edge_v))
-    others = np.concatenate((edge_v, edge_u))
-    edge_ids = np.tile(np.arange(edge_u.size), 2)
-    adjacency = np.zeros((m_vertices, words, s), dtype=np.uint64)
-    for v in range(m_vertices):
-        incident = ends == v
-        edges = edge_ids[incident]
-        neighbours = others[incident]
-        for word in range(words):
-            in_word = (neighbours >> 6) == word
-            shifts = (neighbours[in_word] & 63).astype(np.uint64)
-            adjacency[v, word] = np.bitwise_or.reduce(
-                columns[edges[in_word]].astype(np.uint64) << shifts[:, None], axis=0
-            )
-    # Sweeps update the reach mask in place, so one sweep can follow a path
-    # through several vertices. Once a sweep adds nothing, the reach mask is
-    # the component of vertex 0.
-    one = np.uint64(1)
-    reach = np.zeros((words, s), dtype=np.uint64)
-    reach[0] = one
+    columns = _sample_lanes(present)
+    # adjacency[v, w]: the lanes holding edge {v, w}, zero for non-edges
+    adjacency = np.zeros((m_vertices, m_vertices, columns.shape[1]), dtype=np.uint64)
+    adjacency[edge_u, edge_v] = columns
+    adjacency[edge_v, edge_u] = columns
+    # reach[v]: the lanes where vertex 0 reaches v. Sweeps update it in place,
+    # so one sweep can follow a path through several vertices; once a sweep
+    # adds nothing, each lane holds the component of vertex 0.
+    reach = np.zeros(adjacency.shape[1:], dtype=np.uint64)
+    reach[0] = ~np.uint64(0)
     while True:
         before = reach.copy()
         for v in range(m_vertices):
-            reached = (reach[v >> 6] >> np.uint64(v & 63)) & one
-            reach |= adjacency[v] * reached
+            reach[v] |= np.bitwise_or.reduce(adjacency[v] & reach, axis=0)
         if np.array_equal(reach, before):
             break
-    full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
-    if m_vertices % 64:
-        full[-1] = (one << np.uint64(m_vertices % 64)) - one
-    return (reach == full[:, None]).all(axis=0).view(np.uint8)
+    connected = np.bitwise_and.reduce(reach, axis=0)
+    return np.unpackbits(connected.view(np.uint8), bitorder="little")[:s]

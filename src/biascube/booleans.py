@@ -90,6 +90,9 @@ class BooleanFunction:
     table: np.ndarray
     # ``is_invariant``'s verdicts, one per generator set
     _invariant: dict = field(default_factory=dict, init=False, repr=False)
+    # ``bounds.bound_hypotheses``' verdicts (the failed hypothesis or None),
+    # one per generator set, None standing for every permutation
+    _hypotheses: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -291,13 +294,14 @@ class PermutationGenerators:
                 raise ValueError(f"{perm} is not a permutation of 1..{self.n}")
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=64)
 def permutation_point_map(perm: tuple[int, ...], n: int) -> np.ndarray:
     """Read-only index map sending each point x to the point with permuted
     coordinates.
 
-    The image point y has y_{perm[i-1]} = x_i. Cached, so checking one set
-    at many biases builds each map once.
+    The image point y has y_{perm[i-1]} = x_i. Cached, and sized for the 51
+    maps (2.9 MB) of the thm41 schedule at n_max=16, so a repeated run of the
+    schedule builds none.
     """
     points = np.arange(1 << n, dtype=np.uint32)
     out = np.zeros(1 << n, dtype=np.uint32)

@@ -407,8 +407,8 @@ def bound_hypotheses(target, gens: PermutationGenerators | None = None) -> int:
     invariant under a transitive group: every coordinate permutation when
     ``gens`` is None, else the group ``gens`` generates. A FamilySpec without
     ``gens`` brings its own symmetry evidence, so closed-form families work
-    above the dense arity cap. The table checks are cached on the function,
-    so a set checked at many biases is read once.
+    above the dense arity cap. A table's verdict is cached on the function
+    per generator set, so a set checked at many biases is decided once.
     """
     if isinstance(target, FamilySpec) and gens is None:
         if target.arity < 2:
@@ -422,23 +422,33 @@ def bound_hypotheses(target, gens: PermutationGenerators | None = None) -> int:
         target = build_family(target)
     if not isinstance(target, BooleanFunction):
         raise TypeError(f"expected a BooleanFunction or FamilySpec, got {type(target).__name__}")
-    if target.n < 2:
-        raise ValueError("the bound needs arity at least 2")
-    if target.is_constant():
-        raise ValueError("hypothesis failed: the set is trivial")
-    if not is_monotone(target):
-        raise ValueError("hypothesis failed: the set is not monotone")
+    if gens not in target._hypotheses:
+        target._hypotheses[gens] = _failed_hypothesis(target, gens)
+    failed = target._hypotheses[gens]
+    if failed is not None:
+        raise ValueError(failed)
+    return target.n
+
+
+def _failed_hypothesis(f: BooleanFunction, gens: PermutationGenerators | None) -> str | None:
+    """The first of ``bound_hypotheses``' tests that a table fails, or None."""
+    if f.n < 2:
+        return "the bound needs arity at least 2"
+    if f.is_constant():
+        return "hypothesis failed: the set is trivial"
+    if not is_monotone(f):
+        return "hypothesis failed: the set is not monotone"
     if gens is None:
-        if not is_fully_symmetric(target):
-            raise ValueError(
+        if not is_fully_symmetric(f):
+            return (
                 "hypothesis failed: not invariant under all coordinate "
                 "permutations and no generators were supplied"
             )
-    elif not is_invariant(target, gens):
-        raise ValueError("hypothesis failed: not invariant under the supplied generators")
+    elif not is_invariant(f, gens):
+        return "hypothesis failed: not invariant under the supplied generators"
     elif not is_transitive(gens):
-        raise ValueError("hypothesis failed: the supplied generators do not act transitively")
-    return target.n
+        return "hypothesis failed: the supplied generators do not act transitively"
+    return None
 
 
 def derivative_bound_check(

@@ -173,8 +173,17 @@ def _blocks(oracle: OracleFunction, count: int) -> list[int]:
 
 
 def _bernoulli(rng: np.random.Generator, rows: int, cols: int, pv: float) -> np.ndarray:
-    """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates."""
-    return (rng.random((rows, cols)) < pv).view(np.uint8)
+    """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates.
+
+    ``rng.random()`` is ``(raw >> 11) * 2**-53`` of one raw 64-bit word, so
+    ``random() < pv`` holds exactly when ``raw < ceil(pv * 2**53) << 11``
+    (pv * 2**53 is exact). Comparing the raw words gives the bits of
+    ``rng.random((rows, cols)) < pv`` and leaves the generator in the same
+    state, without converting a word to a double.
+    """
+    below = np.uint64(math.ceil(pv * 2.0**53) << 11)
+    raw = rng.bit_generator.random_raw(rows * cols)
+    return (raw < below).view(np.uint8).reshape(rows, cols)
 
 
 def _values(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
@@ -205,6 +214,30 @@ def _count_fiber_splits(
     return hits
 
 
+def _nested_hits(oracle: OracleFunction, pv: float, seed: int, *path: int) -> Callable[[int, int], int]:
+    """``per_chunk`` for ``_estimate`` on the streams ``substream(seed, *path, c)``.
+
+    Chunk c keeps its generator, the rows drawn from it and their hits. A
+    larger estimate on the same path then draws only its new rows: chunk c
+    of a larger sample size starts with chunk c of a smaller one, and
+    sequential draws on one generator concatenate exactly. A chunk that is
+    already complete returns its hits without drawing.
+    """
+    chunks: dict[int, tuple[np.random.Generator, int, int]] = {}
+
+    def per_chunk(c: int, count: int) -> int:
+        # each chunk index runs on one thread per estimate, so entries never race
+        if c not in chunks:
+            chunks[c] = (substream(seed, *path, c), 0, 0)
+        rng, drawn, hits = chunks[c]
+        if count > drawn:
+            hits += _count_hits(oracle, pv, count - drawn, rng)
+            chunks[c] = (rng, count, hits)
+        return hits
+
+    return per_chunk
+
+
 def _estimate(per_chunk: Callable[[int, int], int], samples: int, workers: int) -> Estimate:
     """Wilson estimate from ``per_chunk(c, count)`` hit counts over the
     fixed-size stream chunks of ``samples``, run serially or on a pool."""
@@ -224,11 +257,8 @@ def estimate_mu(
     """Sampled measure of the 1-set under the product measure at bias p."""
     if samples < 1:
         raise ValueError("needs at least one sample")
-    pv = bias_value(p)
     return _estimate(
-        lambda c, count: _count_hits(oracle, pv, count, substream(seed, _TAG_MU, c)),
-        samples,
-        worker_count(workers),
+        _nested_hits(oracle, bias_value(p), seed, _TAG_MU), samples, worker_count(workers)
     )
 
 
@@ -309,22 +339,17 @@ def mc_p_of_alpha(
         raise ValueError("needs at least one sample per step")
     nworkers = worker_count(workers)
 
-    def measure_at(pv: float, samples: int, tag: int, step: int) -> Estimate:
-        return _estimate(
-            lambda c, count: _count_hits(oracle, pv, count, substream(seed, tag, step, c)),
-            samples,
-            nworkers,
-        )
-
     lo, hi = 0.0, 1.0
     flagged = False
     steps = 0
     evaluations = 0
     while hi - lo > tol_p:
         mid = 0.5 * (lo + hi)
+        # a doubled estimate resumes the streams of the one before it
+        per_chunk = _nested_hits(oracle, mid, seed, _TAG_BISECT, steps)
         samples = samples_per_step
         while True:
-            est = measure_at(mid, samples, _TAG_BISECT, steps)
+            est = _estimate(per_chunk, samples, nworkers)
             evaluations += samples
             if est.ci_lo > alpha or est.ci_hi < alpha:
                 break
@@ -339,7 +364,7 @@ def mc_p_of_alpha(
         steps += 1
 
     p_hat = 0.5 * (lo + hi)
-    final = measure_at(p_hat, samples_per_step, _TAG_FINAL, 0)
+    final = _estimate(_nested_hits(oracle, p_hat, seed, _TAG_FINAL, 0), samples_per_step, nworkers)
     evaluations += samples_per_step
     return LevelSearchResult(p_hat, final, alpha, flagged, steps, evaluations, seed)
 

@@ -358,6 +358,31 @@ class TestBoundHypotheses:
             assert derivative_bound_check(f, 0.05 * k, gens=gens, tol=1e-9).passed
         assert len(gathers) == len(gens.perms) == 1
 
+    @pytest.mark.parametrize("spec", [family_spec("cyclic_run", n=12, len=3),
+                                      family_spec("majority", n=9)],
+                             ids=lambda s: s.kind)
+    def test_grid_of_checks_decides_the_gate_once(self, monkeypatch, spec):
+        # the whole verdict is cached per generator set, so the count-based
+        # tests and the orbit run once for 19 biases
+        f = build_family(spec)
+        _, gens = family_symmetry(spec)
+        calls = []
+        for name in ("is_fully_symmetric", "is_transitive", "is_monotone"):
+            test = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda *a, t=test, n=name: calls.append(n) or t(*a))
+        monkeypatch.setattr(type(f), "is_constant",
+                            lambda self, t=type(f).is_constant: calls.append("is_constant") or t(self))
+        for k in range(1, 20):
+            assert derivative_bound_check(f, 0.05 * k, gens=gens, tol=1e-9).passed
+        symmetry = "is_fully_symmetric" if gens is None else "is_transitive"
+        assert sorted(calls) == sorted(["is_constant", "is_monotone", symmetry])
+
+    def test_cached_failure_keeps_raising(self):
+        f = build_family(family_spec("parity", n=6))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^hypothesis failed: the set is not monotone$"):
+                derivative_bound_check(f, 0.3)
+
 
 class TestWidthBounds:
     def test_tight_below_plain(self):
