@@ -7,11 +7,10 @@ bias (points of f by Hamming weight, and pivotal base points of each
 coordinate by weight). ``_fiber_sums`` is the one weighted sweep over
 coordinate fibers of a real-valued table: the Russo derivative and the
 Dirichlet energy of a real function run on it. ``connected_batch`` decides
-graph connectivity for a batch of sampled edge sets with a bit-parallel
-breadth-first search: every vertex holds a bitmask of its neighbours in
-``ceil(m/64)`` uint64 words per sample, and a reach mask grown from vertex 0
-is full exactly when the graph is connected. The search is exact for every
-vertex count.
+graph connectivity for a batch of sampled edge sets with a breadth-first
+search on packed sample lanes: 64 samples share each uint64 word, every
+edge is a column of words, and one word operation advances the search in
+64 samples at once. The search is exact for every vertex and sample count.
 """
 
 from __future__ import annotations
@@ -155,7 +154,13 @@ def _sample_lanes(present: np.ndarray) -> np.ndarray:
 def connected_batch(
     present: np.ndarray, m_vertices: int, edge_u: np.ndarray, edge_v: np.ndarray
 ) -> np.ndarray:
-    """Connectivity indicator for a batch of sampled edge sets."""
+    """Connectivity indicator for a batch of sampled edge sets.
+
+    A breadth-first search from vertex 0 on lanes of 64 samples per word:
+    ``reach[v] |= OR_w(reach[w] & edge(v, w))`` for every vertex v, until a
+    sweep adds nothing; the AND of the rows of ``reach`` marks the connected
+    samples. The edges must be distinct vertex pairs.
+    """
     present = np.ascontiguousarray(present, dtype=np.uint8)
     s = present.shape[0]
     columns = _sample_lanes(present)

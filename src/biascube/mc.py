@@ -9,6 +9,11 @@ summed hit counts are integers, so identical seeds reproduce identical
 results bit for bit at any worker count. Distinct operations on the same
 seed never share a stream. The generator name travels with every
 serialized estimate.
+
+Coordinates are drawn by comparing raw Philox words with the bias, which
+gives the bits of ``rng.random() < p``. An estimate that grows on one path,
+as the level search's doubled estimates do, resumes each chunk's stream
+instead of redrawing its prefix. Neither changes a drawn bit.
 """
 
 from __future__ import annotations
@@ -328,6 +333,10 @@ def mc_p_of_alpha(
     returned interval at p_hat then carries the honest (wider)
     uncertainty. Requires a monotone-declared oracle, since bisection is
     meaningless without a monotone measure curve.
+
+    ``evaluations`` is the total sample size of the estimates. A doubled
+    estimate resumes the streams of the one before it, so the oracle runs
+    on fewer rows than that.
     """
     if not oracle.monotone_declared:
         raise ValueError("level search needs a monotone-declared oracle")

@@ -6,6 +6,7 @@ acceptance tests.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -291,9 +292,12 @@ def test_level_search_connectivity16_doubling(workers):
     assert result.to_dict() == LEVEL_SEARCH_M16
 
 
-@pytest.mark.parametrize(
+BIASES = pytest.mark.parametrize(
     "pv", (5e-324, 2.0**-53, 0.0138, 0.19091796875, 0.5, 1.0 - 2.0**-53)
 )
+
+
+@BIASES
 def test_bernoulli_matches_float_compare(pv):
     # 37 * 11 = 407 words is not a multiple of Philox's 4-word block, so
     # each later draw starts inside a block the one before it opened
@@ -304,6 +308,34 @@ def test_bernoulli_matches_float_compare(pv):
         assert got.dtype == np.uint8 and got.shape == (rows, cols)
         assert np.array_equal(got, want)
         assert _philox_state(rng) == _philox_state(reference)
+
+
+class _GivenWords:
+    """Generator stand-in whose bit generator hands out the given raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
+
+
+@BIASES
+def test_bernoulli_at_the_words_next_to_the_threshold(pv):
+    # a seeded stream almost never lands within 2**11 of the threshold, so
+    # the words on both sides of it are handed in directly and judged by
+    # numpy's double, (raw >> 11) * 2**-53
+    k = math.ceil(pv * 2.0**53)
+    edges = {0, 2**64 - 1}
+    for top in (k - 1, k):
+        edges |= {(top << 11) - 1, top << 11, (top << 11) + 2047}
+    words = np.array(sorted(w for w in edges if 0 <= w < 2**64), dtype=np.uint64)
+    got = mc._bernoulli(_GivenWords(words), 1, words.size, pv)
+    want = ((words >> np.uint64(11)) * 2.0**-53 < pv).view(np.uint8)
+    assert np.array_equal(got[0], want)
+    assert want.any() and not want.all()
 
 
 def _philox_state(rng):
@@ -327,3 +359,19 @@ def test_doubled_estimates_draw_only_new_rows(monkeypatch, workers):
     result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
     assert result.evaluations == LEVEL_SEARCH_M16["evaluations"]
     assert sum(counted) == 1_150_976
+
+
+def test_resumed_estimates_match_fresh_draws_under_thread_switching():
+    # more workers than cores and a short switch interval: chunks resumed on
+    # pool threads must count what a fresh draw of each sample size counts
+    oracle = family_oracle(family_spec("or_all", n=30))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        per_chunk = mc._nested_hits(oracle, 0.02, 5, 9)
+        for samples in (3000, 20_000, 70_000, 70_000, 140_000):
+            resumed = mc._estimate(per_chunk, samples, 8)
+            fresh = mc._estimate(mc._nested_hits(oracle, 0.02, 5, 9), samples, 1)
+            assert resumed == fresh
+    finally:
+        sys.setswitchinterval(interval)
