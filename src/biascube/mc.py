@@ -219,7 +219,9 @@ def _count_fiber_splits(
     return hits
 
 
-def _nested_hits(oracle: OracleFunction, pv: float, seed: int, *path: int) -> Callable[[int, int], int]:
+def _nested_hits(
+    oracle: OracleFunction, pv: float, seed: int, *path: int
+) -> Callable[[int, int], int]:
     """``per_chunk`` for ``_estimate`` on the streams ``substream(seed, *path, c)``.
 
     Chunk c keeps its generator, the rows drawn from it and their hits. A
