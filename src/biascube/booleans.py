@@ -294,14 +294,13 @@ class PermutationGenerators:
                 raise ValueError(f"{perm} is not a permutation of 1..{self.n}")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def permutation_point_map(perm: tuple[int, ...], n: int) -> np.ndarray:
     """Read-only index map sending each point x to the point with permuted
     coordinates.
 
-    The image point y has y_{perm[i-1]} = x_i. Cached, and sized for the 51
-    maps (2.9 MB) of the thm41 schedule at n_max=16, so a repeated run of the
-    schedule builds none.
+    The image point y has y_{perm[i-1]} = x_i. Cached, so checking one set
+    at many biases builds each map once.
     """
     points = np.arange(1 << n, dtype=np.uint32)
     out = np.zeros(1 << n, dtype=np.uint32)
