@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from biascube._kernels import connected_batch, pack_tables, pivotal_counts
+from biascube._kernels import _sample_lanes, connected_batch, pack_tables, pivotal_counts
 from biascube.measure import level_weights
 
 
@@ -87,6 +87,9 @@ class TestConnectedBatch:
         assert got.dtype == np.uint8 and got.shape == (samples,)
         want = [brute_connected(row, m, edge_u, edge_v) for row in present]
         assert got.tolist() == want
+        # the lanes are the transposed rows packed as truth tables
+        lanes = _sample_lanes(present)
+        assert np.array_equal(lanes, pack_tables(np.ascontiguousarray(present.T)))
 
 
 def test_runs_with_numpy_as_the_only_dependency():

@@ -287,9 +287,20 @@ LEVEL_SEARCH_M16 = {
 
 
 @WORKERS
-def test_level_search_connectivity16_doubling(workers):
+def test_level_search_connectivity16_doubling(monkeypatch, workers):
+    # Drawing every estimate afresh would count 2,256,896 rows, the
+    # search's evaluations; resuming each chunk counts every row once.
+    counted = []
+    count_hits = mc._count_hits
+
+    def recording(oracle, pv, count, rng):
+        counted.append(count)
+        return count_hits(oracle, pv, count, rng)
+
+    monkeypatch.setattr(mc, "_count_hits", recording)
     result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
     assert result.to_dict() == LEVEL_SEARCH_M16
+    assert sum(counted) == 1_150_976
 
 
 BIASES = pytest.mark.parametrize(
@@ -342,23 +353,6 @@ def _philox_state(rng):
     state = rng.bit_generator.state
     return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
             tuple(state["buffer"]), state["buffer_pos"])
-
-
-@WORKERS
-def test_doubled_estimates_draw_only_new_rows(monkeypatch, workers):
-    # Drawing every estimate afresh would count 2,256,896 rows, the
-    # search's evaluations; resuming each chunk counts every row once.
-    counted = []
-    count_hits = mc._count_hits
-
-    def recording(oracle, pv, count, rng):
-        counted.append(count)
-        return count_hits(oracle, pv, count, rng)
-
-    monkeypatch.setattr(mc, "_count_hits", recording)
-    result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
-    assert result.evaluations == LEVEL_SEARCH_M16["evaluations"]
-    assert sum(counted) == 1_150_976
 
 
 def test_resumed_estimates_match_fresh_draws_under_thread_switching():
