@@ -352,6 +352,38 @@ def test_structure_checks_agree_with_table_definitions():
         assert is_fully_symmetric(f) == table_is_fully_symmetric(f), label
 
 
+def rule_cases():
+    """Each rule-backed family next to its table, built here from the family
+    definition point by point."""
+    for n in range(1, 22):
+        points = np.arange(1 << n, dtype=np.uint32)
+        weight = np.bitwise_count(points)
+        if n <= 16:
+            yield f"or_all n={n}", or_all(n), weight > 0
+            yield f"and_all n={n}", and_all(n), weight == n
+            yield f"parity n={n}", parity(n), weight % 2
+            for i in sorted({1, n}):
+                yield f"dictator n={n} i={i}", dictator(n, i), (points >> (i - 1)) & 1
+        if n % 2:
+            yield f"majority n={n}", majority(n), 2 * weight > n
+
+
+def test_rule_counts_agree_with_counted_tables():
+    for label, f, table in rule_cases():
+        counted = BooleanFunction(f.n, table)
+        for name in ("level_counts", "pivotal_counts"):
+            ruled, swept = getattr(f, name), getattr(counted, name)
+            assert ruled.dtype == swept.dtype and np.array_equal(ruled, swept), (label, name)
+            assert not ruled.flags.writeable
+        assert is_monotone(f) == is_monotone(counted), label
+        assert f.is_constant() == counted.is_constant(), label
+        assert is_fully_symmetric(f) == is_fully_symmetric(counted), label
+        assert f.table.dtype == counted.table.dtype, label
+        assert np.array_equal(f.table, counted.table), label
+        assert not f.table.flags.writeable
+        assert f.to_table_string() == counted.to_table_string(), label
+
+
 def test_arity_cap_env(monkeypatch):
     monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")
     assert arity_cap() == 6

@@ -74,12 +74,13 @@ class TestAnalyze:
         assert code == 2
 
     def test_arity_cap_error_mentions_mc(self, capsys):
-        code, _, err = run_cli(
-            capsys, "analyze", "--family", "or", "--n", "30", "--p", "0.5"
-        )
-        assert code == 2
-        assert "dense-table cap" in err
-        assert "the mc subcommands sample at any arity" in err
+        for argv in (("analyze", "--family", "or", "--n", "30", "--p", "0.5"),
+                     ("threshold", "--family", "majority", "--n", "25", "--eps", "0.1"),
+                     ("sweep", "--family", "majority", "--n", "25", "--grid", "0.1:0.9:0.1")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "dense-table cap" in err
+            assert "the mc subcommands sample at any arity" in err
 
 
 class TestSweep:
