@@ -1,20 +1,27 @@
-"""Boolean functions on {0,1}^n as dense truth tables.
+"""Boolean functions on {0,1}^n, analysed through their integer counts.
 
 Point encoding, fixed everywhere in this package including serialization: a
 point is an integer x in [0, 2**n), and coordinate i (1-based) is bit (i-1)
 of x. Coordinate 1 is the least significant bit. A truth table is indexed by
 the point integer, so ``table[x]`` is f(x).
 
-Dense tables are capped at ``arity_cap()`` coordinates (default 24, i.e.
-16 Mi entries); larger instances go through the closed-form or Monte Carlo
-paths instead. Every table constructor checks the cap before it allocates.
+All of a function's dependence on the bias lies in its level counts and
+pivotal counts. Explicit tables, random functions, tribes and cyclic_run
+are counted from their dense table. The fully symmetric families (or, and,
+majority, parity) and the dictator get their counts from an exact rule and
+build their table only when it is read.
+
+Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
+table of 16 Mi entries); larger instances go through the closed-form or
+Monte Carlo paths instead. Every constructor checks the cap before it
+allocates.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,6 +30,10 @@ from . import _kernels
 
 DEFAULT_ARITY_CAP = 24
 ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
+# The cap never exceeds the largest arity whose integer counts, and the
+# derivative counts (k+1) a_{k+1} made from them, fit in int64. Only a
+# rule-backed family gets near it: a table that large cannot be allocated.
+INT64_COUNT_ARITY = 61
 
 # family name -> its integer parameters, in serialization order
 _FAMILY_PARAM_ORDER = {
@@ -40,14 +51,15 @@ _FAMILY_ALIASES = {"or": "or_all", "and": "and_all"}
 
 
 def arity_cap() -> int:
-    """Largest arity admitted for dense truth tables."""
+    """Largest arity admitted for dense truth tables, at most
+    ``INT64_COUNT_ARITY``."""
     raw = os.environ.get(ARITY_CAP_ENV)
     if raw is None:
         return DEFAULT_ARITY_CAP
     cap = int(raw)
     if cap < 1:
         raise ValueError(f"{ARITY_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
+    return min(cap, INT64_COUNT_ARITY)
 
 
 def _check_arity(n: int) -> None:
@@ -82,19 +94,26 @@ def with_coordinate(x: int, i: int, value: int) -> int:
     return (x | bit) if value else (x & ~bit)
 
 
-@dataclass(eq=False)
 class BooleanFunction:
-    """A Boolean function given by its dense truth table."""
+    """A Boolean function on {0,1}^n, analysed through its integer counts.
 
-    n: int
-    table: np.ndarray
-    # ``is_invariant``'s verdicts, one per generator set
-    _invariant: dict = field(default_factory=dict, init=False, repr=False)
-    # ``bounds.bound_hypotheses``' verdicts (the failed hypothesis or None),
-    # one per generator set, None standing for every permutation
-    _hypotheses: dict = field(default_factory=dict, init=False, repr=False)
+    ``BooleanFunction(n, table)`` validates a dense 0/1 truth table; its
+    level counts, pivotal counts and monotone verdict are counted from the
+    packed table on first use. The family constructors whose counts follow
+    from an exact rule (the fully symmetric families and the dictator) set
+    those counts and the verdict from the rule instead, and build the table
+    only when something reads it (``table``, ``evaluate``, ``is_invariant``,
+    ``to_table_string``). Either way ``table`` is the same read-only table.
+    """
+
+    def __init__(self, n: int, table):
+        self.n = n
+        self.table = table
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the table and freeze it. Every table built passes here,
+        and ``perfbench/tracer.py`` counts the tables built at this name."""
         if self.n < 1:
             raise ValueError("arity must be at least 1")
         table = np.asarray(self.table, dtype=np.uint8)
@@ -106,7 +125,38 @@ class BooleanFunction:
             raise ValueError("table entries must be 0 or 1")
         table = np.ascontiguousarray(table)
         table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        self.table = table
+
+    @classmethod
+    def _from_rule(cls, n: int, level_counts, pivotal_counts, monotone: bool,
+                   build_table) -> BooleanFunction:
+        """A function whose counts and monotone verdict come from its
+        family's rule; ``build_table()`` gives its table on first read."""
+        f = cls.__new__(cls)
+        f.n = n
+        level_counts.flags.writeable = False
+        pivotal_counts.flags.writeable = False
+        # these fill the cached properties of the same names
+        f.level_counts, f.pivotal_counts, f._monotone = level_counts, pivotal_counts, monotone
+        f._build_table = build_table
+        return f
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Only a rule-backed function gets here: its table is built on first
+        read and validated like any other."""
+        return BooleanFunction(self.n, self._build_table()).table
+
+    @cached_property
+    def _invariant(self) -> dict:
+        """``is_invariant``'s verdicts, one per generator set."""
+        return {}
+
+    @cached_property
+    def _hypotheses(self) -> dict:
+        """``bounds.bound_hypotheses``' verdicts (the failed hypothesis or
+        None), one per generator set, None standing for every permutation."""
+        return {}
 
     def evaluate(self, x: int) -> int:
         if not 0 <= x < (1 << self.n):
@@ -194,40 +244,60 @@ def parse_table_string(text: str) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
+def _binomials(m: int) -> np.ndarray:
+    """int64 C(m, k) for k = 0..m."""
+    return np.array([math.comb(m, k) for k in range(m + 1)], dtype=np.int64)
+
+
+def _symmetric(n: int, values: list[int]) -> BooleanFunction:
+    """The function worth ``values[k]`` at every point of weight k.
+
+    a_k = C(n, k) v_k, and each coordinate is pivotal at the C(n-1, k) base
+    points of level k exactly when v_k != v_{k+1}.
+    """
+    v = np.array(values, dtype=np.uint8)
+    pivotal = _binomials(n - 1) * (v[:-1] != v[1:])
+    return BooleanFunction._from_rule(
+        n, _binomials(n) * v, np.tile(pivotal, (n, 1)), bool((v[:-1] <= v[1:]).all()),
+        lambda: v[popcounts(n)],
+    )
+
+
 def dictator(n: int, i: int) -> BooleanFunction:
-    """f(x) = x_i."""
+    """f(x) = x_i: a_k = C(n-1, k-1), and only coordinate i is pivotal, at
+    every base point."""
     family_spec("dictator", n=n, i=i)
     _check_arity(n)
-    points = np.arange(1 << n, dtype=np.uint32)
-    return BooleanFunction(n, (points >> (i - 1)) & 1)
+    pivotal = np.zeros((n, n), dtype=np.int64)
+    pivotal[i - 1] = _binomials(n - 1)
+    return BooleanFunction._from_rule(
+        n, np.concatenate(([0], _binomials(n - 1))), pivotal, True,
+        lambda: (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1,
+    )
 
 
 def and_all(n: int) -> BooleanFunction:
     family_spec("and_all", n=n)
     _check_arity(n)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    table[-1] = 1
-    return BooleanFunction(n, table)
+    return _symmetric(n, [0] * n + [1])
 
 
 def or_all(n: int) -> BooleanFunction:
     family_spec("or_all", n=n)
     _check_arity(n)
-    table = np.ones(1 << n, dtype=np.uint8)
-    table[0] = 0
-    return BooleanFunction(n, table)
+    return _symmetric(n, [0] + [1] * n)
 
 
 def majority(n: int) -> BooleanFunction:
     family_spec("majority", n=n)
     _check_arity(n)
-    return BooleanFunction(n, popcounts(n) >= (n + 1) // 2)
+    return _symmetric(n, [int(k >= (n + 1) // 2) for k in range(n + 1)])
 
 
 def parity(n: int) -> BooleanFunction:
     family_spec("parity", n=n)
     _check_arity(n)
-    return BooleanFunction(n, popcounts(n) % 2)
+    return _symmetric(n, [k % 2 for k in range(n + 1)])
 
 
 def tribes(k: int, m: int) -> BooleanFunction:
@@ -267,8 +337,9 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
 def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any single coordinate never lowers f.
 
-    One word pass per function: the verdict is cached on f, so a check
-    repeated at many biases reads the table once."""
+    One word pass per counted table, none for a rule-backed family: the
+    verdict is cached on f, so a check repeated at many biases reads the
+    table at most once."""
     return f._monotone
 
 

@@ -6,9 +6,9 @@ bias p(alpha). The engine finds it by bisection (never Newton: dense measure
 curves can be extremely flat near the endpoints). The threshold width at
 level eps is p(1-eps) - p(eps).
 
-Works either on a dense BooleanFunction or on a MuCurve, a thin wrapper for
-closed-form families whose measure is known analytically and therefore has no
-arity limit.
+Works either on a BooleanFunction, whose measure is read off its level
+counts, or on a MuCurve, a thin wrapper for closed-form families whose
+measure is known analytically and therefore has no arity limit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .reports import BoundReport, checked
 DEFAULT_BISECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Families whose measure curve needs no dense table, hence no arity cap.
+# Families whose measure curve is closed-form, hence has no arity cap.
 CLOSED_FORM_KINDS = frozenset({"or_all", "and_all", "tribes", "dictator"})
 
 
@@ -39,8 +39,8 @@ class MuCurve:
 
 
 def dense_curve(f: BooleanFunction) -> MuCurve:
-    """Curve of a dense table, read off its level counts at O(n) per bias;
-    requires monotone and nontrivial."""
+    """Curve of a Boolean function, read off its level counts at O(n) per
+    bias; requires monotone and nontrivial."""
     if f.is_constant():
         raise ValueError("the set is trivial: its measure is constant in p")
     if not is_monotone(f):
@@ -53,8 +53,10 @@ def family_curve(spec: FamilySpec) -> MuCurve:
     """Closed-form curve when the family has one, dense otherwise.
 
     Closed forms exist for or_all, and_all, tribes, and dictator; those work
-    at any arity. Everything else needs a dense table, so the arity cap
-    applies and larger instances must go through the Monte Carlo estimators.
+    at any arity. Everything else is read off a BooleanFunction's level
+    counts: majority's come from its weight rule, cyclic_run's from its
+    dense table. Both are subject to the arity cap, so larger instances must
+    go through the Monte Carlo estimators.
     """
     if spec.kind == "or_all":
         n = spec.param("n")

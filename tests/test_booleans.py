@@ -4,6 +4,7 @@ Oracles here are deliberately dumb: per-point Python loops over explicit
 bit strings, compared against the vectorized implementations.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from biascube import _kernels
 from biascube._kernels import _fibers
 from biascube.booleans import (
+    INT64_COUNT_ARITY,
     arity_cap,
     and_all,
     BooleanFunction,
@@ -43,6 +45,7 @@ from biascube.booleans import (
     tribes,
     with_coordinate,
 )
+from biascube.measure import _derivative_counts
 from biascube.suites import _family_schedule
 
 
@@ -292,14 +295,17 @@ def test_is_monotone_agrees_with_fiber_definition():
 
 
 def test_is_monotone_reads_the_table_once(monkeypatch):
-    f, g = majority(7), parity(5)
-    assert is_monotone(f) and not is_monotone(g)
+    # majority's and parity's verdicts come from their rule; the counted
+    # tables next to them are scanned once
+    cases = [majority(7), parity(5), cyclic_run(7, 3), BooleanFunction(5, parity(5).table)]
+    verdicts = [True, False, True, False]
+    assert [is_monotone(f) for f in cases] == verdicts
 
     def rescan(*args):
         raise AssertionError("the monotone verdict was recomputed")
 
     monkeypatch.setattr(_kernels, "_word_fibers", rescan)
-    assert is_monotone(f) and not is_monotone(g)
+    assert [is_monotone(f) for f in cases] == verdicts
 
 
 @pytest.mark.parametrize("perms, n, transitive", [
@@ -378,10 +384,26 @@ def test_rule_counts_agree_with_counted_tables():
         assert is_monotone(f) == is_monotone(counted), label
         assert f.is_constant() == counted.is_constant(), label
         assert is_fully_symmetric(f) == is_fully_symmetric(counted), label
+        assert "table" not in vars(f), f"{label}: the checks above built the table"
         assert f.table.dtype == counted.table.dtype, label
         assert np.array_equal(f.table, counted.table), label
         assert not f.table.flags.writeable
         assert f.to_table_string() == counted.to_table_string(), label
+
+
+def test_raised_cap_stops_where_counts_leave_int64(monkeypatch):
+    # a raised cap lets a rule-backed family past any table size, not past int64
+    monkeypatch.setenv("BIASCUBE_MAX_ARITY", "80")
+    n = INT64_COUNT_ARITY
+    assert arity_cap() == n
+    h = (n - 1) // 2
+    f = majority(n)
+    exact = [(k + 1) * math.comb(n, k + 1) if k == h else 0 for k in range(n)]
+    assert _derivative_counts(f.level_counts).tolist() == exact
+    for build in (lambda: majority(n + 2), lambda: dictator(n + 1, 1),
+                  lambda: random_function(n + 1, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="dense-table cap 61"):
+            build()
 
 
 def test_arity_cap_env(monkeypatch):

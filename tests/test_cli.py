@@ -9,9 +9,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from biascube import cli, threshold
+from biascube import _kernels, booleans, cli, threshold
+from biascube.booleans import BooleanFunction
 from biascube.mc import RNG_ID
 
 
@@ -74,6 +76,7 @@ class TestAnalyze:
         assert code == 2
 
     def test_arity_cap_error_mentions_mc(self, capsys):
+        # rule-backed families build no table, but keep the cap
         for argv in (("analyze", "--family", "or", "--n", "30", "--p", "0.5"),
                      ("threshold", "--family", "majority", "--n", "25", "--eps", "0.1"),
                      ("sweep", "--family", "majority", "--n", "25", "--grid", "0.1:0.9:0.1")):
@@ -81,6 +84,34 @@ class TestAnalyze:
             assert code == 2
             assert "dense-table cap" in err
             assert "the mc subcommands sample at any arity" in err
+
+
+class TestRuleFamiliesBuildNoTable:
+    """Majority's counts come from its weight rule, so analyze, threshold and
+    sweep never build, pack or count its table."""
+
+    CALLS = (
+        ("analyze", "--family", "majority", "--n", "19", "--p", "0.3"),
+        ("threshold", "--family", "majority", "--n", "21", "--eps", "0.1"),
+        ("sweep", "--family", "majority", "--n", "19", "--grid", "0.02:0.98:0.02"),
+    )
+
+    def test_same_output_with_table_building_refused(self, capsys, monkeypatch):
+        before = [run_cli(capsys, *argv) for argv in self.CALLS]
+        # the same analysis of majority's table, counted from the table
+        table = BooleanFunction(19, np.bitwise_count(np.arange(1 << 19)) >= 10)
+        counted = run_json(capsys, "analyze", "--table", table.to_table_string(), "--p", "0.3")
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(booleans, "popcounts", refuse)
+        monkeypatch.setattr(_kernels, "pack_tables", refuse)
+        for argv, expected in zip(self.CALLS, before):
+            assert expected[0] == 0, argv
+            assert run_cli(capsys, *argv) == expected, argv
+        ruled = json.loads(before[0][1])
+        assert {**ruled, "config": None} == {**counted, "config": None}
 
 
 class TestSweep:

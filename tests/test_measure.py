@@ -387,28 +387,32 @@ def rescans(monkeypatch):
 
 
 class TestNoRescan:
-    """The p-curve of a Boolean function comes from one pass over its table."""
+    """The p-curve of a Boolean function comes from at most one pass over its
+    table, and from none for a family whose counts follow from its rule."""
 
     def test_threshold_width(self, rescans):
-        f = majority(15)
-        threshold_width(f, 0.1)
+        counted = BooleanFunction(15, majority(15).table)
+        for f in (counted, majority(15)):
+            threshold_width(f, 0.1)
         assert rescans["weights"] == 0
-        assert rescans["level_counts"] == [f]
+        assert rescans["level_counts"] == [counted]
 
     def test_sweep(self, rescans, capsys):
-        code = cli.main(["sweep", "--family", "majority", "--n", "13",
-                         "--grid", "0.05:0.95:0.05"])
-        assert code == 0
-        assert capsys.readouterr().out.count("\n") == 5 + 19
+        for family in (["majority", "--n", "13"], ["cyclic_run", "--n", "13", "--len", "3"]):
+            code = cli.main(["sweep", "--family", *family, "--grid", "0.05:0.95:0.05"])
+            assert code == 0
+            assert capsys.readouterr().out.count("\n") == 5 + 19
         assert rescans["weights"] == 0
+        # cyclic_run is counted once; majority's counts come from its rule
         assert len(rescans["level_counts"]) == 1
 
     def test_analyze(self, rescans, capsys):
         # influences, the energy and the influence bound all read the
         # pivotal counts of the one table
-        code = cli.main(["analyze", "--family", "majority", "--n", "13", "--p", "0.3"])
-        assert code == 0
-        assert len(json.loads(capsys.readouterr().out)["influences"]) == 13
+        for family in (["majority", "--n", "13"], ["cyclic_run", "--n", "13", "--len", "3"]):
+            code = cli.main(["analyze", "--family", *family, "--p", "0.3"])
+            assert code == 0
+            assert len(json.loads(capsys.readouterr().out)["influences"]) == 13
         assert rescans["weights"] == 0
         assert len(rescans["pivotal_counts"]) == 1
         assert rescans["level_counts"] == rescans["pivotal_counts"]
