@@ -50,7 +50,7 @@ def dense_curve(f: BooleanFunction) -> MuCurve:
 
 
 def family_curve(spec: FamilySpec) -> MuCurve:
-    """Closed-form curve when the family has one, dense otherwise.
+    """Closed-form curve when the family has one, level counts otherwise.
 
     Closed forms exist for or_all, and_all, tribes, and dictator; those work
     at any arity. Everything else is read off a BooleanFunction's level
