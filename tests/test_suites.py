@@ -2,8 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from biascube import bounds, martingale, suites
+from biascube.measure import CubeFunction, dirichlet_energy, random_cube_function, variance
+from biascube.reports import BoundReport, checked
 from biascube.suites import SUITE_NAMES, run_suite
 
 # sizes small enough for CI but large enough to exercise every code path
@@ -80,3 +84,107 @@ class TestSuiteExtras:
         assert crossover["context"]["matches_expected"] is False
         assert crossover["context"]["constant_free_first_n"] == 275
         assert by_label["constant_at_half_exact"]["lhs"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the per-function checks. Each reference below walks the
+# suite's own substream one trial at a time through the public checks of
+# bounds and martingale, and must give the suite's JSON byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def _reference_lsi(seed, trials, n_max):
+    rng = suites._suite_rng("lsi", seed)
+    checks, failures = [], []
+    holds = total = 0
+    for p in suites.CHECK_BIASES:
+        violations, worst = 0, -np.inf
+        for t in range(trials):
+            n = int(rng.integers(2, n_max + 1))
+            g = random_cube_function(n, rng)
+            rep = bounds.log_sobolev_check(g, p)
+            worst = max(worst, rep.lhs - rep.rhs)
+            if not rep.passed:
+                violations += 1
+                failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
+            record = bounds.log_sobolev_literal_record(random_cube_function(n, rng, positive=True), p)
+            total += 1
+            holds += int(record["holds"])
+        checks.append(checked("log_sobolev_squared_sweep", violations, 0, "le", 0.0, p=p,
+                              trials=trials, worst_excess=worst))
+        sup = bounds.log_sobolev_tightness_two_point(p)
+        c = bounds.log_sobolev_constant(p)
+        checks.append(BoundReport("two_point_tightness", lhs=sup, rhs=c,
+                                  passed=bool(sup <= c + 1e-12 and abs(c - sup) <= 1e-3),
+                                  orientation="le", tol=1e-3, context={"p": p, "gap": c - sup}))
+    out = suites._result("lsi", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
+    out["literal_form"] = {"label": "log_sobolev_literal_record", "asserted": False,
+                           "holds": holds, "total": total}
+    return out
+
+
+def _reference_poincare(seed, trials, n_max):
+    rng = suites._suite_rng("poincare", seed)
+    checks, failures = [], []
+    for p in suites.CHECK_BIASES:
+        violations, worst = 0, -np.inf
+        for t in range(trials):
+            n = int(rng.integers(2, n_max + 1))
+            rep = bounds.poincare_check(random_cube_function(n, rng), p)
+            worst = max(worst, rep.lhs - rep.rhs)
+            if not rep.passed:
+                violations += 1
+                failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
+        checks.append(checked("poincare_sweep", violations, 0, "le", 0.0, p=p, trials=trials,
+                              worst_excess=worst))
+        worst_eq = 0.0
+        for _ in range(20):
+            n = int(rng.integers(1, n_max + 1))
+            i = int(rng.integers(1, n + 1))
+            a, b = rng.normal(size=2)
+            g = CubeFunction(n, a + b * (((np.arange(1 << n) >> (i - 1)) & 1).astype(np.float64)))
+            worst_eq = max(worst_eq, abs(variance(g, p) - dirichlet_energy(g, p)))
+        checks.append(checked("poincare_one_coordinate_equality", worst_eq, 1e-12, "le", 0.0, p=p))
+    return suites._result("poincare", {"seed": seed, "trials": trials, "n_max": n_max},
+                          checks, failures)
+
+
+def _reference_martingale(seed, trials, n_max):
+    rng = suites._suite_rng("martingale", seed)
+    checkers = (martingale.check_telescoping, martingale.check_orthogonality,
+                martingale.check_pythagoras, martingale.check_energy_decomposition,
+                martingale.check_increment_representation, martingale.check_contractions)
+    worst, failures, signs = {}, [], set()
+    for t in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        g = random_cube_function(n, rng)
+        p = suites.CHECK_BIASES[t % len(suites.CHECK_BIASES)]
+        for check in checkers:
+            rep = check(g, p)
+            err = abs(rep.slack) if rep.orientation == "eq" else rep.lhs
+            worst[rep.label] = max(worst.get(rep.label, 0.0), err)
+            if rep.label == "increment-representation":
+                signs.add(rep.context.get("matched_sign"))
+            suites._collect(failures, rep, trial=t, p=p)
+    checks = [checked(label, value, 1e-12, "le", 0.0, trials=trials)
+              for label, value in sorted(worst.items())]
+    out = suites._result("martingale", {"seed": seed, "trials": trials, "n_max": n_max},
+                         checks, failures)
+    out["increment_signs_seen"] = sorted(str(s) for s in signs)
+    return out
+
+
+REFERENCES = {
+    "lsi": _reference_lsi,
+    "poincare": _reference_poincare,
+    "martingale": _reference_martingale,
+}
+
+
+class TestAgreementWithPerFunctionChecks:
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("name", sorted(REFERENCES))
+    def test_suite_json_equals_per_function_reference(self, name, seed):
+        expected = REFERENCES[name](seed, **TINY[name])
+        got = run_tiny(name, seed=seed)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
