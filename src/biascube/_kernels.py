@@ -5,8 +5,9 @@ uint64 words, and ``level_counts`` and ``pivotal_counts`` turn those words
 into the integers that carry all of a Boolean function's dependence on the
 bias (points of f by Hamming weight, and pivotal base points of each
 coordinate by weight). ``_fiber_sums`` is the one weighted sweep over
-coordinate fibers of a real-valued table: the Russo derivative and the
-Dirichlet energy of a real function run on it. ``connected_batch`` decides
+coordinate fibers of a real-valued table, or of a stack of them reduced one
+row at a time: the Russo derivative and the Dirichlet energy of a real
+function run on it. ``connected_batch`` decides
 graph connectivity for a batch of sampled edge sets with a breadth-first
 search on packed sample lanes: 64 samples share each uint64 word, every
 edge is a column of words, and one word operation advances the search in
@@ -37,11 +38,17 @@ def _fibers(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fiber_sums(values: np.ndarray, n: int, base_weights: np.ndarray, term) -> np.ndarray:
-    """``out[..., b] = base_weights @ term(lower, upper)`` over the bit-b fibers."""
+    """``out[..., b] = term(lower, upper).ravel() @ base_weights`` over the bit-b
+    fibers, one 1-D product per row of a stacked batch.
+
+    A row's sums therefore do not depend on the batch around it. A stacked
+    ``@`` would run one matrix-vector product, whose rounding differs from
+    the per-row dot in the last bit on many rows.
+    """
     lead = values.shape[:-1]
     out = np.empty(lead + (n,), dtype=np.float64)
     for b in range(n):
-        out[..., b] = term(*_fibers(values, b)).reshape(lead + (-1,)) @ base_weights
+        out[..., b] = np.vecdot(term(*_fibers(values, b)).reshape(lead + (-1,)), base_weights)
     return out
 
 

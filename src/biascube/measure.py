@@ -123,9 +123,7 @@ def variance(g, p) -> float:
         mean = _level_mean(g, p)
         return max(mean * (1.0 - mean), 0.0)
     n, v = _as_values(g)
-    w = weights(n, p)
-    mean = float(w @ v)
-    return float(w @ (v - mean) ** 2)
+    return _variances(v[None], n, p)[0]
 
 
 def entropy(g, p) -> float:
@@ -135,15 +133,7 @@ def entropy(g, p) -> float:
         mean = _level_mean(g, p)
         return 0.0 if mean <= 0.0 else 0.0 - mean * math.log(mean)
     n, v = _as_values(g)
-    if (v < 0).any():
-        raise ValueError("entropy requires a nonnegative function")
-    w = weights(n, p)
-    mean = float(w @ v)
-    pos = v > 0
-    integrand = float(w[pos] @ (v[pos] * np.log(v[pos])))
-    if mean <= 0.0:
-        return 0.0
-    return integrand - mean * np.log(mean)
+    return _entropies(v[None], n, p)[0]
 
 
 # raw-array fiber helpers; the public wrappers below add the CubeFunction skin
@@ -230,10 +220,48 @@ def dirichlet_energy(g, p) -> float:
         # on 0/1 values the squared gradient is the pivotal indicator
         return p * (1.0 - p) * float(influences(g, p).sum())
     n, v = _as_values(g)
+    return _energies(v[None], n, p)[0]
+
+
+# Batched forms for a (T, 2**n) stack of real rows, one result per row. Only
+# the elementwise work runs on the whole stack; every reduction is one 1-D
+# product or sum per row, and every scalar tail runs per row in the order of
+# a single function. So a row's result does not depend on the batch it is
+# in, and the public functions above are these forms on a batch of one.
+
+
+def _variances(values: np.ndarray, n: int, p) -> list[float]:
+    w = weights(n, p)
+    means = np.vecdot(values, w)
+    return np.vecdot((values - means[:, None]) ** 2, w).tolist()
+
+
+def _entropies(values: np.ndarray, n: int, p) -> list[float]:
+    if (values < 0).any():
+        raise ValueError("entropy requires a nonnegative function")
+    w = weights(n, p)
+    means = np.vecdot(values, w)
+    full = (values > 0).all(axis=-1)
+    integrands = np.empty(len(values))
+    if full.any():
+        rows = values[full]
+        integrands[full] = np.vecdot(rows * np.log(rows), w)
+    for t in np.flatnonzero(~full):
+        # a row with zeros sums over its positive points only: 0 log 0 = 0
+        v = values[t]
+        pos = v > 0
+        integrands[t] = w[pos] @ (v[pos] * np.log(v[pos]))
+    return [
+        0.0 if mean <= 0.0 else integrand - mean * np.log(mean)
+        for mean, integrand in zip(means.tolist(), integrands.tolist())
+    ]
+
+
+def _energies(values: np.ndarray, n: int, p: float) -> list[float]:
     # A fiber's centering is -p and 1-p times its gradient at points weighing
     # 1-p and p times the base weight: p(1-p) times the squared gradient.
-    sums = _kernels._fiber_sums(v, n, weights(n - 1, p), _squared_difference)
-    return p * (1.0 - p) * float(sums.sum())
+    sums = _kernels._fiber_sums(values, n, weights(n - 1, p), _squared_difference)
+    return [p * (1.0 - p) * float(row.sum()) for row in sums]
 
 
 def moment_identity(f, p, i: int, alpha: float) -> tuple[float, float]:
@@ -320,7 +348,10 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
 
 def random_cube_function(n: int, rng: np.random.Generator, positive: bool = False) -> CubeFunction:
     """Seeded random real function; lognormal values when positive is set."""
+    return CubeFunction(n, _random_values(n, rng, positive))
+
+
+def _random_values(n: int, rng: np.random.Generator, positive: bool = False) -> np.ndarray:
+    """The 2**n values ``random_cube_function`` draws, without the wrapper."""
     values = rng.normal(size=1 << n)
-    if positive:
-        values = np.exp(values)
-    return CubeFunction(n, values)
+    return np.exp(values) if positive else values

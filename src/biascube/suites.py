@@ -15,7 +15,9 @@ import numpy as np
 
 from . import bounds, martingale
 from .booleans import (
+    ARITY_CAP_ENV,
     FamilySpec,
+    arity_cap,
     build_family,
     family_spec,
     family_symmetry,
@@ -26,6 +28,7 @@ from .measure import (
     CubeFunction,
     _as_values,
     _center,
+    _random_values,
     center_projection_sides,
     dirichlet_energy,
     expectation,
@@ -144,6 +147,30 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     return _result("adjoint", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
 
 
+def _by_arity(arities: list[int], rows: list[np.ndarray], evaluate) -> list:
+    """Per-row results of ``evaluate(stack, n)``, called once per arity n on
+    the stacked rows of that arity, returned in trial order."""
+    out = [None] * len(rows)
+    for n in set(arities):
+        trials = [t for t, m in enumerate(arities) if m == n]
+        for t, result in zip(trials, evaluate(np.stack([rows[t] for t in trials]), n)):
+            out[t] = result
+    return out
+
+
+def _tally(p: float, arities: list[int], reports: list[BoundReport], failures: list[dict]):
+    """Violations and the worst lhs - rhs of one bias's reports, read in
+    trial order; each violation is appended to ``failures``."""
+    violations = 0
+    worst = -np.inf
+    for t, (n, rep) in enumerate(zip(arities, reports)):
+        worst = max(worst, rep.lhs - rep.rhs)
+        if not rep.passed:
+            violations += 1
+            failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
+    return violations, worst
+
+
 def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     """Entropy-energy inequality in squared form, plus two-point sharpness.
 
@@ -155,20 +182,19 @@ def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     literal_holds = 0
     literal_total = 0
     for p in CHECK_BIASES:
-        violations = 0
-        worst = -np.inf
-        for t in range(trials):
+        # each trial draws its arity, a normal g, then a lognormal instance
+        arities, squared, literal = [], [], []
+        for _ in range(trials):
             n = int(rng.integers(2, n_max + 1))
-            g = random_cube_function(n, rng)
-            rep = bounds.log_sobolev_check(g, p)
-            worst = max(worst, rep.lhs - rep.rhs)
-            if not rep.passed:
-                violations += 1
-                failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
-            pos = random_cube_function(n, rng, positive=True)
-            record = bounds.log_sobolev_literal_record(pos, p)
-            literal_total += 1
-            literal_holds += int(record["holds"])
+            arities.append(n)
+            squared.append(_random_values(n, rng))
+            literal.append(_random_values(n, rng, positive=True))
+        reports = _by_arity(arities, squared, lambda v, n: bounds._log_sobolev_checks(v, n, p))
+        violations, worst = _tally(p, arities, reports, failures)
+        records = _by_arity(arities, literal,
+                            lambda v, n: bounds._log_sobolev_literal_records(v, n, p))
+        literal_total += len(records)
+        literal_holds += sum(int(record["holds"]) for record in records)
         checks.append(
             checked("log_sobolev_squared_sweep", violations, 0, "le", 0.0, p=p, trials=trials,
                     worst_excess=worst)
@@ -204,16 +230,13 @@ def suite_poincare(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     rng = _suite_rng("poincare", seed)
     checks, failures = [], []
     for p in CHECK_BIASES:
-        violations = 0
-        worst = -np.inf
-        for t in range(trials):
+        arities, rows = [], []
+        for _ in range(trials):
             n = int(rng.integers(2, n_max + 1))
-            g = random_cube_function(n, rng)
-            rep = bounds.poincare_check(g, p)
-            worst = max(worst, rep.lhs - rep.rhs)
-            if not rep.passed:
-                violations += 1
-                failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
+            arities.append(n)
+            rows.append(_random_values(n, rng))
+        reports = _by_arity(arities, rows, lambda v, n: bounds._poincare_checks(v, n, p))
+        violations, worst = _tally(p, arities, reports, failures)
         checks.append(
             checked("poincare_sweep", violations, 0, "le", 0.0, p=p, trials=trials,
                     worst_excess=worst)
@@ -234,14 +257,6 @@ def suite_poincare(seed: int, trials: int = 500, n_max: int = 8) -> dict:
 def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     """Every identity of the coordinate-revealing decomposition."""
     rng = _suite_rng("martingale", seed)
-    checkers = (
-        martingale.check_telescoping,
-        martingale.check_orthogonality,
-        martingale.check_pythagoras,
-        martingale.check_energy_decomposition,
-        martingale.check_increment_representation,
-        martingale.check_contractions,
-    )
     worst: dict[str, float] = {}
     failures = []
     signs = set()
@@ -249,8 +264,7 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
         n = int(rng.integers(2, n_max + 1))
         g = random_cube_function(n, rng)
         p = CHECK_BIASES[t % len(CHECK_BIASES)]
-        for check in checkers:
-            rep = check(g, p)
+        for rep in martingale._all_checks(g, p):
             # residual-style checks carry the residual in lhs; the
             # equality-style one carries both sides, so take |slack|
             err = abs(rep.slack) if rep.orientation == "eq" else rep.lhs
@@ -416,11 +430,28 @@ _SUITES = {
 # dispatch order fixes each suite's substream tag in _suite_rng
 SUITE_NAMES = tuple(_SUITES)
 
+# The smallest n_max with a check to make: thm42 scans arities 5..n_max, and
+# the other suites draw or list arities from 2 (sn-claims scans the rate
+# from n = 2).
+_N_MAX_FLOOR = {"thm42": 5}
+
+
+def _override_range(name: str, key: str) -> tuple[int, int | None]:
+    """Accepted (low, high) of an integer override; high None is unbounded.
+
+    Every n_max but sn-claims' is the largest arity of a dense table the
+    suite builds, so it is capped like any table, before anything is drawn.
+    """
+    if key == "trials":
+        return 1, None
+    return _N_MAX_FLOOR.get(name, 2), None if name == "sn-claims" else arity_cap()
+
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None,
               p: float | None = None, n_max: int | None = None) -> dict:
     """Run one named suite; unknown names raise KeyError for the CLI to map,
-    and overrides the suite does not read raise ValueError."""
+    and overrides the suite does not read, or reads outside their range,
+    raise ValueError."""
     if name not in _SUITES:
         raise KeyError(name)
     suite = _SUITES[name]
@@ -432,4 +463,12 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
             f"suite {name!r} does not read {', '.join(refused)}; "
             f"it accepts {', '.join(accepted)}"
         )
+    for key in ("trials", "n_max"):
+        if key not in overrides:
+            continue
+        low, high = _override_range(name, key)
+        if overrides[key] < low or (high is not None and overrides[key] > high):
+            span = f">= {low}" if high is None else (
+                f"from {low} to {high} (the arity cap, {ARITY_CAP_ENV})")
+            raise ValueError(f"suite {name!r} accepts {key} {span}, got {overrides[key]}")
     return suite(seed=seed, **overrides)

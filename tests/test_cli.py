@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from biascube import _kernels, booleans, cli, threshold
+from biascube import _kernels, booleans, cli, suites, threshold
 from biascube.booleans import BooleanFunction
 from biascube.mc import RNG_ID
 
@@ -274,6 +274,53 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: suite 'thm41' does not read trials, p; it accepts n_max\n"
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        """Fail the test if a suite draws a random instance or lists its
+        family schedule."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the suite started before its overrides were checked")
+
+        monkeypatch.setattr(suites, "_suite_rng", refuse)
+        monkeypatch.setattr(suites, "_family_schedule", refuse)
+
+    @pytest.mark.parametrize("argv, accepted", [
+        (("lsi", "--trials", "0"), "trials >= 1, got 0"),
+        (("lsi", "--trials", "-3"), "trials >= 1, got -3"),
+        (("poincare", "--trials", "0"), "trials >= 1, got 0"),
+        (("poincare", "--trials", "-3"), "trials >= 1, got -3"),
+        (("adjoint", "--trials", "0"), "trials >= 1, got 0"),
+        (("thm42", "--trials", "0"), "trials >= 1, got 0"),
+        (("lsi", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
+        (("moment", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
+        (("thm41", "--n-max", "0"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 0"),
+        (("cor43", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
+        (("thm42", "--n-max", "4"), "n_max from 5 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 4"),
+        (("sn-claims", "--n-max", "1"), "n_max >= 2, got 1"),
+    ])
+    def test_empty_or_too_small_overrides_are_refused(self, capsys, no_draws, argv, accepted):
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: suite {argv[0]!r} accepts {accepted}\n"
+
+    @pytest.mark.parametrize("suite", [
+        "russo", "moment", "adjoint", "lsi", "poincare", "martingale", "thm42", "thm41", "cor43",
+    ])
+    def test_n_max_past_the_arity_cap_is_refused(self, capsys, monkeypatch, no_draws, suite):
+        monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "7")
+        assert code == 2
+        assert out == ""
+        low = 5 if suite == "thm42" else 2
+        assert err == (f"error: suite {suite!r} accepts n_max from {low} to 6 "
+                       "(the arity cap, BIASCUBE_MAX_ARITY), got 7\n")
+
+    def test_n_max_at_the_arity_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")
+        payload = run_json(capsys, "verify", "--suite", "lsi", "--n-max", "6", "--trials", "2")
+        assert payload["result"]["pass"] is True
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def always_red(seed=0, **_):

@@ -422,3 +422,37 @@ def test_random_cube_function_positive_flag():
     rng = np.random.default_rng(0)
     g = random_cube_function(4, rng, positive=True)
     assert (g.values > 0).all()
+
+
+class TestBatchedFormsRowIndependent:
+    """Each row of a batched energy, entropy and variance equals, bit for
+    bit, the public function on that row alone, at any batch size; and each
+    row's fiber sums are its own 1-D products with the base weights."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("batch", (1, 3, 257))
+    def test_rows_equal_single_function(self, n, batch):
+        rng = np.random.default_rng(1000 * n + batch)
+        values = rng.normal(size=(batch, 1 << n))
+        positive = np.exp(values)
+        positive[batch // 2, rng.integers(1 << n)] = 0.0  # a row with 0 log 0
+        for p in (0.1, 0.3, 0.5, 0.9):
+            energies = measure._energies(values, n, p)
+            variances = measure._variances(values, n, p)
+            entropies = measure._entropies(positive, n, p)
+            for t in range(batch):
+                g = CubeFunction(n, values[t])
+                assert energies[t] == dirichlet_energy(g, p)
+                assert variances[t] == variance(g, p)
+                assert entropies[t] == entropy(CubeFunction(n, positive[t]), p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fiber_sums_are_per_row_dots(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(257, 1 << n))
+        base = weights(n - 1, 0.3)
+        sums = _kernels._fiber_sums(values, n, base, measure._squared_difference)
+        for t, row in enumerate(values):
+            for b in range(n):
+                lower, upper = _kernels._fibers(row, b)
+                assert sums[t, b] == measure._squared_difference(lower, upper).ravel() @ base
