@@ -61,45 +61,26 @@ def decompose(f, p) -> MartingaleDecomposition:
     return MartingaleDecomposition(n, p, base_mean, increments)
 
 
-@dataclass(eq=False)
-class _Case:
-    """One function at one bias, with the decomposition and point weights
-    that every check below reads."""
-
-    f: object
-    n: int
-    values: np.ndarray
-    p: float
-    dec: MartingaleDecomposition
-    w: np.ndarray
-
-
-def _case(f, p) -> _Case:
-    n, v = _as_values(f)
-    p = bias_value(p)
-    return _Case(f, n, v, p, decompose(f, p), weights(n, p))
-
-
 def _all_checks(f, p, tol: float = 1e-12) -> list[BoundReport]:
     """The six checks below, in order, on one shared decomposition."""
-    case = _case(f, p)
-    return [check(case, tol) for check in _CASE_CHECKS]
+    dec = decompose(f, p)
+    return [check(f, p, tol, dec) for check in _CHECKS]
 
 
 def check_telescoping(f, p, tol: float = 1e-12) -> BoundReport:
     """Increments sum to f minus its mean."""
-    return _telescoping(_case(f, p), tol)
+    return _telescoping(f, p, tol, decompose(f, p))
 
 
 def check_orthogonality(f, p, tol: float = 1e-12) -> BoundReport:
     """Pairwise orthogonality of increments, plain and after averaging both
     increments over any one coordinate fiber."""
-    return _orthogonality(_case(f, p), tol)
+    return _orthogonality(f, p, tol, decompose(f, p))
 
 
 def check_pythagoras(f, p, tol: float = 1e-12) -> BoundReport:
     """Squared increment norms sum to the variance."""
-    return _pythagoras(_case(f, p), tol)
+    return _pythagoras(f, p, tol, decompose(f, p))
 
 
 def check_energy_decomposition(f, p, tol: float = 1e-12) -> BoundReport:
@@ -109,7 +90,7 @@ def check_energy_decomposition(f, p, tol: float = 1e-12) -> BoundReport:
     with its own i-th centering equals the inner product of f with its i-th
     centering.
     """
-    return _energy_decomposition(_case(f, p), tol)
+    return _energy_decomposition(f, p, tol, decompose(f, p))
 
 
 def check_increment_representation(f, p, tol: float = 1e-12) -> BoundReport:
@@ -118,34 +99,37 @@ def check_increment_representation(f, p, tol: float = 1e-12) -> BoundReport:
     Both signs are tried; the report records which one matches. (Direct
     computation gives the positive sign.)
     """
-    return _increment_representation(_case(f, p), tol)
+    return _increment_representation(f, p, tol, decompose(f, p))
 
 
 def check_contractions(f, p, tol: float = 1e-12) -> BoundReport:
     """Conditional expectation contracts: increment norms are bounded by the
     corresponding centering norms, in L2 and in L1."""
-    return _contractions(_case(f, p), tol)
+    return _contractions(f, p, tol, decompose(f, p))
 
 
-def _telescoping(case: _Case, tol: float) -> BoundReport:
-    total = np.zeros_like(case.values) + case.dec.base_mean
-    for inc in case.dec.increments:
+def _telescoping(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    total = np.zeros_like(v) + dec.base_mean
+    for inc in dec.increments:
         total += inc.values
-    residual = float(np.max(np.abs(total - case.values)))
-    return checked("telescoping", residual, tol, orientation="le", tol=0.0, n=case.n)
+    residual = float(np.max(np.abs(total - v)))
+    return checked("telescoping", residual, tol, orientation="le", tol=0.0, n=n)
 
 
-def _orthogonality(case: _Case, tol: float) -> BoundReport:
-    n, p, w, increments = case.n, case.p, case.w, case.dec.increments
+def _orthogonality(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, _ = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
     worst_plain = 0.0
     worst_avg = 0.0
     averaged = [
-        [_average(inc.values, n, p, i) for inc in increments]
+        [_average(inc.values, n, p, i) for inc in dec.increments]
         for i in range(1, n + 1)
     ]
     for j in range(n):
         for k in range(j + 1, n):
-            cross = abs(float(w @ (increments[j].values * increments[k].values)))
+            cross = abs(float(w @ (dec.increments[j].values * dec.increments[k].values)))
             worst_plain = max(worst_plain, cross)
             for i in range(n):
                 cross_avg = abs(float(w @ (averaged[i][j] * averaged[i][k])))
@@ -163,34 +147,39 @@ def _orthogonality(case: _Case, tol: float) -> BoundReport:
     )
 
 
-def _pythagoras(case: _Case, tol: float) -> BoundReport:
-    total = sum(float(case.w @ (inc.values**2)) for inc in case.dec.increments)
-    return checked("pythagoras", total, variance(case.f, case.p), orientation="eq", tol=tol,
-                   n=case.n)
+def _pythagoras(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, _ = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
+    total = sum(float(w @ (inc.values**2)) for inc in dec.increments)
+    return checked("pythagoras", total, variance(f, p), orientation="eq", tol=tol, n=n)
 
 
-def _energy_decomposition(case: _Case, tol: float) -> BoundReport:
-    n, v, p, w = case.n, case.values, case.p, case.w
+def _energy_decomposition(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
     worst = 0.0
     for i in range(1, n + 1):
         direct = float(w @ (v * _center(v, n, p, i)))
         split = sum(
             float(w @ (inc.values * _center(inc.values, n, p, i)))
-            for inc in case.dec.increments
+            for inc in dec.increments
         )
         worst = max(worst, abs(split - direct))
     return checked("energy-decomposition", worst, tol, orientation="le", tol=0.0, n=n)
 
 
-def _increment_representation(case: _Case, tol: float) -> BoundReport:
-    n, v, p = case.n, case.values, case.p
+def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
     residual_plus = 0.0
     residual_minus = 0.0
     for j in range(1, n + 1):
         projected = conditional_expectation(
             CubeFunction(n, _center(v, n, p, j)), p, j
         ).values
-        inc = case.dec.increments[j - 1].values
+        inc = dec.increments[j - 1].values
         residual_plus = max(residual_plus, float(np.max(np.abs(inc - projected))))
         residual_minus = max(residual_minus, float(np.max(np.abs(inc + projected))))
     best = min(residual_plus, residual_minus)
@@ -215,19 +204,21 @@ def _increment_representation(case: _Case, tol: float) -> BoundReport:
     )
 
 
-def _contractions(case: _Case, tol: float) -> BoundReport:
-    n, v, p, w = case.n, case.values, case.p, case.w
+def _contractions(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
     worst = 0.0
     for j in range(1, n + 1):
         centered = _center(v, n, p, j)
-        inc = case.dec.increments[j - 1].values
+        inc = dec.increments[j - 1].values
         l2_gap = float(w @ (inc**2)) - float(w @ (centered**2))
         l1_gap = float(w @ np.abs(inc)) - float(w @ np.abs(centered))
         worst = max(worst, l2_gap, l1_gap)
     return checked("contractions", worst, tol, orientation="le", tol=0.0, n=n)
 
 
-_CASE_CHECKS = (
+_CHECKS = (
     _telescoping,
     _orthogonality,
     _pythagoras,
