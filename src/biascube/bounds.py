@@ -26,11 +26,14 @@ from .booleans import (
     is_transitive,
 )
 from .measure import (
+    CubeFunction,
     _as_values,
     _energies,
     _entropies,
     _variances,
     bias_value,
+    dirichlet_energy,
+    entropy,
     expectation,
     expectation_derivative,
     influences,
@@ -236,12 +239,19 @@ def scan_scaled_constant_cap(points: int = 10001) -> BoundReport:
     )
 
 
+def _squared(g) -> CubeFunction:
+    n, v = _as_values(g)
+    return CubeFunction(n, v * v)
+
+
 def log_sobolev_check(g, p, tol: float = 1e-12) -> BoundReport:
     """Ent(g^2) <= c(p) * Dirichlet energy of g, the form the variance
     decomposition argument actually consumes."""
     pv = bias_value(p)
-    n, v = _as_values(g)
-    return _log_sobolev_checks(v[None], n, pv, tol)[0]
+    lhs = entropy(_squared(g), pv)
+    rhs = log_sobolev_constant(pv) * dirichlet_energy(g, pv)
+    n, _ = _as_values(g)
+    return checked("log_sobolev_squared", lhs, rhs, "le", tol, n=n, p=pv)
 
 
 def log_sobolev_literal_record(g, p) -> dict:
@@ -252,35 +262,42 @@ def log_sobolev_literal_record(g, p) -> dict:
     squared form above is the one the package guarantees.
     """
     n, v = _as_values(g)
-    return _log_sobolev_literal_records(v[None], n, p)[0]
+    if (v < 0).any():
+        raise ValueError("literal form needs a nonnegative function")
+    pv = bias_value(p)
+    lhs = entropy(g, pv)
+    rhs = log_sobolev_constant(pv) * dirichlet_energy(g, pv)
+    return {
+        "n": n,
+        "p": pv,
+        "lhs": lhs,
+        "rhs": rhs,
+        "holds": bool(lhs <= rhs + 1e-12),
+    }
 
 
-# Batched forms of the checks above and of ``poincare_check`` for a (T, 2**n)
-# stack of real rows, one result per row, on measure's batched forms; the
-# public checks are these on a batch of one, reading a Boolean table as reals.
+# The checks above and ``poincare_check`` on a (T, 2**n) stack of real rows,
+# one result per row, through measure's stacked forms. Row t equals the
+# check on CubeFunction(n, values[t]) bit for bit, since the public measure
+# functions are the stacked forms on a batch of one.
 
 
 def _log_sobolev_checks(values: np.ndarray, n: int, pv: float,
                         tol: float = 1e-12) -> list[BoundReport]:
-    squares = values * values
-    if not np.isfinite(squares).all():
-        raise ValueError("values must be finite")
     c = log_sobolev_constant(pv)
     return [
         checked("log_sobolev_squared", lhs, c * energy, "le", tol, n=n, p=pv)
-        for lhs, energy in zip(_entropies(squares, n, pv), _energies(values, n, pv))
+        for lhs, energy in zip(_entropies(values * values, n, pv), _energies(values, n, pv))
     ]
 
 
-def _log_sobolev_literal_records(values: np.ndarray, n: int, p) -> list[dict]:
-    if (values < 0).any():
-        raise ValueError("literal form needs a nonnegative function")
-    pv = bias_value(p)
+def _log_sobolev_literal_records(values: np.ndarray, n: int, pv: float) -> list[dict]:
     c = log_sobolev_constant(pv)
     records = []
     for lhs, energy in zip(_entropies(values, n, pv), _energies(values, n, pv)):
         rhs = c * energy
-        records.append({"n": n, "p": pv, "lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-12)})
+        holds = bool(lhs <= rhs + 1e-12)
+        records.append({"n": n, "p": pv, "lhs": lhs, "rhs": rhs, "holds": holds})
     return records
 
 
@@ -340,8 +357,8 @@ def log_sobolev_tightness_two_point(p) -> float:
 def poincare_check(g, p, tol: float = 1e-12) -> BoundReport:
     """Variance <= Dirichlet energy."""
     pv = bias_value(p)
-    n, v = _as_values(g)
-    return _poincare_checks(v[None], n, pv, tol)[0]
+    n, _ = _as_values(g)
+    return checked("poincare", variance(g, pv), dirichlet_energy(g, pv), "le", tol, n=n, p=pv)
 
 
 def max_influence_bound_check(f: BooleanFunction, p, tol: float = 1e-12) -> BoundReport:

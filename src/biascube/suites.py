@@ -432,19 +432,9 @@ SUITE_NAMES = tuple(_SUITES)
 
 # The smallest n_max with a check to make: thm42 scans arities 5..n_max, and
 # the other suites draw or list arities from 2 (sn-claims scans the rate
-# from n = 2).
+# from n = 2). Every n_max but sn-claims' is the largest arity of a dense
+# table the suite builds, so it is capped like any table.
 _N_MAX_FLOOR = {"thm42": 5}
-
-
-def _override_range(name: str, key: str) -> tuple[int, int | None]:
-    """Accepted (low, high) of an integer override; high None is unbounded.
-
-    Every n_max but sn-claims' is the largest arity of a dense table the
-    suite builds, so it is capped like any table, before anything is drawn.
-    """
-    if key == "trials":
-        return 1, None
-    return _N_MAX_FLOOR.get(name, 2), None if name == "sn-claims" else arity_cap()
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None,
@@ -466,9 +456,11 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
     for key in ("trials", "n_max"):
         if key not in overrides:
             continue
-        low, high = _override_range(name, key)
-        if overrides[key] < low or (high is not None and overrides[key] > high):
+        value = overrides[key]
+        low = 1 if key == "trials" else _N_MAX_FLOOR.get(name, 2)
+        high = arity_cap() if key == "n_max" and name != "sn-claims" else None
+        if value < low or (high is not None and value > high):
             span = f">= {low}" if high is None else (
                 f"from {low} to {high} (the arity cap, {ARITY_CAP_ENV})")
-            raise ValueError(f"suite {name!r} accepts {key} {span}, got {overrides[key]}")
+            raise ValueError(f"suite {name!r} accepts {key} {span}, got {value}")
     return suite(seed=seed, **overrides)

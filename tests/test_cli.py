@@ -17,6 +17,10 @@ from biascube.booleans import BooleanFunction
 from biascube.mc import RNG_ID
 
 
+# how a refused verify override names the cap it stopped at
+CAP = "(the arity cap, BIASCUBE_MAX_ARITY)"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -292,11 +296,11 @@ class TestVerify:
         (("poincare", "--trials", "-3"), "trials >= 1, got -3"),
         (("adjoint", "--trials", "0"), "trials >= 1, got 0"),
         (("thm42", "--trials", "0"), "trials >= 1, got 0"),
-        (("lsi", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
-        (("moment", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
-        (("thm41", "--n-max", "0"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 0"),
-        (("cor43", "--n-max", "1"), "n_max from 2 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 1"),
-        (("thm42", "--n-max", "4"), "n_max from 5 to 24 (the arity cap, BIASCUBE_MAX_ARITY), got 4"),
+        (("lsi", "--n-max", "1"), f"n_max from 2 to 24 {CAP}, got 1"),
+        (("moment", "--n-max", "1"), f"n_max from 2 to 24 {CAP}, got 1"),
+        (("thm41", "--n-max", "0"), f"n_max from 2 to 24 {CAP}, got 0"),
+        (("cor43", "--n-max", "1"), f"n_max from 2 to 24 {CAP}, got 1"),
+        (("thm42", "--n-max", "4"), f"n_max from 5 to 24 {CAP}, got 4"),
         (("sn-claims", "--n-max", "1"), "n_max >= 2, got 1"),
     ])
     def test_empty_or_too_small_overrides_are_refused(self, capsys, no_draws, argv, accepted):
@@ -314,8 +318,7 @@ class TestVerify:
         assert code == 2
         assert out == ""
         low = 5 if suite == "thm42" else 2
-        assert err == (f"error: suite {suite!r} accepts n_max from {low} to 6 "
-                       "(the arity cap, BIASCUBE_MAX_ARITY), got 7\n")
+        assert err == f"error: suite {suite!r} accepts n_max from {low} to 6 {CAP}, got 7\n"
 
     def test_n_max_at_the_arity_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")

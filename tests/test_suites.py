@@ -107,7 +107,8 @@ def _reference_lsi(seed, trials, n_max):
             if not rep.passed:
                 violations += 1
                 failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
-            record = bounds.log_sobolev_literal_record(random_cube_function(n, rng, positive=True), p)
+            pos = random_cube_function(n, rng, positive=True)
+            record = bounds.log_sobolev_literal_record(pos, p)
             total += 1
             holds += int(record["holds"])
         checks.append(checked("log_sobolev_squared_sweep", violations, 0, "le", 0.0, p=p,
