@@ -248,10 +248,9 @@ def log_sobolev_check(g, p, tol: float = 1e-12) -> BoundReport:
     """Ent(g^2) <= c(p) * Dirichlet energy of g, the form the variance
     decomposition argument actually consumes."""
     pv = bias_value(p)
-    lhs = entropy(_squared(g), pv)
-    rhs = log_sobolev_constant(pv) * dirichlet_energy(g, pv)
     n, _ = _as_values(g)
-    return checked("log_sobolev_squared", lhs, rhs, "le", tol, n=n, p=pv)
+    c = log_sobolev_constant(pv)
+    return _log_sobolev_report(n, pv, c, entropy(_squared(g), pv), dirichlet_energy(g, pv), tol)
 
 
 def log_sobolev_literal_record(g, p) -> dict:
@@ -262,18 +261,35 @@ def log_sobolev_literal_record(g, p) -> dict:
     squared form above is the one the package guarantees.
     """
     n, v = _as_values(g)
-    if (v < 0).any():
-        raise ValueError("literal form needs a nonnegative function")
+    _literal_domain(v)
     pv = bias_value(p)
-    lhs = entropy(g, pv)
-    rhs = log_sobolev_constant(pv) * dirichlet_energy(g, pv)
-    return {
-        "n": n,
-        "p": pv,
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": bool(lhs <= rhs + 1e-12),
-    }
+    c = log_sobolev_constant(pv)
+    return _literal_record(n, pv, c, entropy(g, pv), dirichlet_energy(g, pv))
+
+
+# One report or record from a function's two sides, shared by the checks on
+# a single function and by their stacked forms below, so each check's label,
+# right-hand side and pass rule live in one place. c is log_sobolev_constant
+# at pv, passed in so that a stack computes it once.
+
+
+def _log_sobolev_report(n: int, pv: float, c: float, lhs: float, energy: float,
+                        tol: float) -> BoundReport:
+    return checked("log_sobolev_squared", lhs, c * energy, "le", tol, n=n, p=pv)
+
+
+def _literal_domain(values: np.ndarray) -> None:
+    if (values < 0).any():
+        raise ValueError("literal form needs a nonnegative function")
+
+
+def _literal_record(n: int, pv: float, c: float, lhs: float, energy: float) -> dict:
+    rhs = c * energy
+    return {"n": n, "p": pv, "lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-12)}
+
+
+def _poincare_report(n: int, pv: float, var: float, energy: float, tol: float) -> BoundReport:
+    return checked("poincare", var, energy, "le", tol, n=n, p=pv)
 
 
 # The checks above and ``poincare_check`` on a (T, 2**n) stack of real rows,
@@ -286,25 +302,24 @@ def _log_sobolev_checks(values: np.ndarray, n: int, pv: float,
                         tol: float = 1e-12) -> list[BoundReport]:
     c = log_sobolev_constant(pv)
     return [
-        checked("log_sobolev_squared", lhs, c * energy, "le", tol, n=n, p=pv)
+        _log_sobolev_report(n, pv, c, lhs, energy, tol)
         for lhs, energy in zip(_entropies(values * values, n, pv), _energies(values, n, pv))
     ]
 
 
 def _log_sobolev_literal_records(values: np.ndarray, n: int, pv: float) -> list[dict]:
+    _literal_domain(values)
     c = log_sobolev_constant(pv)
-    records = []
-    for lhs, energy in zip(_entropies(values, n, pv), _energies(values, n, pv)):
-        rhs = c * energy
-        holds = bool(lhs <= rhs + 1e-12)
-        records.append({"n": n, "p": pv, "lhs": lhs, "rhs": rhs, "holds": holds})
-    return records
+    return [
+        _literal_record(n, pv, c, lhs, energy)
+        for lhs, energy in zip(_entropies(values, n, pv), _energies(values, n, pv))
+    ]
 
 
 def _poincare_checks(values: np.ndarray, n: int, pv: float,
                      tol: float = 1e-12) -> list[BoundReport]:
     return [
-        checked("poincare", var, energy, "le", tol, n=n, p=pv)
+        _poincare_report(n, pv, var, energy, tol)
         for var, energy in zip(_variances(values, n, pv), _energies(values, n, pv))
     ]
 
@@ -358,7 +373,7 @@ def poincare_check(g, p, tol: float = 1e-12) -> BoundReport:
     """Variance <= Dirichlet energy."""
     pv = bias_value(p)
     n, _ = _as_values(g)
-    return checked("poincare", variance(g, pv), dirichlet_energy(g, pv), "le", tol, n=n, p=pv)
+    return _poincare_report(n, pv, variance(g, pv), dirichlet_energy(g, pv), tol)
 
 
 def max_influence_bound_check(f: BooleanFunction, p, tol: float = 1e-12) -> BoundReport:

@@ -147,28 +147,59 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     return _result("adjoint", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
 
 
-def _by_arity(arities: list[int], rows: list[np.ndarray], evaluate) -> list:
-    """Per-row results of ``evaluate(stack, n)``, called once per arity n on
-    the stacked rows of that arity, returned in trial order."""
-    out = [None] * len(rows)
-    for n in set(arities):
-        trials = [t for t, m in enumerate(arities) if m == n]
-        for t, result in zip(trials, evaluate(np.stack([rows[t] for t in trials]), n)):
-            out[t] = result
+# Random entries a sweep holds before it evaluates them, over all of its
+# streams (8 MiB of float64). A default run of lsi or poincare holds far
+# fewer, so it evaluates each arity once per bias. A larger trials or n_max
+# evaluates whenever this many are held, so its memory stays within one
+# such batch plus one trial, as the per-trial loop's stayed within one trial.
+_HELD_ENTRIES = 1 << 20
+
+
+def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
+    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
+    then a lognormal row of the same arity when ``lognormal`` is set."""
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        rows = (_random_values(n, rng),)
+        if lognormal:
+            rows += (_random_values(n, rng, positive=True),)
+        yield n, rows
+
+
+def _by_arity(draws, evaluate):
+    """Yield each trial's arity and result, in trial order.
+
+    ``draws`` yields a trial's arity n and its rows, one per stream; held
+    trials of one arity are stacked per stream and passed as
+    ``evaluate(n, *stacks)``, which returns one result per row. A row's
+    result does not depend on the stack it is in, so where the held rows
+    are flushed does not change any result.
+    """
+    held, entries = [], 0
+    for n, rows in draws:
+        held.append((n, rows))
+        entries += len(rows) << n
+        if entries >= _HELD_ENTRIES:
+            yield from _evaluate_held(held, evaluate)
+            held, entries = [], 0
+    yield from _evaluate_held(held, evaluate)
+
+
+def _evaluate_held(held: list, evaluate) -> list:
+    out = [None] * len(held)
+    for n in {n for n, _ in held}:
+        trials = [t for t, (m, _) in enumerate(held) if m == n]
+        stacks = [np.stack(column) for column in zip(*(held[t][1] for t in trials))]
+        for t, result in zip(trials, evaluate(n, *stacks)):
+            out[t] = (n, result)
     return out
 
 
-def _tally(p: float, arities: list[int], reports: list[BoundReport], failures: list[dict]):
-    """Violations and the worst lhs - rhs of one bias's reports, read in
-    trial order; each violation is appended to ``failures``."""
-    violations = 0
-    worst = -np.inf
-    for t, (n, rep) in enumerate(zip(arities, reports)):
-        worst = max(worst, rep.lhs - rep.rhs)
-        if not rep.passed:
-            violations += 1
-            failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
-    return violations, worst
+def _tally(p: float, t: int, n: int, rep: BoundReport, failures: list[dict]) -> bool:
+    """Whether trial t's report is a violation; one is appended to ``failures``."""
+    if not rep.passed:
+        failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
+    return not rep.passed
 
 
 def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
@@ -183,18 +214,19 @@ def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     literal_total = 0
     for p in CHECK_BIASES:
         # each trial draws its arity, a normal g, then a lognormal instance
-        arities, squared, literal = [], [], []
-        for _ in range(trials):
-            n = int(rng.integers(2, n_max + 1))
-            arities.append(n)
-            squared.append(_random_values(n, rng))
-            literal.append(_random_values(n, rng, positive=True))
-        reports = _by_arity(arities, squared, lambda v, n: bounds._log_sobolev_checks(v, n, p))
-        violations, worst = _tally(p, arities, reports, failures)
-        records = _by_arity(arities, literal,
-                            lambda v, n: bounds._log_sobolev_literal_records(v, n, p))
-        literal_total += len(records)
-        literal_holds += sum(int(record["holds"]) for record in records)
+        draws = _random_rows(rng, trials, n_max, lognormal=True)
+
+        def evaluate(n, squared, literal):
+            return zip(bounds._log_sobolev_checks(squared, n, p),
+                       bounds._log_sobolev_literal_records(literal, n, p))
+
+        violations = 0
+        worst = -np.inf
+        for t, (n, (rep, record)) in enumerate(_by_arity(draws, evaluate)):
+            worst = max(worst, rep.lhs - rep.rhs)
+            violations += _tally(p, t, n, rep, failures)
+            literal_total += 1
+            literal_holds += int(record["holds"])
         checks.append(
             checked("log_sobolev_squared_sweep", violations, 0, "le", 0.0, p=p, trials=trials,
                     worst_excess=worst)
@@ -230,13 +262,13 @@ def suite_poincare(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     rng = _suite_rng("poincare", seed)
     checks, failures = [], []
     for p in CHECK_BIASES:
-        arities, rows = [], []
-        for _ in range(trials):
-            n = int(rng.integers(2, n_max + 1))
-            arities.append(n)
-            rows.append(_random_values(n, rng))
-        reports = _by_arity(arities, rows, lambda v, n: bounds._poincare_checks(v, n, p))
-        violations, worst = _tally(p, arities, reports, failures)
+        violations = 0
+        worst = -np.inf
+        draws = _random_rows(rng, trials, n_max, lognormal=False)
+        sweep = _by_arity(draws, lambda n, rows: bounds._poincare_checks(rows, n, p))
+        for t, (n, rep) in enumerate(sweep):
+            worst = max(worst, rep.lhs - rep.rhs)
+            violations += _tally(p, t, n, rep, failures)
         checks.append(
             checked("poincare_sweep", violations, 0, "le", 0.0, p=p, trials=trials,
                     worst_excess=worst)
@@ -463,4 +495,16 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
             span = f">= {low}" if high is None else (
                 f"from {low} to {high} (the arity cap, {ARITY_CAP_ENV})")
             raise ValueError(f"suite {name!r} accepts {key} {span}, got {value}")
+    if name == "thm42":
+        # thm42 draws all trials of an arity as one dense batch, so the
+        # batch, not just its arity, is held to one table at the cap
+        defaults = inspect.signature(suite).parameters
+        rows = overrides.get("trials", defaults["trials"].default)
+        n = overrides.get("n_max", defaults["n_max"].default)
+        cap = arity_cap()
+        if rows << n > 1 << cap:
+            raise ValueError(
+                f"suite {name!r} accepts trials * 2**n_max up to 2**{cap} "
+                f"(the arity cap, {ARITY_CAP_ENV}), got {rows} * 2**{n}"
+            )
     return suite(seed=seed, **overrides)

@@ -320,6 +320,27 @@ class TestVerify:
         low = 5 if suite == "thm42" else 2
         assert err == f"error: suite {suite!r} accepts n_max from {low} to 6 {CAP}, got 7\n"
 
+    @pytest.mark.parametrize("argv, got", [
+        (("--trials", "5000"), "5000 * 2**12"),
+        (("--trials", "2", "--n-max", "24"), "2 * 2**24"),
+    ])
+    def test_thm42_batch_past_the_arity_cap_is_refused(self, capsys, no_draws, argv, got):
+        code, out, err = run_cli(capsys, "verify", "--suite", "thm42", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: suite 'thm42' accepts trials * 2**n_max up to 2**24 {CAP}, got {got}\n"
+        )
+
+    def test_thm42_batch_at_the_arity_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")
+        payload = run_json(capsys, "verify", "--suite", "thm42", "--n-max", "6", "--trials", "1")
+        assert payload["result"]["pass"] is True
+        code, out, err = run_cli(capsys, "verify", "--suite", "thm42", "--n-max", "6",
+                                 "--trials", "2")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"up to 2**6 {CAP}, got 2 * 2**6\n")
+
     def test_n_max_at_the_arity_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setenv("BIASCUBE_MAX_ARITY", "6")
         payload = run_json(capsys, "verify", "--suite", "lsi", "--n-max", "6", "--trials", "2")

@@ -424,18 +424,67 @@ def test_random_cube_function_positive_flag():
     assert (g.values > 0).all()
 
 
+# The single-function formulas the batched forms replaced, kept as the
+# reference they must equal bit for bit: one 1-D product per reduction and
+# the scalar tail in the same order.
+
+
+def scalar_variance(v, n, p):
+    w = weights(n, p)
+    mean = float(w @ v)
+    return float(w @ (v - mean) ** 2)
+
+
+def scalar_entropy(v, n, p):
+    w = weights(n, p)
+    mean = float(w @ v)
+    pos = v > 0
+    integrand = float(w[pos] @ (v[pos] * np.log(v[pos])))
+    if mean <= 0.0:
+        return 0.0
+    return integrand - mean * np.log(mean)
+
+
+def scalar_energy(v, n, p):
+    base = weights(n - 1, p)
+    sums = np.empty(n)
+    for b in range(n):
+        pairs = v.reshape(-1, 2, 1 << b)
+        sums[b] = ((pairs[:, 1, :] - pairs[:, 0, :]) ** 2).ravel() @ base
+    return p * (1.0 - p) * float(sums.sum())
+
+
 class TestBatchedFormsRowIndependent:
     """Each row of a batched energy, entropy and variance equals, bit for
-    bit, the public function on that row alone, at any batch size; and each
-    row's fiber sums are its own 1-D products with the base weights."""
+    bit, the public function on that row alone and the single-function
+    formula above, at any batch size; and each row's fiber sums are its own
+    1-D products with the base weights."""
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("batch", (1, 3, 257))
-    def test_rows_equal_single_function(self, n, batch):
+    @staticmethod
+    def stacks(n, batch):
         rng = np.random.default_rng(1000 * n + batch)
         values = rng.normal(size=(batch, 1 << n))
         positive = np.exp(values)
         positive[batch // 2, rng.integers(1 << n)] = 0.0  # a row with 0 log 0
+        return values, positive
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("batch", (1, 3, 257))
+    def test_rows_equal_scalar_formulas(self, n, batch):
+        values, positive = self.stacks(n, batch)
+        for p in (0.1, 0.3, 0.5, 0.9):
+            energies = measure._energies(values, n, p)
+            variances = measure._variances(values, n, p)
+            entropies = measure._entropies(positive, n, p)
+            for t in range(batch):
+                assert energies[t] == scalar_energy(values[t], n, p)
+                assert variances[t] == scalar_variance(values[t], n, p)
+                assert entropies[t] == scalar_entropy(positive[t], n, p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("batch", (1, 3, 257))
+    def test_rows_equal_single_function(self, n, batch):
+        values, positive = self.stacks(n, batch)
         for p in (0.1, 0.3, 0.5, 0.9):
             energies = measure._energies(values, n, p)
             variances = measure._variances(values, n, p)

@@ -1,6 +1,7 @@
 """Every named suite runs green at reduced sizes and is bit-reproducible."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,3 +190,46 @@ class TestAgreementWithPerFunctionChecks:
         expected = REFERENCES[name](seed, **TINY[name])
         got = run_tiny(name, seed=seed)
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+class TestHeldRowsBounded:
+    """lsi and poincare evaluate their random rows in batches of bounded
+    size, and where a batch ends changes no byte of their output."""
+
+    @pytest.mark.parametrize("held", (1, 64))
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("name", ("lsi", "poincare"))
+    def test_batch_boundaries_leave_output_unchanged(self, monkeypatch, name, seed, held):
+        expected = json.dumps(run_tiny(name, seed=seed), sort_keys=True)
+        monkeypatch.setattr(suites, "_HELD_ENTRIES", held)
+        assert json.dumps(run_tiny(name, seed=seed), sort_keys=True) == expected
+
+    @pytest.mark.parametrize("name, streams", [("lsi", 2), ("poincare", 1)])
+    def test_each_batch_stops_at_the_trial_that_fills_it(self, monkeypatch, name, streams):
+        budget, n_max = 1 << 8, 7
+        monkeypatch.setattr(suites, "_HELD_ENTRIES", budget)
+        evaluate_held = suites._evaluate_held
+        sizes = []
+
+        def recording(held, evaluate):
+            sizes.append(sum(len(rows) << n for n, rows in held))
+            return evaluate_held(held, evaluate)
+
+        monkeypatch.setattr(suites, "_evaluate_held", recording)
+        run_suite(name, seed=0, trials=200, n_max=n_max)
+        assert len(sizes) > len(suites.CHECK_BIASES)
+        assert max(sizes) < budget + (streams << n_max)
+
+    @pytest.mark.parametrize("name", ("lsi", "poincare"))
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, name):
+        # 400 trials at n_max 10 hold about 2 MB (poincare) and 4 MB (lsi)
+        # of rows when a whole bias is stacked at once
+        monkeypatch.setattr(suites, "_HELD_ENTRIES", 1 << 12)
+        run_suite(name, seed=0, trials=2, n_max=10)
+        tracemalloc.start()
+        try:
+            run_suite(name, seed=0, trials=400, n_max=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * (1 << 12)
