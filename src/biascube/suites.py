@@ -151,7 +151,7 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
 # streams (8 MiB of float64). A default run of lsi or poincare holds far
 # fewer, so it evaluates each arity once per bias. A larger trials or n_max
 # evaluates whenever this many are held, so its memory stays within one
-# such batch plus one trial, as the per-trial loop's stayed within one trial.
+# such batch plus one trial.
 _HELD_ENTRIES = 1 << 20
 
 
