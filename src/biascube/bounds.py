@@ -126,15 +126,29 @@ def _rate_terms(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ln, envelope, double_log
 
 
+# Points of n the rate scans evaluate at once (256 KiB per float64 term).
+_SCAN_POINTS = 1 << 15
+
+
+def _rate_blocks(n_max: int):
+    """``(ns, ln, envelope, double_log)`` over n = 2..n_max, in consecutive
+    blocks of ``_SCAN_POINTS`` points; only one block is held at a time."""
+    for start in range(2, n_max + 1, _SCAN_POINTS):
+        ns = np.arange(start, min(start + _SCAN_POINTS, n_max + 1), dtype=np.float64)
+        yield (ns, *_rate_terms(ns))
+
+
 def scan_rate_positive(n_max: int) -> BoundReport:
     """Exhaustively check rate > 0 on [2, n_max]; reports the minimum."""
     if n_max < 2:
         raise ValueError("scan needs n_max >= 2")
-    ns = np.arange(2, n_max + 1, dtype=np.float64)
-    ln, envelope, double_log = _rate_terms(ns)
-    values = ln - np.maximum(envelope, double_log)
-    worst = int(values.argmin())
-    min_value = float(values[worst])
+    min_value, argmin_n = np.inf, None
+    for ns, ln, envelope, double_log in _rate_blocks(n_max):
+        values = ln - np.maximum(envelope, double_log)
+        worst = int(values.argmin())
+        # strictly smaller, so the first minimum over the whole scan wins
+        if values[worst] < min_value:
+            min_value, argmin_n = float(values[worst]), int(ns[worst])
     return BoundReport(
         "rate_positive_scan",
         lhs=min_value,
@@ -142,7 +156,7 @@ def scan_rate_positive(n_max: int) -> BoundReport:
         passed=bool(min_value > 0.0),
         orientation="ge",
         tol=0.0,
-        context={"n_max": int(n_max), "argmin_n": int(ns[worst])},
+        context={"n_max": int(n_max), "argmin_n": argmin_n},
     )
 
 
@@ -153,27 +167,37 @@ def scan_rate_crossover(n_max: int, expected_first_n: int = 275) -> tuple[int | 
     way to n_max, plus a report comparing it against ``expected_first_n``.
     A mismatch is flagged in the context, not failed: the report passes iff
     a stable crossover exists at all. Monotonicity of the difference is not
-    assumed anywhere; the scan is exhaustive.
+    assumed anywhere; the scan is exhaustive, one block of n at a time.
     """
     if n_max < 275:
         raise ValueError("crossover scan needs n_max >= 275")
-    ns = np.arange(2, n_max + 1, dtype=np.float64)
-    _, envelope, double_log = _rate_terms(ns)
-    diff = envelope - double_log
-    ok = diff >= 0.0
+    # the last failing n of each test (0 while none has failed), the first
+    # n that holds, min(diff) after the last failure, and max(diff)
+    last_fail = last_fail_constant_free = 0
+    first_true = None
+    tail_min, max_diff = np.inf, -np.inf
+    for ns, _, envelope, double_log in _rate_blocks(n_max):
+        diff = envelope - double_log
+        ok = diff >= 0.0
+        fails = np.flatnonzero(~ok)
+        if fails.size:
+            last_fail, tail_min = int(ns[fails[-1]]), np.inf
+        tail = diff[fails[-1] + 1 :] if fails.size else diff
+        tail_min = np.minimum(tail_min, tail.min(initial=np.inf))
+        max_diff = np.maximum(max_diff, diff.max())
+        # same test with the additive constant dropped from the envelope term
+        constant_free_fails = np.flatnonzero(~((envelope - _LOG_ENVELOPE_C) - double_log >= 0.0))
+        if constant_free_fails.size:
+            last_fail_constant_free = int(ns[constant_free_fails[-1]])
+        if first_true is None and ok.any():
+            first_true = int(ns[ok.argmax()])
 
-    def first_stable(mask: np.ndarray) -> int | None:
-        if not mask[-1]:
-            return None
-        false_idx = np.flatnonzero(~mask)
-        return 2 if false_idx.size == 0 else int(false_idx[-1]) + 3
+    def first_stable(last: int) -> int | None:
+        return None if last == n_max else last + 1 if last else 2
 
-    stable_n = first_stable(ok)
-    # Same scan with the additive constant dropped from the envelope term.
-    constant_free = first_stable((envelope - _LOG_ENVELOPE_C) - double_log >= 0.0)
-
-    first_true = int(np.flatnonzero(ok)[0]) + 2 if ok.any() else None
-    tail_min = float(diff[stable_n - 2 :].min()) if stable_n is not None else float(diff.max())
+    stable_n = first_stable(last_fail)
+    constant_free = first_stable(last_fail_constant_free)
+    tail_min = float(tail_min if stable_n is not None else max_diff)
     report = BoundReport(
         "rate_crossover_scan",
         lhs=tail_min,
@@ -407,47 +431,60 @@ def max_influence_bound_check(f: BooleanFunction, p, tol: float = 1e-12) -> Boun
     )
 
 
-def max_influence_bound_scan(tables, n: int, biases, tol: float = 1e-12) -> list[BoundReport]:
-    """Same bound checked over a whole batch of Boolean tables at once.
+# Rows the influence scan counts at once. A batch is cut into blocks of this
+# many rows and any remainder joins the last block, so no block is shorter
+# unless the whole batch is: the level sums run as one matrix-vector product
+# per block, and a very short one can round a row's measure differently.
+_SCAN_ROWS = 4096
 
-    ``tables`` is a (count, 2**n) 0/1 array, counted once (pivotal and level
-    counts) for all of ``biases``. One report per bias: its lhs/rhs are the
-    worst instance's; the context counts failures.
+
+def max_influence_bound_scan(words, n: int, biases, tol: float = 1e-12) -> list[BoundReport]:
+    """Same bound checked over a whole batch of Boolean tables.
+
+    ``words`` is a (count, ceil(2**n / 64)) uint64 array of packed tables
+    (``_kernels.pack_tables``). Each block of ``_SCAN_ROWS`` rows is counted
+    once (pivotal and level counts) for all of ``biases``, then dropped. One
+    report per bias: its lhs/rhs are the worst instance's (the first, on a
+    tie); the context counts failures.
     """
     if n < 2:
         raise ValueError("influence bound needs arity at least 2")
-    words = _kernels.pack_tables(np.asarray(tables, dtype=np.uint8))
-    pivotal = _kernels.pivotal_counts(words, n)
-    level = _kernels.level_counts(words, n + 1)
-    reports = []
-    for p in biases:
-        pv = bias_value(p)
-        lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
-        mu = level @ level_weights(n, pv)
-        var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
-        scale = rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
-        rhs = var * scale
-        slack = lhs - rhs
-        worst = int(slack.argmin())
-        failures = int((slack < -tol).sum())
-        reports.append(
-            BoundReport(
-                "max_influence_lower_bound_scan",
-                lhs=float(lhs[worst]),
-                rhs=float(rhs[worst]),
-                passed=failures == 0,
-                orientation="ge",
-                tol=tol,
-                context={
-                    "n": int(n),
-                    "p": pv,
-                    "count": int(words.shape[0]),
-                    "failures": failures,
-                    "worst_index": worst,
-                },
-            )
+    count = words.shape[0]
+    biases = [bias_value(p) for p in biases]
+    scales = [
+        rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv)) for pv in biases
+    ]
+    # per bias: the worst slack with its lhs, rhs and row, and the failures
+    worst = [None] * len(biases)
+    failures = [0] * len(biases)
+    edges = [k * _SCAN_ROWS for k in range(max(count // _SCAN_ROWS, 1))] + [count]
+    for start, stop in zip(edges, edges[1:]):
+        block = words[start:stop]
+        pivotal = _kernels.pivotal_counts(block, n)
+        level = _kernels.level_counts(block, n + 1)
+        for j, (pv, scale) in enumerate(zip(biases, scales)):
+            lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
+            mu = level @ level_weights(n, pv)
+            var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
+            rhs = var * scale
+            slack = lhs - rhs
+            i = int(slack.argmin())
+            if worst[j] is None or slack[i] < worst[j][0]:
+                worst[j] = (slack[i], float(lhs[i]), float(rhs[i]), start + i)
+            failures[j] += int((slack < -tol).sum())
+    return [
+        BoundReport(
+            "max_influence_lower_bound_scan",
+            lhs=lhs,
+            rhs=rhs,
+            passed=fails == 0,
+            orientation="ge",
+            tol=tol,
+            context={"n": int(n), "p": pv, "count": int(count), "failures": fails,
+                     "worst_index": row},
         )
-    return reports
+        for pv, (_, lhs, rhs, row), fails in zip(biases, worst, failures)
+    ]
 
 
 def bound_hypotheses(target, gens: PermutationGenerators | None = None) -> int:

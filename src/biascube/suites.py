@@ -14,6 +14,7 @@ import inspect
 import numpy as np
 
 from . import bounds, martingale
+from ._kernels import pack_tables
 from .booleans import (
     ARITY_CAP_ENV,
     FamilySpec,
@@ -37,7 +38,7 @@ from .measure import (
     random_cube_function,
     variance,
 )
-from .mc import substream
+from .mc import _bernoulli, substream
 from .reports import BoundReport, checked
 
 CHECK_BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -189,7 +190,9 @@ def _evaluate_held(held: list, evaluate) -> list:
     out = [None] * len(held)
     for n in {n for n, _ in held}:
         trials = [t for t, (m, _) in enumerate(held) if m == n]
-        stacks = [np.stack(column) for column in zip(*(held[t][1] for t in trials))]
+        # np.stack would copy a lone trial's rows; a view holds them once
+        stacks = [column[0][None] if len(column) == 1 else np.stack(column)
+                  for column in zip(*(held[t][1] for t in trials))]
         for t, result in zip(trials, evaluate(n, *stacks)):
             out[t] = (n, result)
     return out
@@ -313,14 +316,29 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     return out
 
 
+def _random_words(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    """(trials, ceil(2**n / 64)) packed tables of fair coin flips.
+
+    The bits of ``rng.random((trials, 2**n)) < 0.5``, with the generator
+    left in the same state, drawn about 2**16 coordinates at a time so that
+    only the packed words of the whole batch are held.
+    """
+    rows = max(1, (1 << 16) >> n)
+    words = np.empty((trials, -(-(1 << n) // 64)), dtype=np.uint64)
+    for start in range(0, trials, rows):
+        block = words[start : start + rows]
+        block[...] = pack_tables(_bernoulli(rng, block.shape[0], 1 << n, 0.5))
+    return words
+
+
 def suite_thm42(seed: int, trials: int = 1000, n_max: int = 12) -> dict:
     """Max-influence lower bound on batches of random Boolean functions."""
     rng = _suite_rng("thm42", seed)
     checks, failures = [], []
     biases = (0.25, 0.5, 0.75)
     for n in range(5, n_max + 1):
-        tables = (rng.random((trials, 1 << n)) < 0.5).astype(np.uint8)
-        for p, rep in zip(biases, bounds.max_influence_bound_scan(tables, n, biases)):
+        words = _random_words(rng, trials, n)
+        for p, rep in zip(biases, bounds.max_influence_bound_scan(words, n, biases)):
             checks.append(rep)
             _collect(failures, rep, n=n, p=p)
     return _result("thm42", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
@@ -434,14 +452,14 @@ def suite_sn_claims(seed: int, n_max: int = 1_000_000) -> dict:
 def suite_exhaustive_n4(seed: int, p=None) -> dict:
     """Max-influence bound over every Boolean function on four coordinates."""
     biases = (0.25, 0.5) if p is None else (float(p),)
-    codes = np.arange(1 << 16, dtype=np.uint32)
-    tables = ((codes[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+    # a 4-bit table packed little-endian is its own 16-bit code
+    words = np.arange(1 << 16, dtype=np.uint64)[:, None]
     checks, failures = [], []
-    for pv, rep in zip(biases, bounds.max_influence_bound_scan(tables, 4, biases)):
+    for pv, rep in zip(biases, bounds.max_influence_bound_scan(words, 4, biases)):
         checks.append(rep)
         _collect(failures, rep, p=pv)
     out = _result("exhaustive-n4", {"seed": seed, "p": list(biases)}, checks, failures)
-    out["functions_checked"] = int(tables.shape[0])
+    out["functions_checked"] = int(words.shape[0])
     return out
 
 
@@ -496,8 +514,8 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
                 f"from {low} to {high} (the arity cap, {ARITY_CAP_ENV})")
             raise ValueError(f"suite {name!r} accepts {key} {span}, got {value}")
     if name == "thm42":
-        # thm42 draws all trials of an arity as one dense batch, so the
-        # batch, not just its arity, is held to one table at the cap
+        # thm42 holds all trials of an arity as one batch of packed words,
+        # so the batch, not just its arity, is held to one table at the cap
         defaults = inspect.signature(suite).parameters
         rows = overrides.get("trials", defaults["trials"].default)
         n = overrides.get("n_max", defaults["n_max"].default)

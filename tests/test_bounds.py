@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from biascube import booleans, bounds
+from biascube._kernels import level_counts, pack_tables, pivotal_counts
 from biascube.booleans import (
     BooleanFunction,
     PermutationGenerators,
@@ -42,7 +43,7 @@ from biascube.bounds import (
     width_bound_check,
     width_bounds,
 )
-from biascube.measure import CubeFunction, dirichlet_energy, entropy, variance
+from biascube.measure import CubeFunction, dirichlet_energy, entropy, level_weights, variance
 from biascube.suites import _family_schedule
 from biascube.threshold import ThresholdResult, supremum_on_interval, threshold_width
 
@@ -219,7 +220,7 @@ class TestInfluenceBounds:
     def test_scan_matches_single_checks(self):
         rng = np.random.default_rng(3)
         tables = (rng.random((50, 32)) < 0.5).astype(np.uint8)
-        [rep] = max_influence_bound_scan(tables, 5, [0.25])
+        [rep] = max_influence_bound_scan(pack_tables(tables), 5, [0.25])
         assert rep.passed
         assert rep.context["count"] == 50
         single = max_influence_bound_check(
@@ -231,19 +232,152 @@ class TestInfluenceBounds:
         rng = np.random.default_rng(5)
         tables = (rng.random((40, 64)) < 0.5).astype(np.uint8)
         biases = (0.25, 0.5, 0.75)
-        one_at_a_time = [max_influence_bound_scan(tables, 6, [p])[0] for p in biases]
+        words = pack_tables(tables)
+        one_at_a_time = [max_influence_bound_scan(words, 6, [p])[0] for p in biases]
         passes = []
         counts = bounds._kernels.pivotal_counts
         monkeypatch.setattr(
             bounds._kernels, "pivotal_counts", lambda *a: passes.append(1) or counts(*a)
         )
-        reports = max_influence_bound_scan(tables, 6, biases)
+        reports = max_influence_bound_scan(words, 6, biases)
         assert len(passes) == 1
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in one_at_a_time]
 
     def test_rejects_arity_one(self):
         with pytest.raises(ValueError):
             max_influence_bound_check(dictator(1, 1), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The scans run in bounded blocks. Each reference below is the one-array form
+# the blocked scan replaced: it holds the whole batch (or every n) at once,
+# and the blocked scan must give the same report, field for field.
+# ---------------------------------------------------------------------------
+
+
+def _whole_batch_scan(words, n, biases, tol=1e-12):
+    pivotal = pivotal_counts(words, n)
+    level = level_counts(words, n + 1)
+    reports = []
+    for p in biases:
+        pv = bounds.bias_value(p)
+        lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
+        mu = level @ level_weights(n, pv)
+        var = np.maximum(mu - mu * mu, 0.0)
+        rhs = var * (rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv)))
+        slack = lhs - rhs
+        worst = int(slack.argmin())
+        failures = int((slack < -tol).sum())
+        reports.append(bounds.BoundReport(
+            "max_influence_lower_bound_scan", lhs=float(lhs[worst]), rhs=float(rhs[worst]),
+            passed=failures == 0, orientation="ge", tol=tol,
+            context={"n": int(n), "p": pv, "count": int(words.shape[0]), "failures": failures,
+                     "worst_index": worst}))
+    return reports
+
+
+def _one_array_rate_positive(n_max):
+    ns = np.arange(2, n_max + 1, dtype=np.float64)
+    ln, envelope, double_log = bounds._rate_terms(ns)
+    values = ln - np.maximum(envelope, double_log)
+    worst = int(values.argmin())
+    return bounds.BoundReport(
+        "rate_positive_scan", lhs=float(values[worst]), rhs=0.0,
+        passed=bool(values[worst] > 0.0), orientation="ge", tol=0.0,
+        context={"n_max": int(n_max), "argmin_n": int(ns[worst])})
+
+
+def _one_array_rate_crossover(n_max, expected_first_n=275):
+    ns = np.arange(2, n_max + 1, dtype=np.float64)
+    _, envelope, double_log = bounds._rate_terms(ns)
+    diff = envelope - double_log
+    ok = diff >= 0.0
+
+    def first_stable(mask):
+        if not mask[-1]:
+            return None
+        false_idx = np.flatnonzero(~mask)
+        return 2 if false_idx.size == 0 else int(false_idx[-1]) + 3
+
+    stable_n = first_stable(ok)
+    constant_free = first_stable((envelope - bounds._LOG_ENVELOPE_C) - double_log >= 0.0)
+    first_true = int(np.flatnonzero(ok)[0]) + 2 if ok.any() else None
+    tail_min = float(diff[stable_n - 2:].min()) if stable_n is not None else float(diff.max())
+    return stable_n, bounds.BoundReport(
+        "rate_crossover_scan", lhs=tail_min, rhs=0.0, passed=stable_n is not None,
+        orientation="ge", tol=0.0,
+        context={"n_max": int(n_max), "expected_first_n": int(expected_first_n),
+                 "first_stable_n": stable_n, "first_true_n": first_true,
+                 "matches_expected": stable_n == expected_first_n,
+                 "constant_free_first_n": constant_free})
+
+
+def _random_words(count, n, seed):
+    rng = np.random.default_rng(seed)
+    return pack_tables((rng.random((count, 1 << n)) < 0.5).astype(np.uint8))
+
+
+class TestBlockedInfluenceScan:
+    BIASES = (0.1, 0.3, 0.5)
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    @pytest.mark.parametrize("count", (1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40))
+    def test_equals_whole_batch(self, monkeypatch, count, n):
+        words = _random_words(count, n, seed=count * 31 + n)
+        expected = [r.to_dict() for r in _whole_batch_scan(words, n, self.BIASES)]
+        monkeypatch.setattr(bounds, "_SCAN_ROWS", 8)
+        got = [r.to_dict() for r in max_influence_bound_scan(words, n, self.BIASES)]
+        assert got == expected
+
+    @pytest.mark.parametrize("rows", ((5, 11), (11, 19), (2, 3), (8, 16)))
+    def test_first_worst_row_wins_across_blocks(self, monkeypatch, rows):
+        # the zero table sits exactly on the bound (lhs = rhs = 0.0), below
+        # every nonconstant table, so two copies of it tie for the worst row
+        words = _random_words(24, 6, seed=7)
+        words[list(rows)] = 0
+        expected = [r.to_dict() for r in _whole_batch_scan(words, 6, self.BIASES)]
+        assert [r["context"]["worst_index"] for r in expected] == [rows[0]] * 3
+        monkeypatch.setattr(bounds, "_SCAN_ROWS", 8)
+        got = [r.to_dict() for r in max_influence_bound_scan(words, 6, self.BIASES)]
+        assert got == expected
+
+    @pytest.mark.parametrize("p, tol", ((0.1, -0.75), (0.3, -0.55), (0.5, -0.52)))
+    def test_failures_counted_over_blocks(self, monkeypatch, p, tol):
+        # a negative tolerance fails the rows whose lhs - rhs is below -tol
+        words = _random_words(37, 7, seed=11)
+        [expected] = _whole_batch_scan(words, 7, [p], tol=tol)
+        assert 0 < expected.context["failures"] < 37
+        monkeypatch.setattr(bounds, "_SCAN_ROWS", 8)
+        [got] = max_influence_bound_scan(words, 7, [p], tol=tol)
+        assert got.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("p", (0.1, 0.3))
+    def test_exhaustive_n4_blocks_equal_whole_batch(self, p):
+        words = np.arange(1 << 16, dtype=np.uint64)[:, None]
+        assert words.shape[0] > 4 * bounds._SCAN_ROWS
+        [expected] = _whole_batch_scan(words, 4, [p])
+        [got] = max_influence_bound_scan(words, 4, [p])
+        assert got.to_dict() == expected.to_dict()
+
+
+class TestBlockedRateScans:
+    @pytest.mark.parametrize("n_max", (275, (1 << 15) + 1, (1 << 15) + 2, 10**6))
+    def test_equal_one_array_forms(self, n_max):
+        assert scan_rate_positive(n_max).to_dict() == _one_array_rate_positive(n_max).to_dict()
+        stable_n, rep = scan_rate_crossover(n_max)
+        expected_n, expected = _one_array_rate_crossover(n_max)
+        assert stable_n == expected_n
+        assert rep.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("points", (1, 7, 100, 600))
+    @pytest.mark.parametrize("n_max", (275, 883, 884, 2000))
+    def test_block_size_leaves_scans_unchanged(self, monkeypatch, points, n_max):
+        # small blocks put the failures of the crossover test in many blocks
+        expected = (scan_rate_positive(n_max).to_dict(),
+                    _one_array_rate_crossover(n_max)[1].to_dict())
+        monkeypatch.setattr(bounds, "_SCAN_POINTS", points)
+        assert (scan_rate_positive(n_max).to_dict(),
+                scan_rate_crossover(n_max)[1].to_dict()) == expected
 
 
 class TestDerivativeBound:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biascube import bounds, martingale, suites
+from biascube._kernels import pack_tables
 from biascube.measure import CubeFunction, dirichlet_energy, random_cube_function, variance
 from biascube.reports import BoundReport, checked
 from biascube.suites import SUITE_NAMES, run_suite
@@ -220,6 +221,21 @@ class TestHeldRowsBounded:
         assert len(sizes) > len(suites.CHECK_BIASES)
         assert max(sizes) < budget + (streams << n_max)
 
+    def test_a_group_of_one_trial_is_a_view_of_its_rows(self):
+        rows = (np.arange(8.0), np.arange(8.0) + 1.0)
+        seen = []
+
+        def evaluate(n, *stacks):
+            seen.append(stacks)
+            return [None] * stacks[0].shape[0]
+
+        suites._evaluate_held([(3, rows), (2, (np.ones(4), np.ones(4))),
+                               (2, (np.zeros(4), np.zeros(4)))], evaluate)
+        one, two = sorted(seen, key=lambda stacks: stacks[0].shape[0])
+        assert all(stack.shape == (1, 8) for stack in one)
+        assert all(np.shares_memory(stack, row) for stack, row in zip(one, rows))
+        assert all(stack.shape == (2, 4) for stack in two)
+
     @pytest.mark.parametrize("name", ("lsi", "poincare"))
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch, name):
         # 400 trials at n_max 10 hold about 2 MB (poincare) and 4 MB (lsi)
@@ -233,3 +249,48 @@ class TestHeldRowsBounded:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * (1 << 12)
+
+
+# ---------------------------------------------------------------------------
+# The batch scans hold bounded blocks. thm42 draws its tables straight into
+# packed words, exhaustive-n4 passes the 16-bit codes as words, and the
+# sn-claims rate scans reduce one block of n at a time.
+# ---------------------------------------------------------------------------
+
+
+class TestBoundedBatchScans:
+    @pytest.mark.parametrize("trials, n", [(t, n) for n in (5, 12) for t in (1, 15, 16, 17, 1000)]
+                             + [(t, 17) for t in (1, 15, 16, 17)])
+    def test_thm42_draw_packs_the_float_compare_bits(self, trials, n):
+        rng, reference = suites._suite_rng("thm42", 3), suites._suite_rng("thm42", 3)
+        words = suites._random_words(rng, trials, n)
+        expected = pack_tables((reference.random((trials, 1 << n)) < 0.5).astype(np.uint8))
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+        # the generator is left where the one-array draw leaves it
+        assert np.array_equal(rng.bit_generator.random_raw(4),
+                              reference.bit_generator.random_raw(4))
+
+    def test_exhaustive_n4_words_are_the_packed_tables(self, monkeypatch):
+        scanned = []
+        scan = bounds.max_influence_bound_scan
+        monkeypatch.setattr(bounds, "max_influence_bound_scan",
+                            lambda words, *a: scanned.append(words) or scan(words, *a))
+        run_suite("exhaustive-n4", p=0.5)
+        codes = np.arange(1 << 16, dtype=np.uint32)
+        tables = ((codes[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+        [words] = scanned
+        assert np.array_equal(words, pack_tables(tables))
+
+    @pytest.mark.parametrize("name", ("thm42", "sn-claims", "exhaustive-n4"))
+    def test_default_run_peak_memory(self, name):
+        # the one-array scans peaked at 37 (thm42), 48 (sn-claims) and
+        # 25 MiB (exhaustive-n4) under tracemalloc
+        run_suite(name, seed=1)
+        tracemalloc.start()
+        try:
+            run_suite(name, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
