@@ -312,7 +312,7 @@ def _one_array_rate_crossover(n_max, expected_first_n=275):
                  "constant_free_first_n": constant_free})
 
 
-def _random_words(count, n, seed):
+def _coin_flip_words(count, n, seed):
     rng = np.random.default_rng(seed)
     return pack_tables((rng.random((count, 1 << n)) < 0.5).astype(np.uint8))
 
@@ -323,7 +323,7 @@ class TestBlockedInfluenceScan:
     @pytest.mark.parametrize("n", (4, 6, 8))
     @pytest.mark.parametrize("count", (1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40))
     def test_equals_whole_batch(self, monkeypatch, count, n):
-        words = _random_words(count, n, seed=count * 31 + n)
+        words = _coin_flip_words(count, n, seed=count * 31 + n)
         expected = [r.to_dict() for r in _whole_batch_scan(words, n, self.BIASES)]
         monkeypatch.setattr(bounds, "_SCAN_ROWS", 8)
         got = [r.to_dict() for r in max_influence_bound_scan(words, n, self.BIASES)]
@@ -333,7 +333,7 @@ class TestBlockedInfluenceScan:
     def test_first_worst_row_wins_across_blocks(self, monkeypatch, rows):
         # the zero table sits exactly on the bound (lhs = rhs = 0.0), below
         # every nonconstant table, so two copies of it tie for the worst row
-        words = _random_words(24, 6, seed=7)
+        words = _coin_flip_words(24, 6, seed=7)
         words[list(rows)] = 0
         expected = [r.to_dict() for r in _whole_batch_scan(words, 6, self.BIASES)]
         assert [r["context"]["worst_index"] for r in expected] == [rows[0]] * 3
@@ -344,7 +344,7 @@ class TestBlockedInfluenceScan:
     @pytest.mark.parametrize("p, tol", ((0.1, -0.75), (0.3, -0.55), (0.5, -0.52)))
     def test_failures_counted_over_blocks(self, monkeypatch, p, tol):
         # a negative tolerance fails the rows whose lhs - rhs is below -tol
-        words = _random_words(37, 7, seed=11)
+        words = _coin_flip_words(37, 7, seed=11)
         [expected] = _whole_batch_scan(words, 7, [p], tol=tol)
         assert 0 < expected.context["failures"] < 37
         monkeypatch.setattr(bounds, "_SCAN_ROWS", 8)
