@@ -263,6 +263,69 @@ def test_random_monotone_is_monotone():
         assert is_monotone(f)
 
 
+def reference_tribes(k, m):
+    """tribes' table as one loop over its blocks, kept as the reference."""
+    n = k * m
+    points = np.arange(1 << n, dtype=np.uint64)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    block = (1 << k) - 1
+    for t in range(m):
+        mask = np.uint64(block << (t * k))
+        table |= ((points & mask) == mask).astype(np.uint8)
+    return table
+
+
+def reference_cyclic_run(n, length):
+    """cyclic_run's table as an AND of bit tables per window, kept as the
+    reference."""
+    points = np.arange(1 << n, dtype=np.uint64)
+    bits = [((points >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for start in range(n):
+        acc = np.ones(1 << n, dtype=np.uint8)
+        for off in range(length):
+            acc &= bits[(start + off) % n]
+        table |= acc
+    return table
+
+
+def reference_random_monotone(n, rng):
+    """random_monotone_function's draw and table, kept as the reference."""
+    seeds = rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))
+    points = np.arange(1 << n, dtype=np.uint32)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for s in seeds:
+        s = np.uint32(s)
+        table |= ((points & s) == s).astype(np.uint8)
+    return table
+
+
+class TestUpSetTables:
+    """tribes, cyclic_run and random monotone tables against the per-family
+    loops kept above."""
+
+    def test_tribes_agree(self):
+        for k in range(1, 17):
+            for m in range(1, 16 // k + 1):
+                f = tribes(k, m)
+                assert f.table.dtype == np.uint8
+                assert np.array_equal(f.table, reference_tribes(k, m)), (k, m)
+
+    def test_cyclic_run_agrees(self):
+        for n in range(1, 17):
+            for length in range(1, n + 1):
+                assert np.array_equal(cyclic_run(n, length).table,
+                                      reference_cyclic_run(n, length)), (n, length)
+
+    def test_random_monotone_agrees_and_leaves_the_stream_in_step(self):
+        for seed in range(5):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in range(1, 17):
+                assert np.array_equal(random_monotone_function(n, got).table,
+                                      reference_random_monotone(n, want)), (seed, n)
+            assert got.integers(0, 1 << 62) == want.integers(0, 1 << 62)
+
+
 def test_table_entries_above_one_rejected():
     # packing maps every nonzero byte to 1, so the table check must see the 2
     table = np.zeros(8, dtype=np.uint8)
