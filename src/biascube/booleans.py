@@ -7,9 +7,10 @@ the point integer, so ``table[x]`` is f(x).
 
 All of a function's dependence on the bias lies in its level counts and
 pivotal counts. Explicit tables, random functions, tribes and cyclic_run
-are counted from their dense table. The fully symmetric families (or, and,
-majority, parity) and the dictator get their counts from an exact rule and
-build their table only when it is read.
+are counted from their dense table; tribes, cyclic_run and random monotone
+functions are unions of up-sets, all built by ``_up_set``. The fully
+symmetric families (or, and, majority, parity) and the dictator get their
+counts from an exact rule and build their table only when it is read.
 
 Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
 table of 16 Mi entries); larger instances go through the closed-form or
@@ -146,11 +147,6 @@ class BooleanFunction:
         """Only a rule-backed function gets here: its table is built on first
         read and validated like any other."""
         return BooleanFunction(self.n, self._build_table()).table
-
-    @cached_property
-    def _invariant(self) -> dict:
-        """``is_invariant``'s verdicts, one per generator set."""
-        return {}
 
     @cached_property
     def _hypotheses(self) -> dict:
@@ -300,33 +296,34 @@ def parity(n: int) -> BooleanFunction:
     return _symmetric(n, [k % 2 for k in range(n + 1)])
 
 
+def _up_set(n: int, masks) -> np.ndarray:
+    """The 0/1 uint8 table that is 1 at every point containing all the
+    coordinates of at least one mask: the union of the masks' up-sets.
+
+    About 10 bytes per point at its peak: the points (4 bytes each while
+    n <= 32), one masked copy of them, its comparison and the table."""
+    points = np.arange(1 << n, dtype=np.uint32 if n <= 32 else np.uint64)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for mask in masks:
+        mask = points.dtype.type(mask)
+        table |= ((points & mask) == mask).view(np.uint8)
+    return table
+
+
 def tribes(k: int, m: int) -> BooleanFunction:
     """OR of m disjoint ANDs over consecutive blocks of k coordinates."""
     family_spec("tribes", k=k, m=m)
     n = k * m
     _check_arity(n)
-    points = np.arange(1 << n, dtype=np.uint64)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    block = (1 << k) - 1
-    for t in range(m):
-        mask = np.uint64(block << (t * k))
-        table |= ((points & mask) == mask).astype(np.uint8)
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _up_set(n, [((1 << k) - 1) << (t * k) for t in range(m)]))
 
 
 def cyclic_run(n: int, length: int) -> BooleanFunction:
     """1 iff some cyclic run of `length` consecutive coordinates is all ones."""
     family_spec("cyclic_run", n=n, len=length)
     _check_arity(n)
-    points = np.arange(1 << n, dtype=np.uint64)
-    bits = [((points >> np.uint64(b)) & np.uint64(1)).astype(np.uint8) for b in range(n)]
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for start in range(n):
-        acc = np.ones(1 << n, dtype=np.uint8)
-        for off in range(length):
-            acc &= bits[(start + off) % n]
-        table |= acc
-    return BooleanFunction(n, table)
+    windows = [sum(1 << ((start + off) % n) for off in range(length)) for start in range(n)]
+    return BooleanFunction(n, _up_set(n, windows))
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +362,25 @@ class PermutationGenerators:
                 raise ValueError(f"{perm} is not a permutation of 1..{self.n}")
 
 
-@lru_cache(maxsize=4)
 def permutation_point_map(perm: tuple[int, ...], n: int) -> np.ndarray:
-    """Read-only index map sending each point x to the point with permuted
-    coordinates.
+    """Index map sending each point x to the point with permuted coordinates.
 
-    The image point y has y_{perm[i-1]} = x_i. Cached, so checking one set
-    at many biases builds each map once.
+    The image point y has y_{perm[i-1]} = x_i.
     """
     points = np.arange(1 << n, dtype=np.uint32)
     out = np.zeros(1 << n, dtype=np.uint32)
     for i in range(1, n + 1):
         out |= ((points >> np.uint32(i - 1)) & np.uint32(1)) << np.uint32(perm[i - 1] - 1)
-    out.flags.writeable = False
     return out
 
 
 def is_invariant(f: BooleanFunction, gens: PermutationGenerators) -> bool:
-    """True iff every generator maps f to itself; cached on f per generator
-    set, so a check repeated at many biases gathers the table once."""
+    """True iff every generator maps f to itself."""
     if gens.n != f.n:
         raise ValueError("generator arity does not match the function")
-    if gens not in f._invariant:
-        f._invariant[gens] = all(
-            (f.table[permutation_point_map(perm, f.n)] == f.table).all() for perm in gens.perms
-        )
-    return f._invariant[gens]
+    return all(
+        (f.table[permutation_point_map(perm, f.n)] == f.table).all() for perm in gens.perms
+    )
 
 
 def is_transitive(gens: PermutationGenerators) -> bool:
@@ -550,9 +540,4 @@ def random_monotone_function(n: int, rng: np.random.Generator) -> BooleanFunctio
     """Random monotone function: union of up-sets of a few random points."""
     _check_arity(n)
     seeds = rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))
-    points = np.arange(1 << n, dtype=np.uint32)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for s in seeds:
-        s = np.uint32(s)
-        table |= ((points & s) == s).astype(np.uint8)
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, _up_set(n, seeds))

@@ -94,14 +94,6 @@ class RateValue:
     double_log_term: float
     value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "envelope_term": self.envelope_term,
-            "double_log_term": self.double_log_term,
-            "value": self.value,
-        }
-
 
 def rate_value(n: int) -> RateValue:
     """Rate sequence log n - max(envelope term, 2 log log n).

@@ -333,6 +333,14 @@ def _random_words(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
 
 def suite_thm42(seed: int, trials: int = 1000, n_max: int = 12) -> dict:
     """Max-influence lower bound on batches of random Boolean functions."""
+    # all trials of an arity are held as one batch of packed words, so the
+    # batch, not just its arity, is held to one table at the cap
+    cap = arity_cap()
+    if trials << n_max > 1 << cap:
+        raise ValueError(
+            f"suite 'thm42' accepts trials * 2**n_max up to 2**{cap} "
+            f"(the arity cap, {ARITY_CAP_ENV}), got {trials} * 2**{n_max}"
+        )
     rng = _suite_rng("thm42", seed)
     checks, failures = [], []
     biases = (0.25, 0.5, 0.75)
@@ -513,16 +521,4 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
             span = f">= {low}" if high is None else (
                 f"from {low} to {high} (the arity cap, {ARITY_CAP_ENV})")
             raise ValueError(f"suite {name!r} accepts {key} {span}, got {value}")
-    if name == "thm42":
-        # thm42 holds all trials of an arity as one batch of packed words,
-        # so the batch, not just its arity, is held to one table at the cap
-        defaults = inspect.signature(suite).parameters
-        rows = overrides.get("trials", defaults["trials"].default)
-        n = overrides.get("n_max", defaults["n_max"].default)
-        cap = arity_cap()
-        if rows << n > 1 << cap:
-            raise ValueError(
-                f"suite {name!r} accepts trials * 2**n_max up to 2**{cap} "
-                f"(the arity cap, {ARITY_CAP_ENV}), got {rows} * 2**{n}"
-            )
     return suite(seed=seed, **overrides)

@@ -330,29 +330,12 @@ class TribesTrendRow:
     width: float
     width_times_log_n: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "n": self.n,
-            "mu_half": self.mu_half,
-            "width": self.width,
-            "width_times_log_n": self.width_times_log_n,
-        }
-
 
 @dataclass(frozen=True)
 class TribesTrendReport:
     eps: float
     constant: float
     rows: tuple[TribesTrendRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "constant": self.constant,
-            "rows": [row.to_dict() for row in self.rows],
-        }
 
 
 def tribes_width_trend(eps: float, k_values=(2, 3, 4)) -> TribesTrendReport:
