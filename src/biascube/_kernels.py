@@ -120,8 +120,16 @@ def level_counts(words: np.ndarray, size: int) -> np.ndarray:
     """
     m = words.shape[-1].bit_length() - 1
     order, starts, shift = _word_level_layout(m)
-    bits = np.bitwise_count(words[..., None, order] & _IN_WORD_LEVELS[:, None])
-    by_level = np.add.reduceat(bits, starts, axis=-1, dtype=np.int64)
+    rows = words.reshape(-1, 1 << m)
+    by_level = np.empty((rows.shape[0], 7, m + 1), dtype=np.int64)
+    # Each word is expanded 7 times, once per in-word level, so the rows are
+    # counted about 2**13 words at a time; a single table or a small batch
+    # still takes one pass.
+    step = max(1, (1 << 13) >> m)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        bits = np.bitwise_count(block[:, None, order] & _IN_WORD_LEVELS[:, None])
+        np.add.reduceat(bits, starts, axis=-1, dtype=np.int64, out=by_level[start : start + step])
     return by_level.reshape(words.shape[:-1] + (-1,)) @ shift[:, :size]
 
 

@@ -240,9 +240,12 @@ def parse_table_string(text: str) -> BooleanFunction:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _binomials(m: int) -> np.ndarray:
-    """int64 C(m, k) for k = 0..m."""
-    return np.array([math.comb(m, k) for k in range(m + 1)], dtype=np.int64)
+    """int64 C(m, k) for k = 0..m, read-only."""
+    out = np.array([math.comb(m, k) for k in range(m + 1)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _symmetric(n: int, values: list[int]) -> BooleanFunction:

@@ -18,6 +18,7 @@ from .booleans import (
     BooleanFunction,
     FamilySpec,
     PermutationGenerators,
+    _binomials,
     build_family,
     family_symmetry,
     is_fully_symmetric,
@@ -34,9 +35,9 @@ from .measure import (
     bias_value,
     dirichlet_energy,
     entropy,
-    expectation,
     expectation_derivative,
     influences,
+    level_means,
     level_weights,
     variance,
 )
@@ -454,11 +455,12 @@ def max_influence_bound_scan(words, n: int, biases, tol: float = 1e-12) -> list[
         block = words[start:stop]
         pivotal = _kernels.pivotal_counts(block, n)
         level = _kernels.level_counts(block, n + 1)
+        # the 0-set's counts, so that 1 - mu is summed, not subtracted
+        empty = _binomials(n) - level
         for j, (pv, scale) in enumerate(zip(biases, scales)):
             lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
-            mu = level @ level_weights(n, pv)
-            var = np.maximum(mu - mu * mu, 0.0)  # E f^2 = E f for 0/1 values
-            rhs = var * scale
+            w = level_weights(n, pv)
+            rhs = (level @ w) * (empty @ w) * scale  # Var f = mu (1 - mu) on 0/1 values
             slack = lhs - rhs
             i = int(slack.argmin())
             if worst[j] is None or slack[i] < worst[j][0]:
@@ -547,17 +549,22 @@ def derivative_bound_check(
     """
     bound_hypotheses(A, gens)
     pv = bias_value(p)
-    mu = expectation(A, pv)
+    mu, mu_bar = level_means(A, pv)
     lhs = expectation_derivative(A, pv)
-    rhs = derivative_bound_rhs(A.n, pv, mu)
+    rhs = derivative_bound_rhs(A.n, pv, mu, mu_bar)
     rate = rate_value(A.n).value
     return checked("derivative_lower_bound", lhs, rhs, "ge", tol, n=A.n, p=pv, mu=mu, rate=rate)
 
 
-def derivative_bound_rhs(n: int, p, mu: float) -> float:
-    """Right-hand side of the derivative bound, for the check and the sweep."""
+def derivative_bound_rhs(n: int, p, mu: float, mu_bar: float) -> float:
+    """Right-hand side of the derivative bound, for the check and the sweep.
+
+    ``mu`` and ``mu_bar`` are the measures of the set and of its complement,
+    each from its own level counts (``level_means``): next to mu = 1,
+    1 - mu keeps no correct digit and inflates the bound.
+    """
     pv = bias_value(p)
-    return rate_value(n).value / (pv * (1.0 - pv) * log_sobolev_constant(pv)) * mu * (1.0 - mu)
+    return rate_value(n).value / (pv * (1.0 - pv) * log_sobolev_constant(pv)) * mu * mu_bar
 
 
 def width_bound_check(

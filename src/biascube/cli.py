@@ -10,7 +10,8 @@ which round-trips IEEE doubles exactly.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for usage
 errors (bad flags, malformed inputs, hypothesis violations) and for running
-out of memory.
+out of memory, 141 when the reader closes stdout before the output is
+written (no traceback).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, bounds, mc, suites
@@ -33,6 +35,7 @@ from .measure import (
     expectation,
     expectation_derivative,
     influences,
+    level_means,
     variance,
 )
 from .threshold import threshold_width
@@ -166,20 +169,20 @@ def cmd_sweep(args, out) -> int:
     spec = _family_from_flags(args)
     f = build_family(spec)
     _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
-    # Sets that fail the derivative bound's hypotheses leave the last two
-    # columns empty.
+    # Sets that fail the derivative bound's hypotheses, or are constant,
+    # leave the last two columns empty.
     try:
-        bound_n = bounds.bound_hypotheses(spec)
+        bound_n = None if f.is_constant() else bounds.bound_hypotheses(spec)
     except ValueError:
         bound_n = None
     for p in grid:
-        mu = expectation(f, p)
+        mu, mu_bar = level_means(f, p)
         dmu = expectation_derivative(f, p)
         c = bounds.log_sobolev_constant(p)
         pqc = bounds.scaled_log_sobolev_constant(p)
         row = [_fmt(p), _fmt(mu), _fmt(dmu), _fmt(c), _fmt(pqc)]
-        if bound_n is not None and 0.0 < mu < 1.0:
-            rhs = bounds.derivative_bound_rhs(bound_n, p, mu)
+        if bound_n is not None:
+            rhs = bounds.derivative_bound_rhs(bound_n, p, mu, mu_bar)
             row.append(_fmt(rhs))
             row.append("true" if dmu >= rhs - 1e-9 else "false")
         else:
@@ -352,8 +355,26 @@ _DISPATCH = {
 }
 
 
+# Exit code when the reader closes stdout early, as a shell reports a
+# process that SIGPIPE ended (128 + 13).
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv))
+        # a reader that closed the pipe early shows here, not in the
+        # interpreter's last flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is left to devnull, so the flush at exit cannot raise
+        # again, and report the cut output by the exit code alone.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(args) -> int:
     try:
         if args.command == "sweep" and args.out is not None:
             with open(args.out, "w", newline="") as handle:

@@ -11,9 +11,12 @@ seed never share a stream. The generator name travels with every
 serialized estimate.
 
 Coordinates are drawn by comparing raw Philox words with the bias, which
-gives the bits of ``rng.random() < p``. An estimate that grows on one path,
+gives the bits of ``rng.random() < p``. The words are drawn and compared
+``_RAW_WORDS`` (2**16, 512 KiB) at a time into the 0/1 matrix of a row
+block, so a worker holds about 1 byte per drawn coordinate of its row
+block plus one 512 KiB block of words. An estimate that grows on one path,
 as the level search's doubled estimates do, resumes each chunk's stream
-instead of redrawing its prefix. Neither changes a drawn bit.
+instead of redrawing its prefix. None of this changes a drawn bit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ _CHUNK_SCALARS = 1 << 22
 
 # samples per substream; fixed so estimates cannot depend on the worker count
 _STREAM_CHUNK = 1 << 14
+
+# raw Philox words drawn per call in _bernoulli: 512 KiB, about one L2 cache
+_RAW_WORDS = 1 << 16
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -184,11 +190,18 @@ def _bernoulli(rng: np.random.Generator, rows: int, cols: int, pv: float) -> np.
     ``random() < pv`` holds exactly when ``raw < ceil(pv * 2**53) << 11``
     (pv * 2**53 is exact). Comparing the raw words gives the bits of
     ``rng.random((rows, cols)) < pv`` and leaves the generator in the same
-    state, without converting a word to a double.
+    state, without converting a word to a double. The words are drawn in
+    blocks of ``_RAW_WORDS``, each compared straight into the output.
     """
     below = np.uint64(math.ceil(pv * 2.0**53) << 11)
-    raw = rng.bit_generator.random_raw(rows * cols)
-    return (raw < below).view(np.uint8).reshape(rows, cols)
+    out = np.empty((rows, cols), dtype=np.uint8)
+    flat = out.reshape(-1).view(np.bool_)
+    # back-to-back random_raw calls return the words of one call, so only a
+    # block of raw words is held at a time, never the whole matrix of them
+    for start in range(0, flat.size, _RAW_WORDS):
+        block = flat[start : start + _RAW_WORDS]
+        np.less(rng.bit_generator.random_raw(block.size), below, out=block)
+    return out
 
 
 def _values(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:

@@ -17,10 +17,12 @@ centering operator.
 A Boolean function's measure is a polynomial in p with integer coefficients,
 its level counts a_k (``BooleanFunction.level_counts``). Its expectation,
 variance, entropy and Russo derivative are therefore read off those n+1
-counts at O(n) cost per bias. Its influences, and with them its Dirichlet
-energy, are read off the integer pivotal counts
-(``BooleanFunction.pivotal_counts``) at O(n**2) cost per bias. Only
-real-valued ``CubeFunction`` arguments are summed over the dense table.
+counts at O(n) cost per bias; the variance mu(1-mu) takes 1-mu from the
+complementary counts C(n,k) - a_k, not by subtraction from mu. Its
+influences, and with them its Dirichlet energy, are read off the integer
+pivotal counts (``BooleanFunction.pivotal_counts``) at O(n**2) cost per
+bias. Only real-valued ``CubeFunction`` arguments are summed over the dense
+table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .booleans import BooleanFunction, is_monotone, popcounts
+from .booleans import BooleanFunction, _binomials, is_monotone, popcounts
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,18 @@ def _level_mean(f: BooleanFunction, p) -> float:
     return float(level_weights(f.n, p) @ f.level_counts)
 
 
+def level_means(f: BooleanFunction, p) -> tuple[float, float]:
+    """The measures of a Boolean function's 1-set and 0-set, mu and 1 - mu.
+
+    Each is summed from its own level counts: a_k points of level k for the
+    1-set, C(n, k) - a_k for the 0-set. So either keeps full relative
+    precision when it is small, where 1 - mu taken from mu next to 1 keeps
+    no correct digit, and a constant function reads exactly 0 on one side.
+    """
+    w = level_weights(f.n, p)
+    return float(w @ f.level_counts), float(w @ (_binomials(f.n) - f.level_counts))
+
+
 def _derivative_counts(counts: np.ndarray) -> np.ndarray:
     """Integer c_k = (k+1) a_{k+1} - (n-k) a_k, k = 0..n-1, of a level count
     vector a; the Russo derivative is sum_k c_k p**k (1-p)**(n-1-k).
@@ -117,11 +131,12 @@ def expectation(g, p) -> float:
 
 
 def variance(g, p) -> float:
-    """Variance; mu(1-mu) for a Boolean function, the two-pass formula
-    E[(g - mu)^2] for a real one."""
+    """Variance; mu(1-mu) for a Boolean function, both factors from its
+    level counts (``level_means``), the two-pass formula E[(g - mu)^2] for
+    a real one."""
     if isinstance(g, BooleanFunction):
-        mean = _level_mean(g, p)
-        return max(mean * (1.0 - mean), 0.0)
+        mu, mu_bar = level_means(g, p)
+        return mu * mu_bar
     n, v = _as_values(g)
     return _variances(v[None], n, p)[0]
 

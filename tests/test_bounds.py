@@ -6,6 +6,7 @@ closed constant it is supposed to approach.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,8 +44,15 @@ from biascube.bounds import (
     width_bound_check,
     width_bounds,
 )
-from biascube.measure import CubeFunction, dirichlet_energy, entropy, level_weights, variance
-from biascube.suites import _family_schedule
+from biascube.measure import (
+    CubeFunction,
+    dirichlet_energy,
+    entropy,
+    level_means,
+    level_weights,
+    variance,
+)
+from biascube.suites import _family_schedule, run_suite
 from biascube.threshold import ThresholdResult, supremum_on_interval, threshold_width
 
 BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -258,12 +266,13 @@ class TestInfluenceBounds:
 def _whole_batch_scan(words, n, biases, tol=1e-12):
     pivotal = pivotal_counts(words, n)
     level = level_counts(words, n + 1)
+    empty = np.array([math.comb(n, k) for k in range(n + 1)]) - level
     reports = []
     for p in biases:
         pv = bounds.bias_value(p)
         lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
-        mu = level @ level_weights(n, pv)
-        var = np.maximum(mu - mu * mu, 0.0)
+        w = level_weights(n, pv)
+        var = (level @ w) * (empty @ w)
         rhs = var * (rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv)))
         slack = lhs - rhs
         worst = int(slack.argmin())
@@ -380,6 +389,57 @@ class TestBlockedRateScans:
                 scan_rate_crossover(n_max)[1].to_dict()) == expected
 
 
+# ---------------------------------------------------------------------------
+# A Boolean variance is mu * (1 - mu) with both measures summed from the
+# level counts. Taking 1 - mu from mu next to 1 kept no correct digit and
+# failed true bounds at p = 1e-6 and p = 1 - 1e-7.
+# ---------------------------------------------------------------------------
+
+NEAR_ONE = 1.0 - 1e-7
+# 1 except at the top point: its 0-set weighs p**4
+NOT_AND_4 = BooleanFunction(4, np.array([1] * 15 + [0], dtype=np.uint8))
+
+
+def exact_variance(f, p):
+    p = Fraction(p)
+    mu = sum(int(a) * p**k * (1 - p) ** (f.n - k) for k, a in enumerate(f.level_counts))
+    return float(mu * (1 - mu))
+
+
+class TestVarianceFromBothSides:
+    @pytest.mark.parametrize("p", (1e-6, 0.3, NEAR_ONE))
+    def test_constants_have_zero_variance(self, p):
+        for value in (0, 1):
+            assert variance(BooleanFunction(4, np.full(16, value, dtype=np.uint8)), p) == 0.0
+
+    @pytest.mark.parametrize("f, p", [(NOT_AND_4, 1e-6), (NOT_AND_4, 7.2e-9),
+                                      (or_all(16), NEAR_ONE), (majority(9), NEAR_ONE),
+                                      (majority(9), 0.3)])
+    def test_matches_exact_variance(self, f, p):
+        assert variance(f, p) == pytest.approx(exact_variance(f, p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("f, p", [(NOT_AND_4, 1e-6), (NOT_AND_4, 7.2e-9),
+                                      (majority(9), NEAR_ONE)])
+    def test_influence_bound_holds_in_the_tails(self, f, p):
+        assert max_influence_bound_check(f, p).passed
+        words = pack_tables(f.table)[None]
+        [scan] = max_influence_bound_scan(words, f.n, [p])
+        assert scan.passed and scan.rhs == pytest.approx(max_influence_bound_check(f, p).rhs,
+                                                         rel=1e-12)
+
+    def test_derivative_bound_holds_next_to_one(self):
+        rep = derivative_bound_check(or_all(16), NEAR_ONE, tol=1e-12)
+        assert rep.passed, rep.to_dict()
+        mu_bar = (1.0 - NEAR_ONE) ** 16
+        assert 0.0 < rep.rhs <= rep.lhs
+        assert rep.rhs == pytest.approx(derivative_bound_rhs(16, NEAR_ONE, 1.0, mu_bar),
+                                        rel=1e-12)
+
+    def test_exhaustive_n4_passes_at_one_in_a_million(self):
+        result = run_suite("exhaustive-n4", seed=0, p=1e-6)
+        assert result["pass"] and result["failures"] == []
+
+
 class TestDerivativeBound:
     def test_or_table_on_grid(self):
         f = or_all(8)  # fully symmetric, so no generators needed
@@ -390,7 +450,7 @@ class TestDerivativeBound:
     def test_rhs_helper_consistent(self):
         rep = derivative_bound_check(majority(7), 0.35)
         assert rep.rhs == pytest.approx(
-            derivative_bound_rhs(7, 0.35, rep.context["mu"]), rel=1e-14
+            derivative_bound_rhs(7, 0.35, *level_means(majority(7), 0.35)), rel=1e-14
         )
 
     def test_hypothesis_errors_name_the_failure(self):

@@ -12,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from biascube import _kernels, booleans, cli, suites, threshold
+from biascube import _kernels, booleans, bounds, cli, suites, threshold
 from biascube.booleans import BooleanFunction
 from biascube.mc import RNG_ID
+from biascube.measure import level_means
 
 
 # how a refused verify override names the cap it stopped at
@@ -150,6 +151,21 @@ class TestSweep:
         for r in rows:
             assert r[5] != "" and r[6] == "true"
 
+    def test_bound_columns_next_to_one_read_the_counts(self, capsys):
+        # mu rounds to 1 from p = 0.93 on, but OR is never constant there; the
+        # rhs holds without the 1e-9 tolerance, as 1 - mu taken from mu did not
+        for n, grid in ((20, "0.9:0.99:0.03"), (4, "0.9999999:0.9999999:0.1")):
+            code, out, _ = run_cli(capsys, "sweep", "--family", "or", "--n", str(n),
+                                   "--grid", grid)
+            assert code == 0
+            for line in out.splitlines()[5:]:
+                p, mu, dmu, _, _, rhs, verdict = line.split(",")
+                assert verdict == "true"
+                assert 0.0 < float(rhs) <= float(dmu)
+                f = booleans.or_all(n)
+                assert float(rhs) == bounds.derivative_bound_rhs(
+                    n, float(p), *level_means(f, float(p)))
+
     def test_parity_leaves_bound_columns_empty(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--family", "parity", "--n", "3",
@@ -265,6 +281,14 @@ class TestVerify:
         assert payload["rng"] == RNG_ID
         assert payload["result"]["pass"] is True
         assert payload["result"]["functions_checked"] == 1 << 16
+
+    @pytest.mark.parametrize("p", ("1e-6", "0.9999999"))
+    def test_exhaustive_n4_passes_in_the_tails(self, capsys, p):
+        # at 1e-6 the constant-1 table read a variance of 1.1e-16, not 0, and
+        # failed the bound with lhs 0 against rhs 1.47e-12
+        code, out, _ = run_cli(capsys, "verify", "--suite", "exhaustive-n4", "--p", p)
+        assert code == 0
+        assert json.loads(out)["result"]["failures"] == []
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
@@ -487,6 +511,26 @@ class TestSubprocess:
             [sys.executable, "-m", "biascube", *argv],
             capture_output=True, timeout=120,
         )
+
+    @pytest.mark.parametrize("argv, cut", [
+        (("verify", "--suite", "thm41", "--seed", "1"), False),
+        # 2 MB of rows, more than a pipe holds, so the write is always cut
+        (("sweep", "--family", "or", "--n", "4", "--grid", "0.00005:0.99995:0.00005"), True),
+    ])
+    def test_closed_reader_exits_without_traceback(self, argv, cut):
+        proc = subprocess.Popen([sys.executable, "-m", "biascube", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+        proc.stderr.close()
+        assert first.strip()
+        assert b"Traceback" not in err and b"BrokenPipe" not in err, err
+        if cut:
+            assert code == cli.EXIT_CLOSED_PIPE
+        else:  # the write may finish before the reader closes
+            assert code in (0, cli.EXIT_CLOSED_PIPE)
 
     def test_sweep_byte_stable_across_runs(self):
         argv = ("sweep", "--family", "or", "--n", "8", "--grid", "0.05:0.95:0.05")

@@ -4,11 +4,19 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biascube._kernels import _sample_lanes, connected_batch, pack_tables, pivotal_counts
+from biascube._kernels import (
+    _sample_lanes,
+    connected_batch,
+    level_counts,
+    pack_tables,
+    pivotal_counts,
+)
+from biascube.booleans import popcounts
 from biascube.measure import level_weights
 
 
@@ -54,6 +62,42 @@ class TestBatchInfluences:
             for row in range(20):
                 expected = brute_influences(tables[row], n, p)
                 assert np.allclose(got[row], expected, rtol=0.0, atol=1e-14)
+
+
+class TestLevelCounts:
+    @staticmethod
+    def counted(tables, n):
+        """Points of each 0/1 table by Hamming weight, counted point by point."""
+        onehot = np.arange(n + 1) == popcounts(n)[:, None]
+        return tables.astype(np.int64) @ onehot
+
+    @pytest.mark.parametrize("n, rows", [(3, 1), (9, 300), (12, 300), (14, 3), (19, 2)])
+    def test_row_blocks_match_point_counts(self, n, rows):
+        # rows are counted 2**13 words at a time: n = 12 gives blocks of 128
+        # rows and a short last block, n = 19 (2**13 words) one row per block
+        rng = np.random.default_rng(n * 1000 + rows)
+        tables = (rng.random((rows, 1 << n)) < 0.4).astype(np.uint8)
+        want = self.counted(tables, n)
+        got = level_counts(pack_tables(tables), n + 1)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        # leading axes and a single table are counted like the flat batch
+        stacked = pack_tables(tables.reshape((1, rows, 1 << n)))
+        assert np.array_equal(level_counts(stacked, n + 1)[0], want)
+        assert np.array_equal(level_counts(pack_tables(tables[-1]), n + 1), want[-1])
+
+    def test_batch_peak_memory(self):
+        # thm42's 1000 tables at n = 12: expanding all of their words seven
+        # times at once peaked at 4.2 MiB
+        words = pack_tables((np.random.default_rng(7).random((1000, 1 << 12)) < 0.5)
+                            .astype(np.uint8))
+        level_counts(words, 13)
+        tracemalloc.start()
+        try:
+            level_counts(words, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 19
 
 
 class TestConnectedBatch:

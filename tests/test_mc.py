@@ -7,6 +7,7 @@ acceptance tests.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,16 +310,47 @@ BIASES = pytest.mark.parametrize(
 
 
 @BIASES
-def test_bernoulli_matches_float_compare(pv):
+def test_bernoulli_matches_float_compare(pv, monkeypatch):
     # 37 * 11 = 407 words is not a multiple of Philox's 4-word block, so
-    # each later draw starts inside a block the one before it opened
-    rng, reference = substream(3, 9), substream(3, 9)
-    for rows, cols in ((37, 11), (5, 13), (64, 7)):
-        got = mc._bernoulli(rng, rows, cols, pv)
-        want = (reference.random((rows, cols)) < pv).view(np.uint8)
-        assert got.dtype == np.uint8 and got.shape == (rows, cols)
-        assert np.array_equal(got, want)
-        assert _philox_state(rng) == _philox_state(reference)
+    # each later draw starts inside a block the one before it opened. Raw
+    # blocks of 1, 5, 7 and 64 words end inside a row and inside that 4-word
+    # block; the default block also takes a draw larger than itself.
+    default = mc._RAW_WORDS
+    for raw_words in (1, 5, 7, 64, default):
+        monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+        shapes = ((37, 11), (5, 13), (64, 7)) + (((16384, 120),) if raw_words == default else ())
+        rng, reference = substream(3, 9), substream(3, 9)
+        for rows, cols in shapes:
+            got = mc._bernoulli(rng, rows, cols, pv)
+            want = (reference.random((rows, cols)) < pv).view(np.uint8)
+            assert got.dtype == np.uint8 and got.shape == (rows, cols)
+            assert np.array_equal(got, want)
+            assert _philox_state(rng) == _philox_state(reference)
+
+
+def _traced_peak(fn) -> int:
+    fn()  # first calls allocate caches that a later call reuses
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bernoulli_holds_one_block_of_raw_words():
+    # the (16384, 120) 0/1 matrix is 1.9 MiB; the raw words of the whole
+    # draw at once would add 15 MiB (a 16.9 MiB peak)
+    peak = _traced_peak(lambda: mc._bernoulli(substream(1, 2), 16384, 120, 0.19))
+    assert peak < 4 << 20
+
+
+def test_two_worker_connectivity_estimate_peak_memory():
+    # two chunks of 16384 x 120 coordinates drawn at once peaked at 34 MiB
+    # when each held its raw words
+    oracle = connectivity_oracle(16)
+    peak = _traced_peak(lambda: estimate_mu(oracle, 0.19, 65536, 1, workers=2))
+    assert peak < 8 << 20
 
 
 class _GivenWords:
