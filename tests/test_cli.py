@@ -158,11 +158,11 @@ class TestSweep:
             code, out, _ = run_cli(capsys, "sweep", "--family", "or", "--n", str(n),
                                    "--grid", grid)
             assert code == 0
+            f = booleans.or_all(n)
             for line in out.splitlines()[5:]:
                 p, mu, dmu, _, _, rhs, verdict = line.split(",")
                 assert verdict == "true"
                 assert 0.0 < float(rhs) <= float(dmu)
-                f = booleans.or_all(n)
                 assert float(rhs) == bounds.derivative_bound_rhs(
                     n, float(p), *level_means(f, float(p)))
 
