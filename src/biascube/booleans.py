@@ -7,7 +7,8 @@ the point integer, so ``table[x]`` is f(x).
 
 All of a function's dependence on the bias lies in its level counts and
 pivotal counts. Explicit tables, random functions, tribes and cyclic_run
-are counted from their dense table; tribes, cyclic_run and random monotone
+are counted from their dense table, a parsed table string from the packed
+words its hex digits spell; tribes, cyclic_run and random monotone
 functions are unions of up-sets, all built by ``_up_set``. The fully
 symmetric families (or, and, majority, parity) and the dictator get their
 counts from an exact rule and build their table only when it is read.
@@ -98,13 +99,22 @@ def with_coordinate(x: int, i: int, value: int) -> int:
 class BooleanFunction:
     """A Boolean function on {0,1}^n, analysed through its integer counts.
 
-    ``BooleanFunction(n, table)`` validates a dense 0/1 truth table; its
-    level counts, pivotal counts and monotone verdict are counted from the
-    packed table on first use. The family constructors whose counts follow
-    from an exact rule (the fully symmetric families and the dictator) set
-    those counts and the verdict from the rule instead, and build the table
-    only when something reads it (``table``, ``evaluate``, ``is_invariant``,
-    ``to_table_string``). Either way ``table`` is the same read-only table.
+    A function comes from one of three sources:
+
+    * a table: ``BooleanFunction(n, table)`` validates a dense 0/1 truth
+      table, and its level counts, pivotal counts and monotone verdict are
+      counted from the packed table on first use;
+    * a rule: the family constructors whose counts follow from an exact rule
+      (the fully symmetric families and the dictator) set those counts and
+      the verdict from the rule, and build the table only when something
+      reads it (``table``, ``evaluate``, ``is_invariant``,
+      ``to_table_string``);
+    * a table string: ``parse_table_string`` reads the hex digits straight
+      into the packed words, counts from them as a table would, and builds
+      the table only when ``table``, ``evaluate`` or ``is_invariant`` reads
+      it.
+
+    Either way ``table`` is the same validated read-only table.
     """
 
     def __init__(self, n: int, table):
@@ -129,23 +139,31 @@ class BooleanFunction:
         self.table = table
 
     @classmethod
+    def _lazy(cls, n: int, build_table, **known) -> BooleanFunction:
+        """A function whose table ``build_table()`` gives on first read;
+        ``known`` fills cached properties (``_words``, the counts, the
+        verdict) by name."""
+        f = cls.__new__(cls)
+        f.n = n
+        f._build_table = build_table
+        f.__dict__.update(known)
+        return f
+
+    @classmethod
     def _from_rule(cls, n: int, level_counts, pivotal_counts, monotone: bool,
                    build_table) -> BooleanFunction:
         """A function whose counts and monotone verdict come from its
         family's rule; ``build_table()`` gives its table on first read."""
-        f = cls.__new__(cls)
-        f.n = n
         level_counts.flags.writeable = False
         pivotal_counts.flags.writeable = False
-        # these fill the cached properties of the same names
-        f.level_counts, f.pivotal_counts, f._monotone = level_counts, pivotal_counts, monotone
-        f._build_table = build_table
-        return f
+        return cls._lazy(n, build_table, level_counts=level_counts,
+                         pivotal_counts=pivotal_counts, _monotone=monotone)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Only a rule-backed function gets here: its table is built on first
-        read and validated like any other."""
+        """Only a function without a table of its own (rule-backed, or read
+        from a table string) gets here: its table is built on first read
+        and validated like any other."""
         return BooleanFunction(self.n, self._build_table()).table
 
     @cached_property
@@ -215,7 +233,11 @@ def make_from_table(n: int, bits) -> BooleanFunction:
 
 
 def parse_table_string(text: str) -> BooleanFunction:
-    """Parse the ``n=<arity>:hex=<table>`` serialization."""
+    """Parse the ``n=<arity>:hex=<table>`` serialization.
+
+    The hex digits spell the table's packed words, so they are read straight
+    into little-endian uint64 words; the counts and the monotone verdict come
+    from those words, and the 0/1 table is built only when read."""
     try:
         n_part, hex_part = text.split(":", 1)
         if not n_part.startswith("n=") or not hex_part.startswith("hex="):
@@ -229,10 +251,12 @@ def parse_table_string(text: str) -> BooleanFunction:
     _check_arity(n)
     if value < 0 or value.bit_length() > (1 << n):
         raise ValueError(f"hex table does not fit 2**{n} bits")
-    nbytes = ((1 << n) + 7) // 8
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: 1 << n]
-    return BooleanFunction(n, bits)
+    # read-only, as it views the bytes
+    words = np.frombuffer(value.to_bytes(-(-(1 << n) // 64) * 8, "little"), dtype="<u8")
+    return BooleanFunction._lazy(
+        n, lambda: np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n],
+        _words=words,
+    )
 
 
 # ---------------------------------------------------------------------------

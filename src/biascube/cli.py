@@ -8,6 +8,13 @@ metadata block (version, seed, RNG id, config echo) so any two runs can be
 diffed byte for byte. Floats in CSV are printed with 17 significant digits,
 which round-trips IEEE doubles exactly.
 
+``main`` parses a call with a parser holding only the subcommand it names,
+built on that subcommand's first call in the process and kept; its help,
+usage and errors are those of the full parser (``build_parser``), which a
+call naming no subcommand uses. ``--table`` is read into packed words
+(``parse_table_string``), so ``analyze`` counts from them and builds no
+0/1 table.
+
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for usage
 errors (bad flags, malformed inputs, hypothesis violations) and for running
 out of memory, 141 when the reader closes stdout before the output is
@@ -17,6 +24,7 @@ written (no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,37 +302,33 @@ def _add_family_flags(parser, include_table: bool = False) -> None:
         parser.add_argument("--table", help="explicit truth table, n=<arity>:hex=<hex>")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biascube",
-        description="Influence, threshold, and functional-inequality analysis "
-        "of Boolean functions under biased product measures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _analyze_flags(parser) -> None:
+    _add_family_flags(parser, include_table=True)
+    parser.add_argument("--p", type=float, required=True, help="bias in (0,1)")
 
-    pa = sub.add_parser("analyze", help="exact one-point analysis of a function")
-    _add_family_flags(pa, include_table=True)
-    pa.add_argument("--p", type=float, required=True, help="bias in (0,1)")
 
-    ps = sub.add_parser("sweep", help="CSV sweep over a p-grid")
-    _add_family_flags(ps)
-    ps.add_argument("--func", choices=("cls", "pqcls"), help="constant curve sweep")
-    ps.add_argument("--grid", required=True, help="p-grid as start:stop:step")
-    ps.add_argument("--out", help="output path (default stdout)")
+def _sweep_flags(parser) -> None:
+    _add_family_flags(parser)
+    parser.add_argument("--func", choices=("cls", "pqcls"), help="constant curve sweep")
+    parser.add_argument("--grid", required=True, help="p-grid as start:stop:step")
+    parser.add_argument("--out", help="output path (default stdout)")
 
-    pt = sub.add_parser("threshold", help="threshold width and its ceilings")
-    _add_family_flags(pt)
-    pt.add_argument("--eps", type=float, required=True, help="level in (0, 0.5)")
 
-    pv = sub.add_parser("verify", help="run a property suite")
-    pv.add_argument("--suite", required=True, help="suite name")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--trials", type=int, help="random instances per check")
-    pv.add_argument("--p", type=float, help="bias override for exhaustive-n4")
-    pv.add_argument("--n-max", dest="n_max", type=int, help="largest arity to scan")
+def _threshold_flags(parser) -> None:
+    _add_family_flags(parser)
+    parser.add_argument("--eps", type=float, required=True, help="level in (0, 0.5)")
 
-    pm = sub.add_parser("mc", help="sampled estimates at any arity")
-    mcsub = pm.add_subparsers(dest="mc_command", required=True)
+
+def _verify_flags(parser) -> None:
+    parser.add_argument("--suite", required=True, help="suite name")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=int, help="random instances per check")
+    parser.add_argument("--p", type=float, help="bias override for exhaustive-n4")
+    parser.add_argument("--n-max", dest="n_max", type=int, help="largest arity to scan")
+
+
+def _mc_flags(parser) -> None:
+    mcsub = parser.add_subparsers(dest="mc_command", required=True)
     for name, help_text in (
         ("mu", "estimate the measure of the 1-set"),
         ("influence", "estimate one coordinate influence"),
@@ -343,7 +347,46 @@ def build_parser() -> argparse.ArgumentParser:
                              type=int, default=4096)
             pmc.add_argument("--tol-p", dest="tol_p", type=float, default=1e-3)
 
+
+# subcommand -> its help line and the function adding its flags, in the
+# order ``biascube -h`` lists them
+_SUBCOMMANDS = {
+    "analyze": ("exact one-point analysis of a function", _analyze_flags),
+    "sweep": ("CSV sweep over a p-grid", _sweep_flags),
+    "threshold": ("threshold width and its ceilings", _threshold_flags),
+    "verify": ("run a property suite", _verify_flags),
+    "mc": ("sampled estimates at any arity", _mc_flags),
+}
+
+
+def _build_parser(names) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="biascube",
+        description="Influence, threshold, and functional-inequality analysis "
+        "of Boolean functions under biased product measures.",
+    )
+    # A parser holding fewer subcommands still lists them all on its usage
+    # line, which an unrecognized flag after a subcommand prints.
+    metavar = None if len(names) == len(_SUBCOMMANDS) else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags = _SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, which ``main`` uses for a call that
+    names none (no arguments, ``-h``, an unknown command)."""
+    return _build_parser(tuple(_SUBCOMMANDS))
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for a call naming ``command`` (None: naming none), built
+    once per process. A named subcommand's parser holds only that one, and
+    prints the same help, usage and errors as ``build_parser()``."""
+    return build_parser() if command is None else _build_parser((command,))
 
 
 _DISPATCH = {
@@ -361,8 +404,10 @@ EXIT_CLOSED_PIPE = 141
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        code = _run(build_parser().parse_args(argv))
+        code = _run(_parser(command).parse_args(argv))
         # a reader that closed the pipe early shows here, not in the
         # interpreter's last flush
         sys.stdout.flush()

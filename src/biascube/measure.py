@@ -18,7 +18,8 @@ A Boolean function's measure is a polynomial in p with integer coefficients,
 its level counts a_k (``BooleanFunction.level_counts``). Its expectation,
 variance, entropy and Russo derivative are therefore read off those n+1
 counts at O(n) cost per bias; the variance mu(1-mu) takes 1-mu from the
-complementary counts C(n,k) - a_k, not by subtraction from mu. Its
+complementary counts C(n,k) - a_k, not by subtraction from mu, and so does
+the entropy -mu log mu where mu > 1/2. Its
 influences, and with them its Dirichlet energy, are read off the integer
 pivotal counts (``BooleanFunction.pivotal_counts``) at O(n**2) cost per
 bias. Only real-valued ``CubeFunction`` arguments are summed over the dense
@@ -144,9 +145,14 @@ def variance(g, p) -> float:
 def entropy(g, p) -> float:
     """Entropy functional: int g log g - (int g) log(int g), with 0 log 0 = 0."""
     if isinstance(g, BooleanFunction):
-        # g log g vanishes on {0,1}; 0.0 - keeps the sign of a zero entropy at mu = 1
-        mean = _level_mean(g, p)
-        return 0.0 if mean <= 0.0 else 0.0 - mean * math.log(mean)
+        # g log g vanishes on {0,1}, leaving -mu log mu. Above 1/2, log mu is
+        # log1p(-mu_bar) with mu_bar from the 0-set's counts (``level_means``),
+        # which keeps its digits where mu rounds to 1. 0.0 - keeps the sign
+        # of a zero entropy at mu = 1.
+        mu, mu_bar = level_means(g, p)
+        if mu <= 0.0:
+            return 0.0
+        return 0.0 - mu * (math.log1p(-mu_bar) if mu > 0.5 else math.log(mu))
     n, v = _as_values(g)
     return _entropies(v[None], n, p)[0]
 

@@ -161,6 +161,22 @@ class TestSerialization:
         f = parse_table_string(f"n={n}:hex={value:X}")
         assert f.table.tolist() == bits
 
+    @pytest.mark.parametrize("text, message", [
+        ("n=2", "malformed table string 'n=2', expected n=<arity>:hex=<hex>"),
+        ("hex=E", "malformed table string"),
+        ("n=two:hex=E", "malformed table string"),
+        ("n=2:hex=ZZ", "malformed table string"),
+        ("n=2:hex=-1", r"hex table does not fit 2\*\*2 bits"),
+        ("n=2:hex=1F", r"hex table does not fit 2\*\*2 bits"),
+        ("n=7:hex=1" + "0" * 32, r"hex table does not fit 2\*\*7 bits"),
+        ("n=0:hex=1", "arity must be at least 1"),
+        ("n=25:hex=1", "exceeds the dense-table cap"),
+    ])
+    def test_malformed_table_strings_keep_their_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_table_string(text)
+
+
     def test_family_string_roundtrip(self):
         for text in ("or_all:n=8", "tribes:k=2,m=3", "cyclic_run:n=5,len=2"):
             spec = parse_family_string(text)
@@ -200,6 +216,61 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed family string"):
             parse_family_string("majority:n=4")
 
+
+class TestTableStringReadsWords:
+    """A parsed table string is backed by the words its hex digits spell: it
+    counts, judges monotonicity and serializes as the same table given
+    densely would, and builds its 0/1 table only when that is read."""
+
+    @staticmethod
+    def tables(n):
+        rng = np.random.default_rng(700 + n)
+        yield rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+        yield random_monotone_function(n, rng).table
+        yield np.zeros(1 << n, dtype=np.uint8)
+        yield np.ones(1 << n, dtype=np.uint8)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20])
+    def test_matches_the_dense_table(self, n):
+        for table in self.tables(n):
+            # below n = 6 the digits are the zero-padded start of one word
+            value = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+            text = f"n={n}:hex={value:X}"
+            dense = BooleanFunction(n, table)
+            f = parse_table_string(text)
+            assert f._words.dtype == dense._words.dtype
+            assert np.array_equal(f._words, dense._words)
+            assert np.array_equal(f.level_counts, dense.level_counts)
+            assert np.array_equal(f.pivotal_counts, dense.pivotal_counts)
+            assert is_monotone(f) == is_monotone(dense)
+            assert f.to_table_string() == dense.to_table_string() == text
+            assert "table" not in vars(f)
+            assert f.table.dtype == np.uint8
+            assert np.array_equal(f.table, table)
+            assert not f.table.flags.writeable
+
+    def test_read_table_is_validated(self, monkeypatch):
+        checked = []
+        original = BooleanFunction.__post_init__
+        monkeypatch.setattr(BooleanFunction, "__post_init__",
+                            lambda self: checked.append(self.n) or original(self))
+        f = parse_table_string("n=3:hex=E8")
+        f.level_counts, f.pivotal_counts, is_monotone(f), f.to_table_string()
+        assert checked == []
+        assert f.evaluate(3) == 1 and checked == [3]
+
+    def test_peak_memory_is_about_the_words(self):
+        value = int.from_bytes(np.random.default_rng(22).bytes(1 << 19), "little")
+        text = f"n=22:hex={value:X}"
+        tracemalloc.start()
+        try:
+            f = parse_table_string(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f._words.nbytes == 1 << 19
+        # the 512 KiB of words, the parsed integer and its bytes
+        assert peak < 4 << 20
 
 class TestSymmetryEvidence:
     def test_dictator_under_shift(self):

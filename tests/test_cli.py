@@ -2,9 +2,12 @@
 
 Most checks run in process through ``cli.main`` with captured stdout; the
 byte-stability checks shell out so they cover the real entry point. Stderr
-is never compared byte for byte because third-party imports may warn there.
+of a run is never compared byte for byte because third-party imports may
+warn there; the parser checks compare the parse's own help and errors.
 """
 
+import argparse
+import collections
 import json
 import subprocess
 import sys
@@ -117,6 +120,26 @@ class TestRuleFamiliesBuildNoTable:
             assert run_cli(capsys, *argv) == expected, argv
         ruled = json.loads(before[0][1])
         assert {**ruled, "config": None} == {**counted, "config": None}
+
+
+class TestTableStringBuildsNoTable:
+    """A --table string is read into packed words, so analyze counts from
+    them and never builds, validates or packs a 0/1 table."""
+
+    def test_same_output_with_table_building_refused(self, capsys, monkeypatch):
+        table = np.random.default_rng(16).integers(0, 2, size=1 << 16, dtype=np.uint8)
+        argv = ("analyze", "--table", BooleanFunction(16, table).to_table_string(),
+                "--p", "0.3")
+        before = run_cli(capsys, *argv)
+        assert before[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(_kernels, "pack_tables", refuse)
+        monkeypatch.setattr(booleans, "popcounts", refuse)
+        monkeypatch.setattr(BooleanFunction, "__post_init__", refuse)
+        assert run_cli(capsys, *argv) == before
 
 
 class TestSweep:
@@ -495,12 +518,78 @@ class TestFamilyParameters:
         assert err == f"error: {message}\n"
 
 
+def exit_of(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+FULL_USAGE = "usage: biascube [-h] {analyze,sweep,threshold,verify,mc} ...\n"
+
+
 class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        (),
+        ("bogus",),
+        ("--bogus", "analyze"),
+        ("analyze", "--help"),
+        ("sweep", "--help"),
+        ("threshold", "--help"),
+        ("verify", "--help"),
+        ("mc", "--help"),
+        ("mc", "mu", "--help"),
+        ("mc", "influence", "--help"),
+        ("mc", "threshold", "--help"),
+        ("mc",),
+        ("mc", "bogus"),
+        ("analyze", "--family", "or", "--n", "3"),
+        ("mc", "threshold", "--family", "or", "--n", "3"),
+        ("analyze", "--family", "or", "--n", "three", "--p", "0.3"),
+        ("verify", "--suite", "russo", "--seed", "one"),
+        ("sweep", "--func", "bad", "--grid", "0.1:0.2:0.1"),
+        # the subcommand hands the flag back, so the top-level usage is printed
+        ("analyze", "--family", "or", "--n", "3", "--p", "0.3", "--bogus"),
+        ("mc", "threshold", "--family", "or", "--n", "3", "--alpha", "0.5", "--bogus"),
+    ])
+    def test_same_help_usage_and_errors_as_the_full_parser(self, capsys, argv):
+        expected = exit_of(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+        # twice: the second call reuses the parser the first one built
+        assert exit_of(capsys, cli.main, argv) == expected
+        assert exit_of(capsys, cli.main, argv) == expected
+        if "--bogus" in argv[1:]:
+            assert expected[2].startswith(FULL_USAGE)
+
+    def test_each_subcommand_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in (("analyze", "--family", "or", "--n", "3", "--p", "0.3"),
+                         ("analyze", "--family", "or", "--n", "4", "--p", "0.3"),
+                         ("threshold", "--family", "or", "--n", "3", "--eps", "0.1"),
+                         ("sweep", "--func", "cls", "--grid", "0.25:0.75:0.25")):
+                assert run_cli(capsys, *argv)[0] == 0, argv
+        finally:
+            cli._parser.cache_clear()
+        # one top-level parser per subcommand, each holding only that one
+        assert collections.Counter(built) == {
+            "biascube": 3, "biascube analyze": 1, "biascube threshold": 1, "biascube sweep": 1,
+        }
 
 
 class TestSubprocess:

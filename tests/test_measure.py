@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -310,6 +311,23 @@ class TestEntropy:
         g = CubeFunction(2, np.array([1.0, -0.5, 0.2, 0.3]))
         with pytest.raises(ValueError):
             entropy(g, 0.5)
+
+    @pytest.mark.parametrize("f, p", [(or_all(16), 1.0 - 1e-7), (majority(9), 1.0 - 1e-7),
+                                      (or_all(20), 0.95)])
+    def test_boolean_entropy_next_to_one_reads_the_zero_set(self, f, p):
+        # mu rounds to 1 here; -mu log mu is about the 0-set's measure mu_bar
+        q = Fraction(p)
+        mu_bar = float(sum((math.comb(f.n, k) - int(a)) * q**k * (1 - q) ** (f.n - k)
+                           for k, a in enumerate(f.level_counts)))
+        expected = -(1.0 - mu_bar) * math.log1p(-mu_bar)
+        assert 0.0 < expected < 1e-25
+        assert entropy(f, p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("value", (0, 1))
+    def test_boolean_constants_have_positive_zero_entropy(self, value):
+        f = BooleanFunction(3, np.full(8, value, dtype=np.uint8))
+        for p in (1e-7, 0.3, 1.0 - 1e-7):
+            assert math.copysign(1.0, entropy(f, p)) == 1.0 and entropy(f, p) == 0.0
 
 
 BOOLEAN_QUANTITIES = (expectation, variance, entropy, expectation_derivative, dirichlet_energy)
