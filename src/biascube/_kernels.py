@@ -10,8 +10,11 @@ row at a time: the Russo derivative and the Dirichlet energy of a real
 function run on it. ``connected_batch`` decides graph connectivity for a
 batch of sampled edge sets with a breadth-first search on packed sample
 lanes: 64 samples share each uint64 word, every edge is a column of words,
-and one word operation advances the search in 64 samples at once. The
-search is exact for every vertex and sample count.
+and one word operation advances the search in 64 samples at once. Each
+step of the search is one sweep over the whole (vertex, vertex, lane)
+adjacency array, two numpy calls whatever the vertex count, so a small
+batch of rows costs about as much per row as a large one. The search is
+exact for every vertex and sample count.
 """
 
 from __future__ import annotations
@@ -153,17 +156,24 @@ def pivotal_counts(words: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# bit k of a packed byte comes from row k of eight: a 0/1 byte times 2**k
+_OCTET_WEIGHTS = np.uint64(1) << np.arange(8, dtype=np.uint64)
+
+
 def _sample_lanes(present: np.ndarray) -> np.ndarray:
     """(E, ceil(s/64)) uint64 per-edge columns of (s, E) 0/1 uint8 rows.
 
     The same words as ``pack_tables(present.T)``, packed 8 rows at a time so
-    that only the packed bytes are transposed.
+    that only the packed bytes are transposed. The rows are copied into a
+    zero block of whole lanes whose rows are whole uint64 words; each word
+    holds 8 edges of one row, and weighting row k of every 8 by 2**k and
+    summing packs them, as the 8 products hold different bits.
     """
-    octets = np.zeros((-(-present.shape[0] // 8), present.shape[1]), dtype=np.uint8)
-    for k in range(8):
-        rows = present[k::8]
-        octets[: rows.shape[0]] |= rows << np.uint8(k)
-    return _as_words(np.ascontiguousarray(octets.T))
+    s, e = present.shape
+    padded = np.zeros((-(-s // 64) * 64, -(-e // 8) * 8), dtype=np.uint8)
+    padded[:s, :e] = present
+    octets = _OCTET_WEIGHTS @ padded.view(np.uint64).reshape(-1, 8, padded.shape[1] // 8)
+    return _as_words(np.ascontiguousarray(octets.view(np.uint8)[:, :e].T))
 
 
 def connected_batch(
@@ -172,27 +182,35 @@ def connected_batch(
     """Connectivity indicator for a batch of sampled edge sets.
 
     A breadth-first search from vertex 0 on lanes of 64 samples per word:
-    ``reach[v] |= OR_w(reach[w] & edge(v, w))`` for every vertex v, until a
-    sweep adds nothing; the AND of the rows of ``reach`` marks the connected
-    samples. The edges must be distinct vertex pairs.
+    ``reach[v] |= OR_w(adjacency[w, v] & reach[w])`` for all vertices at
+    once, until a sweep adds nothing; the AND of the rows of ``reach`` marks
+    the connected samples. The edges must be distinct vertex pairs.
     """
     present = np.ascontiguousarray(present, dtype=np.uint8)
     s = present.shape[0]
     columns = _sample_lanes(present)
-    # adjacency[v, w]: the lanes holding edge {v, w}, zero for non-edges
+    # adjacency[v, w]: the lanes holding edge {v, w}; symmetric, and all
+    # lanes on the diagonal, so a sweep keeps what it has reached
     adjacency = np.zeros((m_vertices, m_vertices, columns.shape[1]), dtype=np.uint64)
     adjacency[edge_u, edge_v] = columns
     adjacency[edge_v, edge_u] = columns
-    # reach[v]: the lanes where vertex 0 reaches v. Sweeps update it in place,
-    # so one sweep can follow a path through several vertices; once a sweep
-    # adds nothing, each lane holds the component of vertex 0.
+    vertices = np.arange(m_vertices)
+    adjacency[vertices, vertices] = ~np.uint64(0)
+    # reach[v]: the lanes where vertex 0 reaches v. Sweep k reaches every
+    # vertex within k edges, so it stops after the largest distance from
+    # vertex 0 in any lane, plus one sweep that adds nothing.
     reach = np.zeros(adjacency.shape[1:], dtype=np.uint64)
     reach[0] = ~np.uint64(0)
+    grown = np.empty_like(reach)
+    scratch = np.empty_like(adjacency)
     while True:
-        before = reach.copy()
-        for v in range(m_vertices):
-            reach[v] |= np.bitwise_or.reduce(adjacency[v] & reach, axis=0)
-        if np.array_equal(reach, before):
+        # row w of the symmetric adjacency lists the neighbours of w; the
+        # reduction runs over the leading axis, in whole (vertex, lane) rows
+        np.bitwise_and(adjacency, reach[:, None, :], out=scratch)
+        np.bitwise_or.reduce(scratch, axis=0, out=grown)
+        # comparing the bytes is the cheapest equality test at this size
+        if grown.tobytes() == reach.tobytes():
             break
+        reach, grown = grown, reach
     connected = np.bitwise_and.reduce(reach, axis=0)
     return np.unpackbits(connected.view(np.uint8), bitorder="little")[:s]

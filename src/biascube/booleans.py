@@ -21,6 +21,7 @@ allocates.
 
 from __future__ import annotations
 
+import binascii
 import math
 import os
 from dataclasses import dataclass
@@ -235,21 +236,33 @@ def make_from_table(n: int, bits) -> BooleanFunction:
 def parse_table_string(text: str) -> BooleanFunction:
     """Parse the ``n=<arity>:hex=<table>`` serialization.
 
-    The hex digits spell the table's packed words, so they are read straight
-    into little-endian uint64 words; the counts and the monotone verdict come
-    from those words, and the 0/1 table is built only when read."""
+    The arity is ASCII decimal digits and the table ASCII hex digits; the
+    signs, spaces, underscores and ``0x`` prefix that ``int()`` also reads
+    make a string malformed, except that a leading minus is refused as a
+    negative table that does not fit. The hex digits spell the table's
+    packed words, so they are read straight into little-endian uint64 words;
+    the counts and the monotone verdict come from those words, and the 0/1
+    table is built only when read."""
     try:
         n_part, hex_part = text.split(":", 1)
         if not n_part.startswith("n=") or not hex_part.startswith("hex="):
             raise ValueError
-        n = int(n_part[2:])
-        value = int(hex_part[4:], 16)
+        arity, digits = n_part[2:], hex_part[4:]
+        if not (arity.isascii() and arity.isdigit()):
+            raise ValueError
+        n = int(arity)
+        negative = digits.startswith("-")
+        digits = digits[negative:]
+        if not digits:
+            raise ValueError
+        # unhexlify reads pairs of hex digits and nothing else
+        value = int.from_bytes(binascii.unhexlify("0" * (len(digits) % 2) + digits), "big")
     except ValueError:
         raise ValueError(f"malformed table string {text!r}, expected n=<arity>:hex=<hex>")
     if n < 1:
         raise ValueError("arity must be at least 1")
     _check_arity(n)
-    if value < 0 or value.bit_length() > (1 << n):
+    if negative or value.bit_length() > (1 << n):
         raise ValueError(f"hex table does not fit 2**{n} bits")
     # read-only, as it views the bytes
     words = np.frombuffer(value.to_bytes(-(-(1 << n) // 64) * 8, "little"), dtype="<u8")

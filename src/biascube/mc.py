@@ -11,12 +11,17 @@ seed never share a stream. The generator name travels with every
 serialized estimate.
 
 Coordinates are drawn by comparing raw Philox words with the bias, which
-gives the bits of ``rng.random() < p``. The words are drawn and compared
-``_RAW_WORDS`` (2**16, 512 KiB) at a time into the 0/1 matrix of a row
-block, so a worker holds about 1 byte per drawn coordinate of its row
-block plus one 512 KiB block of words. An estimate that grows on one path,
-as the level search's doubled estimates do, resumes each chunk's stream
-instead of redrawing its prefix. None of this changes a drawn bit.
+gives the bits of ``rng.random() < p``. A chunk is drawn and evaluated in
+row blocks of about ``_BLOCK_SCALARS`` (2**18) coordinates, refilling one
+256 KiB 0/1 matrix, and the words are drawn and compared ``_RAW_WORDS``
+(2**14, 128 KiB) at a time. A worker thus holds one row block, one block
+of words and what the oracle builds from the row block, whatever the
+chunk or the arity: 0.4-0.6 MiB under tracemalloc at connectivity m=16,
+or n=64 and majority n=101. Sequential draws on one generator concatenate
+exactly, so the row block size changes no drawn bit. An estimate that
+grows on one path, as the level search's doubled estimates do, resumes
+each chunk's stream instead of redrawing its prefix. None of this changes
+a drawn bit.
 """
 
 from __future__ import annotations
@@ -49,13 +54,19 @@ _TAG_BISECT = 2
 _TAG_FINAL = 3
 _TAG_SPOT = 4
 
-_CHUNK_SCALARS = 1 << 22
+# coordinates per row block of a chunk: a 256 KiB 0/1 matrix
+_BLOCK_SCALARS = 1 << 18
+
+# coordinates per row block of spot_check_monotone, whose x and y draws
+# alternate per block: its counts depend on this split, so it stays where
+# those counts were first drawn
+_SPOT_SCALARS = 1 << 22
 
 # samples per substream; fixed so estimates cannot depend on the worker count
 _STREAM_CHUNK = 1 << 14
 
-# raw Philox words drawn per call in _bernoulli: 512 KiB, about one L2 cache
-_RAW_WORDS = 1 << 16
+# raw Philox words drawn per call in _bernoulli: 128 KiB
+_RAW_WORDS = 1 << 14
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -178,13 +189,16 @@ def _split(total: int, size: int) -> list[int]:
     return [size] * full + [rem] * (rem > 0)
 
 
-def _blocks(oracle: OracleFunction, count: int) -> list[int]:
-    # rows per block keep one draw near _CHUNK_SCALARS scalars
-    return _split(count, max(1, _CHUNK_SCALARS // max(oracle.n, 1)))
+def _blocks(oracle: OracleFunction, count: int, scalars: int = _BLOCK_SCALARS) -> list[int]:
+    # rows per block keep one draw near ``scalars`` coordinates
+    return _split(count, max(1, scalars // max(oracle.n, 1)))
 
 
-def _bernoulli(rng: np.random.Generator, rows: int, cols: int, pv: float) -> np.ndarray:
-    """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates.
+def _bernoulli(
+    rng: np.random.Generator, rows: int, cols: int, pv: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates,
+    written into ``out`` (C-contiguous, that shape and dtype) when given.
 
     ``rng.random()`` is ``(raw >> 11) * 2**-53`` of one raw 64-bit word, so
     ``random() < pv`` holds exactly when ``raw < ceil(pv * 2**53) << 11``
@@ -194,7 +208,8 @@ def _bernoulli(rng: np.random.Generator, rows: int, cols: int, pv: float) -> np.
     blocks of ``_RAW_WORDS``, each compared straight into the output.
     """
     below = np.uint64(math.ceil(pv * 2.0**53) << 11)
-    out = np.empty((rows, cols), dtype=np.uint8)
+    if out is None:
+        out = np.empty((rows, cols), dtype=np.uint8)
     flat = out.reshape(-1).view(np.bool_)
     # back-to-back random_raw calls return the words of one call, so only a
     # block of raw words is held at a time, never the whole matrix of them
@@ -209,9 +224,12 @@ def _values(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
 
 
 def _count_hits(oracle: OracleFunction, pv: float, count: int, rng: np.random.Generator) -> int:
+    blocks = _blocks(oracle, count)
+    # the first block is the largest; every block is drawn into its rows
+    drawn = np.empty((blocks[0], oracle.n), dtype=np.uint8)
     return sum(
-        int(_values(oracle, _bernoulli(rng, rows, oracle.n, pv)).sum())
-        for rows in _blocks(oracle, count)
+        int(_values(oracle, _bernoulli(rng, rows, oracle.n, pv, drawn[:rows])).sum())
+        for rows in blocks
     )
 
 
@@ -220,9 +238,13 @@ def _count_fiber_splits(
 ) -> int:
     hits = 0
     col = i - 1
-    for rows in _blocks(oracle, count):
-        base = _bernoulli(rng, rows, oracle.n - 1, pv)
-        full = np.empty((rows, oracle.n), dtype=np.uint8)
+    blocks = _blocks(oracle, count)
+    # the first block is the largest; every block is drawn into its rows
+    drawn = np.empty((blocks[0], oracle.n - 1), dtype=np.uint8)
+    completed = np.empty((blocks[0], oracle.n), dtype=np.uint8)
+    for rows in blocks:
+        base = _bernoulli(rng, rows, oracle.n - 1, pv, drawn[:rows])
+        full = completed[:rows]
         full[:, :col] = base[:, :col]
         full[:, col + 1 :] = base[:, col:]
         full[:, col] = 0
@@ -404,7 +426,7 @@ def spot_check_monotone(
     pv = bias_value(p)
     rng = substream(seed, _TAG_SPOT)
     violations = 0
-    for rows in _blocks(oracle, pairs):
+    for rows in _blocks(oracle, pairs, _SPOT_SCALARS):
         x = _bernoulli(rng, rows, oracle.n, pv)
         y = x | _bernoulli(rng, rows, oracle.n, pv)
         violations += int((_values(oracle, x) > _values(oracle, y)).sum())

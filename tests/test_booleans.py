@@ -176,6 +176,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             parse_table_string(text)
 
+    @pytest.mark.parametrize("text", [
+        "n=2:hex=0x_E", "n=2:hex= e ", "n= 2:hex=E", "n=+2:hex=+E",
+        "n=2:hex=0xE", "n=2:hex=E_", "n=2:hex=_E", "n=2:hex=+E", "n=+2:hex=E",
+        "n=2 :hex=E", "n=2:hex=E\n", "n=2:hex=\tE", "n=2:hex=", "n=2:hex=-", "n=:hex=E",
+        "n=-2:hex=E", "n=\u0662:hex=E", "n=2:hex=\u0665", "n=1_0:hex=E",
+    ])
+    def test_only_the_written_digits_parse(self, text):
+        # int() reads signs, spaces, underscores and a 0x prefix;
+        # to_table_string writes none of them
+        with pytest.raises(ValueError, match="malformed table string"):
+            parse_table_string(text)
+
+    @pytest.mark.parametrize("text, table", [
+        ("n=2:hex=e", [0, 1, 1, 1]),
+        ("n=2:hex=0E", [0, 1, 1, 1]),
+        ("n=3:hex=E8", [0, 0, 0, 1, 0, 1, 1, 1]),
+        ("n=1:hex=0", [0, 0]),
+        ("n=01:hex=2", [0, 1]),
+    ])
+    def test_hex_digits_of_either_case_and_length_parse(self, text, table):
+        assert parse_table_string(text).table.tolist() == table
+
+    def test_minus_sign_is_a_table_that_does_not_fit(self):
+        for text in ("n=2:hex=-0", "n=2:hex=-E"):
+            with pytest.raises(ValueError, match=r"hex table does not fit 2\*\*2 bits"):
+                parse_table_string(text)
+
 
     def test_family_string_roundtrip(self):
         for text in ("or_all:n=8", "tribes:k=2,m=3", "cyclic_run:n=5,len=2"):

@@ -50,6 +50,25 @@ def brute_connected(bits, m, edge_u, edge_v):
     return int(len(seen) == m)
 
 
+def per_vertex_connected(present, m, edge_u, edge_v):
+    """The lane search that ``connected_batch`` replaced: one Python step per
+    vertex, each updating ``reach`` in place."""
+    columns = _sample_lanes(present)
+    adjacency = np.zeros((m, m, columns.shape[1]), dtype=np.uint64)
+    adjacency[edge_u, edge_v] = columns
+    adjacency[edge_v, edge_u] = columns
+    reach = np.zeros(adjacency.shape[1:], dtype=np.uint64)
+    reach[0] = ~np.uint64(0)
+    while True:
+        before = reach.copy()
+        for v in range(m):
+            reach[v] |= np.bitwise_or.reduce(adjacency[v] & reach, axis=0)
+        if np.array_equal(reach, before):
+            break
+    connected = np.bitwise_and.reduce(reach, axis=0)
+    return np.unpackbits(connected.view(np.uint8), bitorder="little")[: present.shape[0]]
+
+
 class TestBatchInfluences:
     def test_numpy_matches_reference_implementation(self):
         # n < 6 fills one zero-padded word; n = 7 is the first arity with a
@@ -134,6 +153,72 @@ class TestConnectedBatch:
         # the lanes are the transposed rows packed as truth tables
         lanes = _sample_lanes(present)
         assert np.array_equal(lanes, pack_tables(np.ascontiguousarray(present.T)))
+
+    # the whole-array sweep against the per-vertex loop it replaced
+
+    @staticmethod
+    def graph_rows(m):
+        """Graphs that take the sweep m - 1 steps or test one vertex, each
+        under its own labels and 60 random relabellings."""
+        index = {pair: e for e, pair in enumerate(zip(*np.triu_indices(m, k=1)))}
+
+        def row(pairs):
+            out = np.zeros(len(index), dtype=np.uint8)
+            for a, b in pairs:
+                out[index[min(a, b), max(a, b)]] = 1
+            return out
+
+        path = [(k, k + 1) for k in range(m - 1)]
+        others = [(a, b) for a in range(m - 1) for b in range(a + 1, m - 1)]
+        graphs = [
+            path,  # vertex 0 at one end: m - 1 sweeps to reach the other
+            [(0, m - 1)] + [(k, k + 1) for k in range(1, m - 1)],  # 0, m-1, ..., 1
+            path[:-1],  # the far end cut off
+            [(0, 1)] + path[2:],  # cut next to vertex 0
+            [(c, m - 1) for c in range(m - 1)],  # star on vertex m - 1
+            [(0, c) for c in range(1, m)],  # star on vertex 0
+            [(0, c) for c in range(1, m - 1)],  # star with one leaf missing
+            others,  # complete but for vertex m - 1, which is isolated
+            [(a + 1, b + 1) for a, b in others],  # vertex 0 isolated
+            others + [(0, m - 1)],  # one edge to the otherwise isolated vertex
+            [],
+            others + [(c, m - 1) for c in range(m - 1)],  # complete
+        ]
+        rng = np.random.default_rng(m)
+        for _ in range(60):
+            label = rng.permutation(m)
+            graphs.append([(label[a], label[b]) for a, b in graphs[rng.integers(0, 12)]])
+        return np.array([row(g) for g in graphs])
+
+    @pytest.mark.parametrize("m", (16, 65, 100))
+    def test_worst_case_graphs(self, m):
+        edge_u, edge_v = self.edges(m)
+        present = self.graph_rows(m)
+        got = connected_batch(present, m, edge_u, edge_v)
+        want = [brute_connected(row, m, edge_u, edge_v) for row in present]
+        assert got.tolist() == want
+        assert per_vertex_connected(present, m, edge_u, edge_v).tolist() == want
+        assert want[:12] == [1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1]
+
+    def test_level_search_rows_of_the_benchmark(self):
+        # every block of the seed-7 connectivity level search on 16 vertices,
+        # the rows the benchmark's search evaluates
+        from biascube import mc
+
+        oracle = mc.connectivity_oracle(16)
+        edge_u, edge_v = self.edges(16)
+        rows = []
+
+        def both(present):
+            got = oracle.evaluate_batch(present)
+            assert np.array_equal(got, per_vertex_connected(present, 16, edge_u, edge_v))
+            rows.append(present.shape[0])
+            return got
+
+        checked = mc.OracleFunction(oracle.n, both, True, oracle.name)
+        result = mc.mc_p_of_alpha(checked, 0.5, 4096, 1e-3, 7, workers=1)
+        assert result.p_hat == 0.19091796875
+        assert sum(rows) == 1_150_976
 
 
 def test_runs_with_numpy_as_the_only_dependency():

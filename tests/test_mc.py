@@ -196,6 +196,15 @@ class TestSpotCheck:
         oracle = OracleFunction(8, eval_batch, monotone_declared=True, name="mislabel")
         assert spot_check_monotone(oracle, 0.5, 500, seed=4) > 0
 
+    @pytest.mark.parametrize("pairs, violations", [(100_000, 24_867), (200_000, 50_050)])
+    def test_counts_keep_their_block_split(self, pairs, violations):
+        # x and y are drawn in turn per row block, so a smaller block moves
+        # the count (24,856 at 100,000 pairs with 2**18-coordinate blocks)
+        table = parity(8).table
+        mislabel = OracleFunction(
+            8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
+        assert spot_check_monotone(mislabel, 0.5, pairs, seed=0) == violations
+
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("BIASCUBE_WORKERS", "3")
@@ -287,10 +296,8 @@ LEVEL_SEARCH_M16 = {
 }
 
 
-@WORKERS
-def test_level_search_connectivity16_doubling(monkeypatch, workers):
-    # Drawing every estimate afresh would count 2,256,896 rows, the
-    # search's evaluations; resuming each chunk counts every row once.
+def _level_search_m16(monkeypatch, workers):
+    """The m = 16 level search at seed 7 and the rows its chunks count."""
     counted = []
     count_hits = mc._count_hits
 
@@ -300,8 +307,60 @@ def test_level_search_connectivity16_doubling(monkeypatch, workers):
 
     monkeypatch.setattr(mc, "_count_hits", recording)
     result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
-    assert result.to_dict() == LEVEL_SEARCH_M16
-    assert sum(counted) == 1_150_976
+    return result.to_dict(), sum(counted)
+
+
+@WORKERS
+def test_level_search_connectivity16_doubling(monkeypatch, workers):
+    # Drawing every estimate afresh would count 2,256,896 rows, the
+    # search's evaluations; resuming each chunk counts every row once.
+    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 1_150_976)
+
+
+# Rows per block as a function of the arity: single rows, 7 rows (never a
+# whole lane word, nor a multiple of 8), and the 2**22-coordinate blocks the
+# pinned values were first drawn in.
+ROW_SPLITS = {
+    "1-row": lambda n: 1,
+    "7-rows": lambda n: 7,
+    "2**22-coordinates": lambda n: max(1, (1 << 22) // n),
+}
+
+
+def _split_rows(monkeypatch, split):
+    rows = ROW_SPLITS[split]
+    monkeypatch.setattr(
+        mc, "_blocks", lambda oracle, count, scalars=None: mc._split(count, rows(oracle.n)))
+
+
+# Single rows skip the level search: its 120,000 one-row connectivity calls
+# take about 5 s per seed, and the 1,150,976 rows of the m = 16 search a
+# minute. 7-row blocks already cut every lane word of the connectivity kernel.
+@pytest.mark.parametrize("split, seeds, level", [
+    ("1-row", (0,), False),
+    ("7-rows", (0,), True),
+    ("2**22-coordinates", (0, 1), True),
+], ids=["1-row", "7-rows", "2**22-coordinates"])
+@WORKERS
+def test_row_block_size_moves_no_pinned_result(monkeypatch, split, seeds, level, workers):
+    # sequential draws on one generator concatenate exactly, so cutting a
+    # chunk into other row blocks changes no drawn bit and no count
+    _split_rows(monkeypatch, split)
+    for seed in seeds:
+        or64 = family_oracle(family_spec("or_all", n=64))
+        assert estimate_mu(or64, 0.01, 40_000, seed, workers=workers).to_dict() == PINNED[seed]["mu"]
+        majority = family_oracle(family_spec("majority", n=101))
+        influence = estimate_influence(majority, 0.5, 7, 40_000, seed, workers=workers)
+        assert influence.to_dict() == PINNED[seed]["influence"]
+        if level:
+            search = mc_p_of_alpha(connectivity_oracle(8), 0.5, 20_000, 1 / 32, seed, workers=workers)
+            assert search.to_dict() == PINNED[seed]["level"]
+
+
+@WORKERS
+def test_row_block_size_moves_no_counted_row(monkeypatch, workers):
+    _split_rows(monkeypatch, "2**22-coordinates")
+    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 1_150_976)
 
 
 BIASES = pytest.mark.parametrize(
@@ -347,10 +406,28 @@ def test_bernoulli_holds_one_block_of_raw_words():
 
 def test_two_worker_connectivity_estimate_peak_memory():
     # two chunks of 16384 x 120 coordinates drawn at once peaked at 34 MiB
-    # when each held its raw words
+    # when each held its raw words, and at 5.1 MiB when each held its chunk's
+    # 0/1 matrix; a row block of 2**18 coordinates reads 1.2 MiB
     oracle = connectivity_oracle(16)
     peak = _traced_peak(lambda: estimate_mu(oracle, 0.19, 65536, 1, workers=2))
-    assert peak < 8 << 20
+    assert peak < 2 << 20
+
+
+def test_or_estimate_peak_memory():
+    # whole 16384 x 64 chunks peaked at 1.5 MiB; 2**18-coordinate row blocks
+    # read 0.4 MiB
+    oracle = family_oracle(family_spec("or_all", n=64))
+    peak = _traced_peak(lambda: estimate_mu(oracle, 0.0138, 65536, 1, workers=1))
+    assert peak < 3 << 18
+
+
+def test_majority_influence_peak_memory():
+    # the fiber path holds the drawn n - 1 columns and the completed n: for
+    # whole 16384-row chunks of majority on 101 bits 3.3 MiB, for 2**18-
+    # coordinate row blocks 0.6 MiB
+    oracle = family_oracle(family_spec("majority", n=101))
+    peak = _traced_peak(lambda: estimate_influence(oracle, 0.5, 1, 65536, 1, workers=1))
+    assert peak < 1 << 20
 
 
 class _GivenWords:
