@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biascube import martingale
 from biascube.booleans import dictator, majority, or_all
 from biascube.martingale import (
+    MartingaleDecomposition,
     check_contractions,
     check_energy_decomposition,
     check_increment_representation,
@@ -18,7 +20,18 @@ from biascube.martingale import (
     conditional_expectation,
     decompose,
 )
-from biascube.measure import CubeFunction, expectation, variance, weights
+from biascube.measure import (
+    CubeFunction,
+    _as_values,
+    _average,
+    _center,
+    bias_value,
+    expectation,
+    variance,
+    weights,
+)
+from biascube.reports import BoundReport, checked
+from biascube.suites import CHECK_BIASES
 
 
 def random_g(n, seed):
@@ -112,3 +125,152 @@ class TestIncrementSign:
         assert rep.context["matched_sign"] == "plus"
         assert rep.context["residual_minus"] > 0.1
         assert rep.context["residual_plus"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The per-pair and per-coordinate loops the stacked checks replaced, kept as
+# references: every stacked check must give the same report, lhs, rhs and
+# context included, on the same decomposition.
+# ---------------------------------------------------------------------------
+
+
+def _orthogonality(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, _ = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
+    worst_plain = 0.0
+    worst_avg = 0.0
+    averaged = [
+        [_average(inc.values, n, p, i) for inc in dec.increments]
+        for i in range(1, n + 1)
+    ]
+    for j in range(n):
+        for k in range(j + 1, n):
+            cross = abs(float(w @ (dec.increments[j].values * dec.increments[k].values)))
+            worst_plain = max(worst_plain, cross)
+            for i in range(n):
+                cross_avg = abs(float(w @ (averaged[i][j] * averaged[i][k])))
+                worst_avg = max(worst_avg, cross_avg)
+    worst = max(worst_plain, worst_avg)
+    return checked(
+        "orthogonality",
+        worst,
+        tol,
+        orientation="le",
+        tol=0.0,
+        max_cross=worst_plain,
+        max_cross_fiber_averaged=worst_avg,
+        n=n,
+    )
+
+
+def _energy_decomposition(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
+    worst = 0.0
+    for i in range(1, n + 1):
+        direct = float(w @ (v * _center(v, n, p, i)))
+        split = sum(
+            float(w @ (inc.values * _center(inc.values, n, p, i)))
+            for inc in dec.increments
+        )
+        worst = max(worst, abs(split - direct))
+    return checked("energy-decomposition", worst, tol, orientation="le", tol=0.0, n=n)
+
+
+def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
+    residual_plus = 0.0
+    residual_minus = 0.0
+    for j in range(1, n + 1):
+        projected = conditional_expectation(
+            CubeFunction(n, _center(v, n, p, j)), p, j
+        ).values
+        inc = dec.increments[j - 1].values
+        residual_plus = max(residual_plus, float(np.max(np.abs(inc - projected))))
+        residual_minus = max(residual_minus, float(np.max(np.abs(inc + projected))))
+    best = min(residual_plus, residual_minus)
+    if residual_plus <= tol and residual_minus <= tol:
+        matched = "both"
+    elif residual_plus <= tol:
+        matched = "plus"
+    elif residual_minus <= tol:
+        matched = "minus"
+    else:
+        matched = "neither"
+    return checked(
+        "increment-representation",
+        best,
+        tol,
+        orientation="le",
+        tol=0.0,
+        matched_sign=matched,
+        residual_plus=residual_plus,
+        residual_minus=residual_minus,
+        n=n,
+    )
+
+
+def _contractions(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, v = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
+    worst = 0.0
+    for j in range(1, n + 1):
+        centered = _center(v, n, p, j)
+        inc = dec.increments[j - 1].values
+        l2_gap = float(w @ (inc**2)) - float(w @ (centered**2))
+        l1_gap = float(w @ np.abs(inc)) - float(w @ np.abs(centered))
+        worst = max(worst, l2_gap, l1_gap)
+    return checked("contractions", worst, tol, orientation="le", tol=0.0, n=n)
+
+
+LOOP_REFERENCES = {
+    "orthogonality": (martingale._orthogonality, _orthogonality),
+    "energy-decomposition": (martingale._energy_decomposition, _energy_decomposition),
+    "increment-representation": (martingale._increment_representation,
+                                 _increment_representation),
+    "contractions": (martingale._contractions, _contractions),
+}
+
+
+def _agreement_cases():
+    for n in range(1, 9):
+        for seed in range(3):
+            for p in CHECK_BIASES:
+                yield random_g(n, 7000 + 10 * n + seed), p
+    # Boolean inputs, a dictator among them, whose increments vanish exactly
+    for f in (or_all(4), majority(5), dictator(3, 2), dictator(1, 1)):
+        for p in CHECK_BIASES:
+            yield f, p
+
+
+class TestStackedChecksAgreeWithLoops:
+    @pytest.mark.parametrize("label", sorted(LOOP_REFERENCES))
+    def test_same_report_as_the_loop(self, label):
+        stacked, reference = LOOP_REFERENCES[label]
+        for g, p in _agreement_cases():
+            for tol in (1e-12, 0.0):
+                dec = decompose(g, p)
+                got, expected = stacked(g, p, tol, dec), reference(g, p, tol, dec)
+                assert got.label == label
+                # repr also tells -0.0 from 0.0, which == does not
+                assert got == expected and repr(got) == repr(expected), (g.n, p, tol)
+
+    def test_one_coordinate_has_no_pairs(self):
+        rep = check_orthogonality(random_g(1, 3), 0.25)
+        assert rep.context["max_cross"] == 0.0
+        assert rep.context["max_cross_fiber_averaged"] == 0.0
+
+    @pytest.mark.parametrize("label", sorted(LOOP_REFERENCES))
+    def test_public_check_runs_the_stacked_body(self, label):
+        public = {"orthogonality": check_orthogonality,
+                  "energy-decomposition": check_energy_decomposition,
+                  "increment-representation": check_increment_representation,
+                  "contractions": check_contractions}[label]
+        _, reference = LOOP_REFERENCES[label]
+        for n in (2, 5, 8):
+            g = random_g(n, 90 + n)
+            assert repr(public(g, 0.75)) == repr(reference(g, 0.75, 1e-12, decompose(g, 0.75)))

@@ -8,7 +8,15 @@ import pytest
 
 from biascube import bounds, martingale, suites
 from biascube._kernels import pack_tables
-from biascube.measure import CubeFunction, dirichlet_energy, random_cube_function, variance
+from biascube.booleans import random_monotone_function
+from biascube.measure import (
+    CubeFunction,
+    dirichlet_energy,
+    expectation,
+    influences,
+    random_cube_function,
+    variance,
+)
 from biascube.reports import BoundReport, checked
 from biascube.suites import SUITE_NAMES, run_suite
 
@@ -90,9 +98,32 @@ class TestSuiteExtras:
 
 # ---------------------------------------------------------------------------
 # Agreement with the per-function checks. Each reference below walks the
-# suite's own substream one trial at a time through the public checks of
-# bounds and martingale, and must give the suite's JSON byte for byte.
+# suite's own substream one trial at a time through the public functions of
+# measure, bounds and martingale, and must give the suite's JSON byte for
+# byte.
 # ---------------------------------------------------------------------------
+
+
+def _reference_russo(seed, trials, n_max):
+    rng = suites._suite_rng("russo", seed)
+    h = 1e-5
+    failures = []
+    worst = {p: 0.0 for p in suites.CHECK_BIASES}
+    for t in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        f = random_monotone_function(n, rng)
+        for p in suites.CHECK_BIASES:
+            total = float(influences(f, p).sum())
+            fd = (expectation(f, p + h) - expectation(f, p - h)) / (2.0 * h)
+            rel = abs(total - fd) / max(1.0, abs(total))
+            worst[p] = max(worst[p], rel)
+            if rel > 1e-5:
+                failures.append({"trial": t, "n": n, "p": p, "sum_influences": total,
+                                 "fd": fd, "rel": rel})
+    checks = [checked("russo_fd_agreement", worst[p], 1e-5, "le", 0.0, p=p, trials=trials)
+              for p in suites.CHECK_BIASES]
+    return suites._result("russo", {"seed": seed, "trials": trials, "n_max": n_max,
+                                    "fd_step": h}, checks, failures)
 
 
 def _reference_lsi(seed, trials, n_max):
@@ -178,6 +209,7 @@ def _reference_martingale(seed, trials, n_max):
 
 
 REFERENCES = {
+    "russo": _reference_russo,
     "lsi": _reference_lsi,
     "poincare": _reference_poincare,
     "martingale": _reference_martingale,
