@@ -61,7 +61,8 @@ def _fiber_sums(values: np.ndarray, n: int, base_weights: np.ndarray, term) -> n
 # Point x of a table is bit (x & 63) of word (x >> 6), so its weight is
 # popcount(x >> 6) + popcount(x & 63): the popcount of its word index plus
 # its in-word level. Tables shorter than a word are zero-padded, and a padded
-# bit is never set, so it counts nowhere.
+# bit is never set, so it counts nowhere. A table of at most 6 bits is thus a
+# single word at word level 0, whose level counts are its masked popcounts.
 # ---------------------------------------------------------------------------
 
 # bit positions 0..63 of a word, by in-word level (their popcount, 0..6)
@@ -119,8 +120,11 @@ def level_counts(words: np.ndarray, size: int) -> np.ndarray:
     """(..., size) int64: the set bits of 2**m packed words at each level k.
 
     For a packed n-cube table, ``size = n + 1`` counts the points where it
-    is 1.
+    is 1. A table of at most 6 bits is one word (m = 0): its word level is
+    0, so each level is one masked popcount of that word.
     """
+    if words.shape[-1] == 1:
+        return np.bitwise_count(words & _IN_WORD_LEVELS[:size]).astype(np.int64)
     m = words.shape[-1].bit_length() - 1
     order, starts, shift = _word_level_layout(m)
     rows = words.reshape(-1, 1 << m)

@@ -578,6 +578,11 @@ def random_function(n: int, rng: np.random.Generator) -> BooleanFunction:
 
 def random_monotone_function(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Random monotone function: union of up-sets of a few random points."""
+    return BooleanFunction(n, _random_monotone_table(n, rng))
+
+
+def _random_monotone_table(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The 0/1 table ``random_monotone_function`` draws, without the wrapper."""
     _check_arity(n)
     seeds = rng.integers(0, 1 << n, size=int(rng.integers(1, 4)))
-    return BooleanFunction(n, _up_set(n, seeds))
+    return _up_set(n, seeds)

@@ -373,7 +373,9 @@ def log_sobolev_tightness_two_point(p) -> float:
     ys = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 2049))
     near_one = [1.0 - 10.0**-k for k in range(1, 7)]
     near_one += [1.0 + 10.0**-k for k in range(1, 7)]
-    ys = np.unique(np.concatenate([ys, [1.0], near_one]))
+    # sorted and deduplicated as np.unique would, which imports numpy.ma
+    ys = np.sort(np.concatenate([ys, [1.0], near_one]))
+    ys = ys[np.concatenate(([True], ys[1:] != ys[:-1]))]
     ratios = np.array([_two_point_ratio(float(y), pv) for y in ys])
     best = int(ratios.argmax())
     sup = float(ratios[best])

@@ -7,11 +7,18 @@ f minus its mean, are pairwise orthogonal, and their squared norms sum to the
 variance. Each increment also equals the conditional expectation of the j-th
 coordinate centering of f given the first j coordinates; the sign of that
 representation is checked both ways rather than assumed.
+
+The checks read the increments as one (n, 2**n) stack and the function's
+coordinate centerings as another. Elementwise work runs on a whole stack;
+every inner product is one 1-D dot per row (``np.vecdot``), as the loop over
+pairs and coordinates took them, because a stacked matrix product rounds
+differently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +52,26 @@ class MartingaleDecomposition:
     p: float
     base_mean: float
     increments: list[CubeFunction]
+    # the decomposed function's values
+    values: np.ndarray = field(repr=False)
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """(n, 2**n): increment j's values in row j - 1."""
+        return np.stack([inc.values for inc in self.increments])
+
+    @cached_property
+    def centerings(self) -> np.ndarray:
+        """(n, 2**n): the function's j-th coordinate centering in row j - 1."""
+        out = np.empty((self.n, 1 << self.n))
+        for j in range(1, self.n + 1):
+            out[j - 1] = _center(self.values, self.n, self.p, j)
+        return out
 
 
 def decompose(f, p) -> MartingaleDecomposition:
     """All n increments of the coordinate-revealing martingale."""
-    n, _ = _as_values(f)
+    n, v = _as_values(f)
     p = bias_value(p)
     prev = conditional_expectation(f, p, 0)
     base_mean = float(prev.values[0])
@@ -58,7 +80,7 @@ def decompose(f, p) -> MartingaleDecomposition:
         cur = conditional_expectation(f, p, j)
         increments.append(CubeFunction(n, cur.values - prev.values))
         prev = cur
-    return MartingaleDecomposition(n, p, base_mean, increments)
+    return MartingaleDecomposition(n, p, base_mean, increments, v)
 
 
 def _all_checks(f, p, tol: float = 1e-12) -> list[BoundReport]:
@@ -117,23 +139,22 @@ def _telescoping(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
     return checked("telescoping", residual, tol, orientation="le", tol=0.0, n=n)
 
 
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.abs(values).max(initial=0.0))
+
+
 def _orthogonality(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
     n, _ = _as_values(f)
     p = bias_value(p)
     w = weights(n, p)
-    worst_plain = 0.0
+    # every pair j < k of increments, one row of products each
+    j, k = np.triu_indices(n, 1)
+    worst_plain = _max_abs(np.vecdot(dec.stacked[j] * dec.stacked[k], w))
     worst_avg = 0.0
-    averaged = [
-        [_average(inc.values, n, p, i) for inc in dec.increments]
-        for i in range(1, n + 1)
-    ]
-    for j in range(n):
-        for k in range(j + 1, n):
-            cross = abs(float(w @ (dec.increments[j].values * dec.increments[k].values)))
-            worst_plain = max(worst_plain, cross)
-            for i in range(n):
-                cross_avg = abs(float(w @ (averaged[i][j] * averaged[i][k])))
-                worst_avg = max(worst_avg, cross_avg)
+    for i in range(1, n + 1):
+        # every increment averaged over the coordinate-i fibers
+        averaged = _average(dec.stacked, n, p, i)
+        worst_avg = max(worst_avg, _max_abs(np.vecdot(averaged[j] * averaged[k], w)))
     worst = max(worst_plain, worst_avg)
     return checked(
         "orthogonality",
@@ -159,29 +180,26 @@ def _energy_decomposition(f, p, tol: float, dec: MartingaleDecomposition) -> Bou
     n, v = _as_values(f)
     p = bias_value(p)
     w = weights(n, p)
+    # row 0 is the function, rows 1..n its increments
+    rows = np.concatenate((v[None], dec.stacked))
     worst = 0.0
     for i in range(1, n + 1):
-        direct = float(w @ (v * _center(v, n, p, i)))
-        split = sum(
-            float(w @ (inc.values * _center(inc.values, n, p, i)))
-            for inc in dec.increments
-        )
-        worst = max(worst, abs(split - direct))
+        direct, *split = np.vecdot(rows * _center(rows, n, p, i), w).tolist()
+        worst = max(worst, abs(sum(split) - direct))
     return checked("energy-decomposition", worst, tol, orientation="le", tol=0.0, n=n)
 
 
 def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
-    n, v = _as_values(f)
+    n, _ = _as_values(f)
     p = bias_value(p)
-    residual_plus = 0.0
-    residual_minus = 0.0
+    projected = np.empty_like(dec.centerings)
     for j in range(1, n + 1):
-        projected = conditional_expectation(
-            CubeFunction(n, _center(v, n, p, j)), p, j
-        ).values
-        inc = dec.increments[j - 1].values
-        residual_plus = max(residual_plus, float(np.max(np.abs(inc - projected))))
-        residual_minus = max(residual_minus, float(np.max(np.abs(inc + projected))))
+        # ``conditional_expectation`` of the j-th centering, given the first j
+        shape = (1 << (n - j), 1 << j)
+        cond = weights(n - j, p) @ dec.centerings[j - 1].reshape(shape)
+        projected[j - 1].reshape(shape)[...] = cond
+    residual_plus = float(np.abs(dec.stacked - projected).max())
+    residual_minus = float(np.abs(dec.stacked + projected).max())
     best = min(residual_plus, residual_minus)
     if residual_plus <= tol and residual_minus <= tol:
         matched = "both"
@@ -205,16 +223,13 @@ def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) ->
 
 
 def _contractions(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
-    n, v = _as_values(f)
+    n, _ = _as_values(f)
     p = bias_value(p)
     w = weights(n, p)
-    worst = 0.0
-    for j in range(1, n + 1):
-        centered = _center(v, n, p, j)
-        inc = dec.increments[j - 1].values
-        l2_gap = float(w @ (inc**2)) - float(w @ (centered**2))
-        l1_gap = float(w @ np.abs(inc)) - float(w @ np.abs(centered))
-        worst = max(worst, l2_gap, l1_gap)
+    incs, centered = dec.stacked, dec.centerings
+    l2_gaps = np.vecdot(incs**2, w) - np.vecdot(centered**2, w)
+    l1_gaps = np.vecdot(np.abs(incs), w) - np.vecdot(np.abs(centered), w)
+    worst = max(0.0, *l2_gaps.tolist(), *l1_gaps.tolist())
     return checked("contractions", worst, tol, orientation="le", tol=0.0, n=n)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .booleans import BooleanFunction, _binomials, is_monotone, popcounts
+from .booleans import INT64_COUNT_ARITY, BooleanFunction, _binomials, is_monotone, popcounts
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,14 @@ class Bias:
 
 
 def bias_value(p) -> float:
-    """Accept a Bias or bare float, returning the validated float."""
+    """Accept a Bias or bare float, returning the validated float.
+
+    A Python float inside (0, 1) is returned as it is, without building a
+    ``Bias``; every other input (an endpoint, nan, an int, a numpy scalar, a
+    ``Bias``) goes through ``Bias`` and gets its value or its error.
+    """
+    if type(p) is float and 0.0 < p < 1.0:
+        return p
     if isinstance(p, Bias):
         return p.p
     return Bias(p).p
@@ -83,11 +90,23 @@ def _as_values(g) -> tuple[int, np.ndarray]:
     raise TypeError(f"expected a BooleanFunction or CubeFunction, got {type(g).__name__}")
 
 
+def _level_exponents(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 k and m - k, k = 0..m."""
+    k = np.arange(m + 1, dtype=np.float64)
+    rest = m - k
+    k.flags.writeable = rest.flags.writeable = False
+    return k, rest
+
+
+# the exponents of every arity up to the cap, built once
+_LEVEL_EXPONENTS = tuple(_level_exponents(m) for m in range(INT64_COUNT_ARITY + 1))
+
+
 def level_weights(m: int, p) -> np.ndarray:
     """Weight p**k * (1-p)**(m-k) of one point of level k in {0,1}^m, k = 0..m."""
     p = bias_value(p)
-    k = np.arange(m + 1, dtype=np.float64)
-    return p**k * (1.0 - p) ** (m - k)
+    k, rest = _LEVEL_EXPONENTS[m] if 0 <= m <= INT64_COUNT_ARITY else _level_exponents(m)
+    return p**k * (1.0 - p) ** rest
 
 
 def weights(n: int, p) -> np.ndarray:
@@ -167,7 +186,8 @@ def _fiber_split(values: np.ndarray, n: int, i: int):
 
 
 def _fill_fibers(n: int, i: int, lower_vals, upper_vals) -> np.ndarray:
-    out = np.empty(1 << n, dtype=np.float64)
+    # a stack of rows fills a stack of the same depth
+    out = np.empty(np.shape(lower_vals)[:-2] + (1 << n,), dtype=np.float64)
     lower, upper = _kernels._fibers(out, i - 1)
     lower[...] = lower_vals
     upper[...] = upper_vals

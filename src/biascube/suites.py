@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 
 from . import bounds, martingale
-from ._kernels import pack_tables
+from ._kernels import level_counts, pack_tables, pivotal_counts
 from .booleans import (
     ARITY_CAP_ENV,
     FamilySpec,
@@ -22,8 +22,8 @@ from .booleans import (
     build_family,
     family_spec,
     family_symmetry,
+    _random_monotone_table,
     random_function,
-    random_monotone_function,
 )
 from .measure import (
     CubeFunction,
@@ -32,8 +32,7 @@ from .measure import (
     _random_values,
     center_projection_sides,
     dirichlet_energy,
-    expectation,
-    influences,
+    level_weights,
     moment_identity,
     random_cube_function,
     variance,
@@ -68,18 +67,100 @@ def _collect(failures: list[dict], report: BoundReport, **extra) -> None:
         failures.append(record)
 
 
+# Random entries a sweep holds before it evaluates them, over all of its
+# streams (8 MiB of float64 for lsi and poincare, 1 MiB of 0/1 tables for
+# russo). A default run holds far fewer, so it evaluates each arity once (per
+# bias, for lsi and poincare). A larger trials or n_max evaluates whenever
+# this many are held, so its memory stays within one such batch plus one
+# trial.
+_HELD_ENTRIES = 1 << 20
+
+
+def _random_monotone_rows(rng: np.random.Generator, trials: int, n_max: int):
+    """Per trial, an arity n in 2..n_max and the 0/1 table of a random
+    monotone function of that arity."""
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        yield n, (_random_monotone_table(n, rng),)
+
+
+def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
+    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
+    then a lognormal row of the same arity when ``lognormal`` is set."""
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        rows = (_random_values(n, rng),)
+        if lognormal:
+            rows += (_random_values(n, rng, positive=True),)
+        yield n, rows
+
+
+def _by_arity(draws, evaluate):
+    """Yield each trial's arity and result, in trial order.
+
+    ``draws`` yields a trial's arity n and its rows, one per stream; held
+    trials of one arity are stacked per stream and passed as
+    ``evaluate(n, *stacks)``, which returns one result per row. A row's
+    result does not depend on the stack it is in, so where the held rows
+    are flushed does not change any result.
+    """
+    held, entries = [], 0
+    for n, rows in draws:
+        held.append((n, rows))
+        entries += len(rows) << n
+        if entries >= _HELD_ENTRIES:
+            yield from _evaluate_held(held, evaluate)
+            held, entries = [], 0
+    yield from _evaluate_held(held, evaluate)
+
+
+def _evaluate_held(held: list, evaluate) -> list:
+    out = [None] * len(held)
+    for n in {n for n, _ in held}:
+        trials = [t for t, (m, _) in enumerate(held) if m == n]
+        # np.stack would copy a lone trial's rows; a view holds them once
+        stacks = [column[0][None] if len(column) == 1 else np.stack(column)
+                  for column in zip(*(held[t][1] for t in trials))]
+        for t, result in zip(trials, evaluate(n, *stacks)):
+            out[t] = (n, result)
+    return out
+
+
+def _russo_sides(n: int, tables: np.ndarray, h: float) -> list[tuple[list, list]]:
+    """Per table of a (T, 2**n) stack of monotone tables: its summed
+    influences and its central difference of the measure, one per bias of
+    ``CHECK_BIASES``.
+
+    The stack is counted once. Each influence vector is its row's own
+    product with the level weights, as ``influences`` takes it, and each
+    measure its row's own dot, as ``expectation`` takes it.
+    """
+    words = pack_tables(tables)
+    pivotal = pivotal_counts(words, n)
+    level = level_counts(words, n + 1)
+    totals, fds = [], []
+    for p in CHECK_BIASES:
+        totals.append((pivotal @ level_weights(n - 1, p)).sum(axis=-1).tolist())
+        up = np.vecdot(level, level_weights(n, p + h))
+        down = np.vecdot(level, level_weights(n, p - h))
+        fds.append(((up - down) / (2.0 * h)).tolist())
+    return list(zip(zip(*totals), zip(*fds)))
+
+
 def suite_russo(seed: int, trials: int = 200, n_max: int = 10) -> dict:
-    """Summed influences against a central finite difference of the measure."""
+    """Summed influences against a central finite difference of the measure.
+
+    Each trial draws an arity and a random monotone table; held trials of
+    one arity are counted together (``_by_arity``).
+    """
     rng = _suite_rng("russo", seed)
     h = 1e-5
     checks, failures = [], []
     worst = {p: 0.0 for p in CHECK_BIASES}
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        f = random_monotone_function(n, rng)
-        for p in CHECK_BIASES:
-            total = float(influences(f, p).sum())
-            fd = (expectation(f, p + h) - expectation(f, p - h)) / (2.0 * h)
+    draws = _random_monotone_rows(rng, trials, n_max)
+    sweep = _by_arity(draws, lambda n, tables: _russo_sides(n, tables, h))
+    for t, (n, (totals, fds)) in enumerate(sweep):
+        for p, total, fd in zip(CHECK_BIASES, totals, fds):
             rel = abs(total - fd) / max(1.0, abs(total))
             if rel > worst[p]:
                 worst[p] = rel
@@ -146,56 +227,6 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     checks.append(checked("centering_self_adjoint", worst_pair, 1e-12, "le", 0.0, trials=trials))
     checks.append(checked("centering_idempotent", worst_idem, 1e-12, "le", 0.0, trials=trials))
     return _result("adjoint", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
-
-
-# Random entries a sweep holds before it evaluates them, over all of its
-# streams (8 MiB of float64). A default run of lsi or poincare holds far
-# fewer, so it evaluates each arity once per bias. A larger trials or n_max
-# evaluates whenever this many are held, so its memory stays within one
-# such batch plus one trial.
-_HELD_ENTRIES = 1 << 20
-
-
-def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
-    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
-    then a lognormal row of the same arity when ``lognormal`` is set."""
-    for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        rows = (_random_values(n, rng),)
-        if lognormal:
-            rows += (_random_values(n, rng, positive=True),)
-        yield n, rows
-
-
-def _by_arity(draws, evaluate):
-    """Yield each trial's arity and result, in trial order.
-
-    ``draws`` yields a trial's arity n and its rows, one per stream; held
-    trials of one arity are stacked per stream and passed as
-    ``evaluate(n, *stacks)``, which returns one result per row. A row's
-    result does not depend on the stack it is in, so where the held rows
-    are flushed does not change any result.
-    """
-    held, entries = [], 0
-    for n, rows in draws:
-        held.append((n, rows))
-        entries += len(rows) << n
-        if entries >= _HELD_ENTRIES:
-            yield from _evaluate_held(held, evaluate)
-            held, entries = [], 0
-    yield from _evaluate_held(held, evaluate)
-
-
-def _evaluate_held(held: list, evaluate) -> list:
-    out = [None] * len(held)
-    for n in {n for n, _ in held}:
-        trials = [t for t, (m, _) in enumerate(held) if m == n]
-        # np.stack would copy a lone trial's rows; a view holds them once
-        stacks = [column[0][None] if len(column) == 1 else np.stack(column)
-                  for column in zip(*(held[t][1] for t in trials))]
-        for t, result in zip(trials, evaluate(n, *stacks)):
-            out[t] = (n, result)
-    return out
 
 
 def _tally(p: float, t: int, n: int, rep: BoundReport, failures: list[dict]) -> bool:

@@ -104,6 +104,48 @@ class TestLevelCounts:
         assert np.array_equal(level_counts(stacked, n + 1)[0], want)
         assert np.array_equal(level_counts(pack_tables(tables[-1]), n + 1), want[-1])
 
+    @staticmethod
+    def bincounted(tables, n):
+        """Level and pivotal counts of (T, 2**n) 0/1 tables, each an
+        ``np.bincount`` of the Hamming weights of the points that count."""
+        rows = tables.shape[0]
+        weight = popcounts(n).astype(np.int64)
+        t, x = np.nonzero(tables)
+        level = np.bincount(t * (n + 1) + weight[x], minlength=rows * (n + 1))
+        pivotal = np.empty((rows, n, n), dtype=np.int64)
+        for b in range(n):
+            lower = np.flatnonzero((np.arange(1 << n) >> b & 1) == 0)
+            t, j = np.nonzero(tables[:, lower] != tables[:, lower | 1 << b])
+            # a lower point's weight is the weight of its base point
+            pivotal[:, b] = np.bincount(t * n + weight[lower][j],
+                                        minlength=rows * n).reshape(rows, n)
+        return level.reshape(rows, n + 1), pivotal
+
+    def check_against_bincount(self, tables, n):
+        level, pivotal = self.bincounted(tables, n)
+        words = pack_tables(tables)
+        for got, want in ((level_counts(words, n + 1), level), (pivotal_counts(words, n), pivotal)):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+        # a single table keeps its own shape
+        assert np.array_equal(level_counts(words[-1], n + 1), level[-1])
+        assert np.array_equal(pivotal_counts(words[-1], n), pivotal[-1])
+
+    def test_every_four_bit_table_is_one_word(self):
+        codes = np.arange(1 << 16, dtype=np.uint64)
+        tables = ((codes[:, None] >> np.arange(16, dtype=np.uint64)) & 1).astype(np.uint8)
+        assert np.array_equal(pack_tables(tables), codes[:, None])
+        self.check_against_bincount(tables, 4)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 6, 7))
+    def test_seeded_batches_match_bincount(self, n):
+        # n <= 6 is one word a table; n = 7 is two, and keeps the word path
+        rng = np.random.default_rng(500 + n)
+        tables = (rng.random((257, 1 << n)) < 0.45).astype(np.uint8)
+        tables[0], tables[1] = 0, 1
+        assert pack_tables(tables).shape[-1] == (1 if n <= 6 else 2)
+        self.check_against_bincount(tables, n)
+
     def test_batch_peak_memory(self):
         # thm42's 1000 tables at n = 12: expanding all of their words seven
         # times at once peaked at 4.2 MiB

@@ -108,6 +108,42 @@ class TestWeights:
         assert bias_value(Bias(0.3)) == 0.3
         assert bias_value(0.3) == 0.3
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.0, math.nan, math.inf, -math.inf, 1.5, True, 1,
+                                   np.float64(0.3), np.float32(0.3), Bias(0.25), 0.3,
+                                   5e-324, 1.0 - 2.0**-53], ids=repr)
+    def test_bias_value_is_the_bias_value(self, p):
+        # a Python float inside (0, 1) skips the Bias; nothing else may
+        # notice: the same value and type, or the same error
+        try:
+            expected = p.p if isinstance(p, Bias) else Bias(p).p
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                bias_value(p)
+            assert str(raised.value) == str(error)
+        else:
+            got = bias_value(p)
+            assert type(got) is type(expected) is float
+            assert got == expected
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-12])
+    def test_level_weights_are_the_closed_form_bit_for_bit(self, p):
+        # past the arity cap (61) the exponents are made per call
+        for m in (*range(62), 62, 100):
+            k = np.arange(m + 1, dtype=np.float64)
+            want = p**k * (1 - p) ** (m - k)
+            got = level_weights(m, p)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), m
+
+    def test_level_exponents_cannot_be_written(self):
+        for m, (k, rest) in enumerate(measure._LEVEL_EXPONENTS):
+            assert np.array_equal(k + rest, np.full(m + 1, m))
+            for vector in (k, rest):
+                with pytest.raises(ValueError):
+                    vector[0] = 1.0
+        # weights handed out are the caller's to write
+        level_weights(5, 0.3)[0] = 2.0
+        assert measure._LEVEL_EXPONENTS[5][0][0] == 0.0
+
 
 class TestExpectation:
     @pytest.mark.parametrize("p", BIASES)

@@ -1,6 +1,9 @@
 """Every named suite runs green at reduced sizes and is bit-reproducible."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from biascube import bounds, martingale, suites
 from biascube._kernels import pack_tables
-from biascube.booleans import random_monotone_function
+from biascube.booleans import BooleanFunction, random_monotone_function
 from biascube.measure import (
     CubeFunction,
     dirichlet_energy,
@@ -225,13 +228,33 @@ class TestAgreementWithPerFunctionChecks:
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+class TestRussoSides:
+    def test_each_row_is_its_functions_influences_and_measures(self):
+        # past the suite's n_max, and up to 12 (four words a table), every
+        # summed influence and difference quotient of a counted batch is the
+        # per-function value bit for bit
+        h = 1e-5
+        for n in range(2, 13):
+            rng = np.random.default_rng(300 + n)
+            tables = np.stack([random_monotone_function(n, rng).table for _ in range(40)])
+            sides = suites._russo_sides(n, tables, h)
+            assert len(sides) == len(tables)
+            for table, (totals, fds) in zip(tables, sides):
+                f = BooleanFunction(n, table)
+                for p, total, fd in zip(suites.CHECK_BIASES, totals, fds):
+                    assert type(total) is float and type(fd) is float
+                    assert repr(total) == repr(float(influences(f, p).sum())), (n, p)
+                    want = (expectation(f, p + h) - expectation(f, p - h)) / (2.0 * h)
+                    assert repr(fd) == repr(want), (n, p)
+
+
 class TestHeldRowsBounded:
-    """lsi and poincare evaluate their random rows in batches of bounded
-    size, and where a batch ends changes no byte of their output."""
+    """russo, lsi and poincare evaluate their random rows in batches of
+    bounded size, and where a batch ends changes no byte of their output."""
 
     @pytest.mark.parametrize("held", (1, 64))
     @pytest.mark.parametrize("seed", (0, 1))
-    @pytest.mark.parametrize("name", ("lsi", "poincare"))
+    @pytest.mark.parametrize("name", ("lsi", "poincare", "russo"))
     def test_batch_boundaries_leave_output_unchanged(self, monkeypatch, name, seed, held):
         expected = json.dumps(run_tiny(name, seed=seed), sort_keys=True)
         monkeypatch.setattr(suites, "_HELD_ENTRIES", held)
@@ -313,6 +336,19 @@ class TestBoundedBatchScans:
         tables = ((codes[:, None] >> np.arange(16)) & 1).astype(np.uint8)
         [words] = scanned
         assert np.array_equal(words, pack_tables(tables))
+
+    def test_suites_leave_numpy_ma_unimported(self):
+        # importing numpy.ma (np.unique does, on first call) took about 12 ms,
+        # a cost every verify process paid once
+        code = ("import sys\n"
+                "from biascube.suites import SUITE_NAMES, run_suite\n"
+                "for name in SUITE_NAMES:\n"
+                "    run_suite(name, **TINY[name])\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run([sys.executable, "-c", f"TINY = {TINY!r}\n{code}"],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("name", ("thm42", "sn-claims", "exhaustive-n4"))
     def test_default_run_peak_memory(self, name):
