@@ -4,7 +4,8 @@ A Boolean truth table is counted, not swept: ``pack_tables`` packs it into
 uint64 words, and ``level_counts`` and ``pivotal_counts`` turn those words
 into the integers that carry all of a Boolean function's dependence on the
 bias (points of f by Hamming weight, and pivotal base points of each
-coordinate by weight). ``_fiber_sums`` is the one weighted sweep over
+coordinate by weight); a table of at most 6 bits is a single word, counted
+with one masked popcount per level. ``_fiber_sums`` is the one weighted sweep over
 coordinate fibers of a real-valued table, or of a stack of them reduced one
 row at a time: the Russo derivative and the Dirichlet energy of a real
 function run on it. ``connected_batch`` decides graph connectivity for a

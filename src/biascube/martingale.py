@@ -39,11 +39,16 @@ def conditional_expectation(g, p, j: int) -> CubeFunction:
     n, v = _as_values(g)
     if not 0 <= j <= n:
         raise ValueError(f"prefix length {j} out of range for arity {n}")
-    p = bias_value(p)
-    tail_weights = weights(n - j, p)
-    r = v.reshape(1 << (n - j), 1 << j)
-    cond = tail_weights @ r
-    return CubeFunction(n, np.tile(cond, 1 << (n - j)))
+    out = np.empty(1 << n)
+    _condition(v, n, bias_value(p), j, out)
+    return CubeFunction(n, out)
+
+
+def _condition(values: np.ndarray, n: int, p: float, j: int, out: np.ndarray) -> None:
+    """Write the average of ``values`` over coordinates j+1..n into ``out``,
+    a contiguous row of 2**n, repeated over those coordinates."""
+    shape = (1 << (n - j), 1 << j)
+    out.reshape(shape)[...] = weights(n - j, p) @ values.reshape(shape)
 
 
 @dataclass(eq=False)
@@ -51,14 +56,15 @@ class MartingaleDecomposition:
     n: int
     p: float
     base_mean: float
-    increments: list[CubeFunction]
+    # (n, 2**n): increment j's values in row j - 1
+    stacked: np.ndarray
     # the decomposed function's values
     values: np.ndarray = field(repr=False)
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """(n, 2**n): increment j's values in row j - 1."""
-        return np.stack([inc.values for inc in self.increments])
+    def increments(self) -> list[CubeFunction]:
+        """Increment j in position j - 1, viewing its row of ``stacked``."""
+        return [CubeFunction(self.n, row) for row in self.stacked]
 
     @cached_property
     def centerings(self) -> np.ndarray:
@@ -73,14 +79,14 @@ def decompose(f, p) -> MartingaleDecomposition:
     """All n increments of the coordinate-revealing martingale."""
     n, v = _as_values(f)
     p = bias_value(p)
-    prev = conditional_expectation(f, p, 0)
-    base_mean = float(prev.values[0])
-    increments = []
-    for j in range(1, n + 1):
-        cur = conditional_expectation(f, p, j)
-        increments.append(CubeFunction(n, cur.values - prev.values))
-        prev = cur
-    return MartingaleDecomposition(n, p, base_mean, increments, v)
+    # row j: the conditional expectation given the first j coordinates
+    cond = np.empty((n + 1, 1 << n))
+    for j in range(n + 1):
+        _condition(v, n, p, j, cond[j])
+    increments = cond[1:] - cond[:-1]
+    if not np.isfinite(increments).all():
+        raise ValueError("values must be finite")
+    return MartingaleDecomposition(n, p, float(cond[0, 0]), increments, v)
 
 
 def _all_checks(f, p, tol: float = 1e-12) -> list[BoundReport]:
@@ -133,8 +139,8 @@ def check_contractions(f, p, tol: float = 1e-12) -> BoundReport:
 def _telescoping(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
     n, v = _as_values(f)
     total = np.zeros_like(v) + dec.base_mean
-    for inc in dec.increments:
-        total += inc.values
+    for inc in dec.stacked:
+        total += inc
     residual = float(np.max(np.abs(total - v)))
     return checked("telescoping", residual, tol, orientation="le", tol=0.0, n=n)
 
@@ -172,7 +178,7 @@ def _pythagoras(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
     n, _ = _as_values(f)
     p = bias_value(p)
     w = weights(n, p)
-    total = sum(float(w @ (inc.values**2)) for inc in dec.increments)
+    total = sum(np.vecdot(dec.stacked**2, w).tolist())
     return checked("pythagoras", total, variance(f, p), orientation="eq", tol=tol, n=n)
 
 
@@ -194,10 +200,8 @@ def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) ->
     p = bias_value(p)
     projected = np.empty_like(dec.centerings)
     for j in range(1, n + 1):
-        # ``conditional_expectation`` of the j-th centering, given the first j
-        shape = (1 << (n - j), 1 << j)
-        cond = weights(n - j, p) @ dec.centerings[j - 1].reshape(shape)
-        projected[j - 1].reshape(shape)[...] = cond
+        # the j-th centering given the first j coordinates
+        _condition(dec.centerings[j - 1], n, p, j, projected[j - 1])
     residual_plus = float(np.abs(dec.stacked - projected).max())
     residual_minus = float(np.abs(dec.stacked + projected).max())
     best = min(residual_plus, residual_minus)

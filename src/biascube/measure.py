@@ -14,6 +14,11 @@ Two first-order operators act along a coordinate i:
 The Dirichlet energy is the sum over coordinates of the integrated squared
 centering operator.
 
+Per-point weights come from ``level_weights``, which reads k and m - k from
+read-only exponent vectors built once per arity, so a call is two powers and
+a product. ``bias_value`` takes a Python float inside (0, 1) as it is; any
+other bias goes through ``Bias``, which validates it.
+
 A Boolean function's measure is a polynomial in p with integer coefficients,
 its level counts a_k (``BooleanFunction.level_counts``). Its expectation,
 variance, entropy and Russo derivative are therefore read off those n+1
@@ -302,7 +307,8 @@ def _energies(values: np.ndarray, n: int, p: float) -> list[float]:
     # A fiber's centering is -p and 1-p times its gradient at points weighing
     # 1-p and p times the base weight: p(1-p) times the squared gradient.
     sums = _kernels._fiber_sums(values, n, weights(n - 1, p), _squared_difference)
-    return [p * (1.0 - p) * float(row.sum()) for row in sums]
+    # a sum along the last, contiguous axis adds each row as its own 1-D sum
+    return (p * (1.0 - p) * sums.sum(axis=-1)).tolist()
 
 
 def moment_identity(f, p, i: int, alpha: float) -> tuple[float, float]:

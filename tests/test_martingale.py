@@ -164,6 +164,14 @@ def _orthogonality(f, p, tol: float, dec: MartingaleDecomposition) -> BoundRepor
     )
 
 
+def _pythagoras(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
+    n, _ = _as_values(f)
+    p = bias_value(p)
+    w = weights(n, p)
+    total = sum(float(w @ (inc.values**2)) for inc in dec.increments)
+    return checked("pythagoras", total, variance(f, p), orientation="eq", tol=tol, n=n)
+
+
 def _energy_decomposition(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport:
     n, v = _as_values(f)
     p = bias_value(p)
@@ -227,8 +235,14 @@ def _contractions(f, p, tol: float, dec: MartingaleDecomposition) -> BoundReport
     return checked("contractions", worst, tol, orientation="le", tol=0.0, n=n)
 
 
+def _conditional(v, n, p, j):
+    """The tiled per-prefix product ``decompose`` once built each row from."""
+    return np.tile(weights(n - j, p) @ v.reshape(1 << (n - j), 1 << j), 1 << (n - j))
+
+
 LOOP_REFERENCES = {
     "orthogonality": (martingale._orthogonality, _orthogonality),
+    "pythagoras": (martingale._pythagoras, _pythagoras),
     "energy-decomposition": (martingale._energy_decomposition, _energy_decomposition),
     "increment-representation": (martingale._increment_representation,
                                  _increment_representation),
@@ -259,6 +273,25 @@ class TestStackedChecksAgreeWithLoops:
                 # repr also tells -0.0 from 0.0, which == does not
                 assert got == expected and repr(got) == repr(expected), (g.n, p, tol)
 
+    def test_decomposition_is_the_per_prefix_loop(self):
+        for g, p in _agreement_cases():
+            n, v = _as_values(g)
+            dec = decompose(g, p)
+            conds = [_conditional(v, n, p, j) for j in range(n + 1)]
+            assert dec.base_mean == float(conds[0][0])
+            assert dec.stacked.shape == (n, 1 << n)
+            for j in range(1, n + 1):
+                assert dec.stacked[j - 1].tobytes() == (conds[j] - conds[j - 1]).tobytes()
+                assert dec.increments[j - 1].values.tobytes() == dec.stacked[j - 1].tobytes()
+            for j in range(n + 1):
+                assert conditional_expectation(g, p, j).values.tobytes() == conds[j].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_increment_that_overflows_is_refused(self):
+        # 0.1 * -1.7e308 + 0.9 * 1.7e308 is finite; -1.7e308 minus it is not
+        with pytest.raises(ValueError, match="values must be finite"):
+            decompose(CubeFunction(1, np.array([-1.7e308, 1.7e308])), 0.9)
+
     def test_one_coordinate_has_no_pairs(self):
         rep = check_orthogonality(random_g(1, 3), 0.25)
         assert rep.context["max_cross"] == 0.0
@@ -267,6 +300,7 @@ class TestStackedChecksAgreeWithLoops:
     @pytest.mark.parametrize("label", sorted(LOOP_REFERENCES))
     def test_public_check_runs_the_stacked_body(self, label):
         public = {"orthogonality": check_orthogonality,
+                  "pythagoras": check_pythagoras,
                   "energy-decomposition": check_energy_decomposition,
                   "increment-representation": check_increment_representation,
                   "contractions": check_contractions}[label]

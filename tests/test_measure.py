@@ -549,6 +549,15 @@ class TestBatchedFormsRowIndependent:
                 assert variances[t] == variance(g, p)
                 assert entropies[t] == entropy(CubeFunction(n, positive[t]), p)
 
+    @pytest.mark.parametrize("n", (9, 12, 15))
+    def test_energy_rows_past_eight_coordinates(self, n):
+        # rows of n >= 8 fiber sums are added pairwise, as one row alone is
+        values, _ = self.stacks(n, 33)
+        for p in (0.1, 0.5):
+            energies = measure._energies(values, n, p)
+            for t in range(33):
+                assert energies[t] == scalar_energy(values[t], n, p)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_fiber_sums_are_per_row_dots(self, n):
         rng = np.random.default_rng(n)
