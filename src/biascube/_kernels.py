@@ -5,10 +5,10 @@ uint64 words, and ``level_counts`` and ``pivotal_counts`` turn those words
 into the integers that carry all of a Boolean function's dependence on the
 bias (points of f by Hamming weight, and pivotal base points of each
 coordinate by weight); a table of at most 6 bits is a single word, counted
-with one masked popcount per level. ``_fiber_sums`` is the one weighted sweep over
-coordinate fibers of a real-valued table, or of a stack of them reduced one
-row at a time: the Russo derivative and the Dirichlet energy of a real
-function run on it. ``connected_batch`` decides graph connectivity for a
+with one masked popcount per level. ``_fiber_sums`` is the one weighted
+sweep over coordinate fibers of a real-valued table, or of a stack of them
+reduced one row at a time: the Russo derivative and the Dirichlet energy of
+a real function run on it. ``connected_batch`` decides graph connectivity for a
 batch of sampled edge sets with a breadth-first search on packed sample
 lanes: 64 samples share each uint64 word, every edge is a column of words,
 and one word operation advances the search in 64 samples at once. Each

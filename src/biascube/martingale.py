@@ -8,11 +8,11 @@ variance. Each increment also equals the conditional expectation of the j-th
 coordinate centering of f given the first j coordinates; the sign of that
 representation is checked both ways rather than assumed.
 
-The checks read the increments as one (n, 2**n) stack and the function's
-coordinate centerings as another. Elementwise work runs on a whole stack;
-every inner product is one 1-D dot per row (``np.vecdot``), as the loop over
-pairs and coordinates took them, because a stacked matrix product rounds
-differently.
+The decomposition holds the increments as one (n, 2**n) stack, and the
+function's coordinate centerings as another. The checks run elementwise work
+on a whole stack and take each weighted inner product as one 1-D dot per row
+(``np.vecdot``), as a loop over pairs and coordinates would, because a
+stacked matrix product rounds differently.
 """
 
 from __future__ import annotations
