@@ -67,65 +67,6 @@ def _collect(failures: list[dict], report: BoundReport, **extra) -> None:
         failures.append(record)
 
 
-# Random entries a sweep holds before it evaluates them, over all of its
-# streams (8 MiB of float64 for lsi and poincare, 1 MiB of 0/1 tables for
-# russo). A default run holds far fewer, so it evaluates each arity once (per
-# bias, for lsi and poincare). A larger trials or n_max evaluates whenever
-# this many are held, so its memory stays within one such batch plus one
-# trial.
-_HELD_ENTRIES = 1 << 20
-
-
-def _random_monotone_rows(rng: np.random.Generator, trials: int, n_max: int):
-    """Per trial, an arity n in 2..n_max and the 0/1 table of a random
-    monotone function of that arity."""
-    for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        yield n, (_random_monotone_table(n, rng),)
-
-
-def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
-    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
-    then a lognormal row of the same arity when ``lognormal`` is set."""
-    for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        rows = (_random_values(n, rng),)
-        if lognormal:
-            rows += (_random_values(n, rng, positive=True),)
-        yield n, rows
-
-
-def _by_arity(draws, evaluate):
-    """Yield each trial's arity and result, in trial order.
-
-    ``draws`` yields a trial's arity n and its rows, one per stream; held
-    trials of one arity are stacked per stream and passed as
-    ``evaluate(n, *stacks)``, which returns one result per row. A row's
-    result does not depend on the stack it is in, so where the held rows
-    are flushed does not change any result.
-    """
-    held, entries = [], 0
-    for n, rows in draws:
-        held.append((n, rows))
-        entries += len(rows) << n
-        if entries >= _HELD_ENTRIES:
-            yield from _evaluate_held(held, evaluate)
-            held, entries = [], 0
-    yield from _evaluate_held(held, evaluate)
-
-
-def _evaluate_held(held: list, evaluate) -> list:
-    out = [None] * len(held)
-    for n in {n for n, _ in held}:
-        trials = [t for t, (m, _) in enumerate(held) if m == n]
-        # np.stack would copy a lone trial's rows; a view holds them once
-        stacks = [column[0][None] if len(column) == 1 else np.stack(column)
-                  for column in zip(*(held[t][1] for t in trials))]
-        for t, result in zip(trials, evaluate(n, *stacks)):
-            out[t] = (n, result)
-    return out
-
-
 def _russo_sides(n: int, tables: np.ndarray, h: float) -> list[tuple[list, list]]:
     """Per table of a (T, 2**n) stack of monotone tables: its summed
     influences and its central difference of the measure, one per bias of
@@ -227,6 +168,65 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     checks.append(checked("centering_self_adjoint", worst_pair, 1e-12, "le", 0.0, trials=trials))
     checks.append(checked("centering_idempotent", worst_idem, 1e-12, "le", 0.0, trials=trials))
     return _result("adjoint", {"seed": seed, "trials": trials, "n_max": n_max}, checks, failures)
+
+
+# Random entries a sweep holds before it evaluates them, over all of its
+# streams (8 MiB of float64 for lsi and poincare, 1 MiB of 0/1 tables for
+# russo). A default run holds far fewer, so it evaluates each arity once (per
+# bias, for lsi and poincare). A larger trials or n_max evaluates whenever
+# this many are held, so its memory stays within one such batch plus one
+# trial.
+_HELD_ENTRIES = 1 << 20
+
+
+def _random_monotone_rows(rng: np.random.Generator, trials: int, n_max: int):
+    """Per trial, an arity n in 2..n_max and the 0/1 table of a random
+    monotone function of that arity."""
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        yield n, (_random_monotone_table(n, rng),)
+
+
+def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
+    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
+    then a lognormal row of the same arity when ``lognormal`` is set."""
+    for _ in range(trials):
+        n = int(rng.integers(2, n_max + 1))
+        rows = (_random_values(n, rng),)
+        if lognormal:
+            rows += (_random_values(n, rng, positive=True),)
+        yield n, rows
+
+
+def _by_arity(draws, evaluate):
+    """Yield each trial's arity and result, in trial order.
+
+    ``draws`` yields a trial's arity n and its rows, one per stream; held
+    trials of one arity are stacked per stream and passed as
+    ``evaluate(n, *stacks)``, which returns one result per row. A row's
+    result does not depend on the stack it is in, so where the held rows
+    are flushed does not change any result.
+    """
+    held, entries = [], 0
+    for n, rows in draws:
+        held.append((n, rows))
+        entries += len(rows) << n
+        if entries >= _HELD_ENTRIES:
+            yield from _evaluate_held(held, evaluate)
+            held, entries = [], 0
+    yield from _evaluate_held(held, evaluate)
+
+
+def _evaluate_held(held: list, evaluate) -> list:
+    out = [None] * len(held)
+    for n in {n for n, _ in held}:
+        trials = [t for t, (m, _) in enumerate(held) if m == n]
+        # np.stack would copy a lone trial's rows; a view holds them once
+        stacks = [column[0][None] if len(column) == 1 else np.stack(column)
+                  for column in zip(*(held[t][1] for t in trials))]
+        for t, result in zip(trials, evaluate(n, *stacks)):
+            out[t] = (n, result)
+    return out
 
 
 def _tally(p: float, t: int, n: int, rep: BoundReport, failures: list[dict]) -> bool:
