@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from biascube.booleans import (
     BooleanFunction,
     and_all,
+    build_family,
     family_spec,
     or_all,
     parity,
     tribes,
 )
+from biascube.measure import expectation
 from biascube.threshold import (
     MuCurve,
     bias_at_level,
@@ -69,6 +71,18 @@ class TestSetMeasure:
     def test_non_monotone_allowed(self):
         # measure is defined for any set; only inversion needs monotonicity
         assert math.isclose(set_measure(parity(3), 0.5), 0.5, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        family_spec("majority", n=7),
+        family_spec("parity", n=6),
+        family_spec("cyclic_run", n=7, len=3),
+    ], ids=lambda s: s.to_string())
+    def test_spec_without_closed_form_is_the_built_function(self, spec):
+        # a spec whose kind has no closed form is measured off the built
+        # function, parity included, though it has no monotone curve
+        f = build_family(spec)
+        for p in (0.05, 0.3, 0.5, 0.77, 0.95):
+            assert set_measure(spec, p) == expectation(f, p)
 
 
 class TestBisection:
