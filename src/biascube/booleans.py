@@ -13,6 +13,10 @@ functions are unions of up-sets, all built by ``_up_set``. The fully
 symmetric families (or, and, majority, parity) and the dictator get their
 counts from an exact rule and build their table only when it is read.
 
+All the package knows about a family kind is one ``_Kind`` record in the
+``_KINDS`` table: ``FamilySpec``, ``build_family``, ``family_symmetry``,
+``mc.family_oracle`` and ``threshold.family_curve`` look the kind up there.
+
 Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
 table of 16 Mi entries); larger instances go through the closed-form or
 Monte Carlo paths instead. Every constructor checks the cap before it
@@ -26,6 +30,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -37,21 +42,6 @@ ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
 # derivative counts (k+1) a_{k+1} made from them, fit in int64. Only a
 # rule-backed family gets near it: a table that large cannot be allocated.
 INT64_COUNT_ARITY = 61
-
-# family name -> its integer parameters, in serialization order
-_FAMILY_PARAM_ORDER = {
-    "dictator": ("n", "i"),
-    "and_all": ("n",),
-    "or_all": ("n",),
-    "majority": ("n",),
-    "parity": ("n",),
-    "tribes": ("k", "m"),
-    "cyclic_run": ("n", "len"),
-}
-FAMILY_NAMES = tuple(_FAMILY_PARAM_ORDER)
-
-_FAMILY_ALIASES = {"or": "or_all", "and": "and_all"}
-
 
 def arity_cap() -> int:
     """Largest arity admitted for dense truth tables, at most
@@ -222,6 +212,28 @@ class BooleanFunction:
         counts.flags.writeable = False
         return counts
 
+    @cached_property
+    def complement_counts(self) -> np.ndarray:
+        """Read-only int64 ``C(n, k) - a_k``, the 0-set's level counts."""
+        counts = _binomials(self.n) - self.level_counts
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def derivative_counts(self) -> np.ndarray:
+        """Read-only int64 ``c_k = (k+1) a_{k+1} - (n-k) a_k``, k = 0..n-1:
+        the Russo derivative is ``sum_k c_k p**k (1-p)**(n-1-k)``.
+
+        Every c_k is nonnegative for an up-set: each of the a_k points of
+        level k has n-k upper neighbours, all in the set, and each point of
+        level k+1 has only k+1 lower neighbours.
+        """
+        a, n = self.level_counts, self.n
+        k = np.arange(n, dtype=np.int64)
+        counts = (k + 1) * a[1:] - (n - k) * a[:-1]
+        counts.flags.writeable = False
+        return counts
+
     def to_table_string(self) -> str:
         value = int.from_bytes(self._words.tobytes(), "little")
         return f"n={self.n}:hex={value:X}"
@@ -285,13 +297,16 @@ def _binomials(m: int) -> np.ndarray:
     return out
 
 
-def _symmetric(n: int, values: list[int]) -> BooleanFunction:
-    """The function worth ``values[k]`` at every point of weight k.
+def _symmetric(kind: str, n: int, value) -> BooleanFunction:
+    """The family ``kind`` at arity n: worth v_k = ``value(k)`` at every
+    point of weight k.
 
     a_k = C(n, k) v_k, and each coordinate is pivotal at the C(n-1, k) base
     points of level k exactly when v_k != v_{k+1}.
     """
-    v = np.array(values, dtype=np.uint8)
+    family_spec(kind, n=n)
+    _check_arity(n)
+    v = np.array([value(k) for k in range(n + 1)], dtype=np.uint8)
     pivotal = _binomials(n - 1) * (v[:-1] != v[1:])
     return BooleanFunction._from_rule(
         n, _binomials(n) * v, np.tile(pivotal, (n, 1)), bool((v[:-1] <= v[1:]).all()),
@@ -313,27 +328,19 @@ def dictator(n: int, i: int) -> BooleanFunction:
 
 
 def and_all(n: int) -> BooleanFunction:
-    family_spec("and_all", n=n)
-    _check_arity(n)
-    return _symmetric(n, [0] * n + [1])
+    return _symmetric("and_all", n, lambda k: k == n)
 
 
 def or_all(n: int) -> BooleanFunction:
-    family_spec("or_all", n=n)
-    _check_arity(n)
-    return _symmetric(n, [0] + [1] * n)
+    return _symmetric("or_all", n, lambda k: k > 0)
 
 
 def majority(n: int) -> BooleanFunction:
-    family_spec("majority", n=n)
-    _check_arity(n)
-    return _symmetric(n, [int(k >= (n + 1) // 2) for k in range(n + 1)])
+    return _symmetric("majority", n, lambda k: k >= (n + 1) // 2)
 
 
 def parity(n: int) -> BooleanFunction:
-    family_spec("parity", n=n)
-    _check_arity(n)
-    return _symmetric(n, [k % 2 for k in range(n + 1)])
+    return _symmetric("parity", n, lambda k: k % 2)
 
 
 def _up_set(n: int, masks) -> np.ndarray:
@@ -352,8 +359,7 @@ def _up_set(n: int, masks) -> np.ndarray:
 
 def tribes(k: int, m: int) -> BooleanFunction:
     """OR of m disjoint ANDs over consecutive blocks of k coordinates."""
-    family_spec("tribes", k=k, m=m)
-    n = k * m
+    n = family_spec("tribes", k=k, m=m).arity
     _check_arity(n)
     return BooleanFunction(n, _up_set(n, [((1 << k) - 1) << (t * k) for t in range(m)]))
 
@@ -445,8 +451,103 @@ def is_invariant_and_transitive(f: BooleanFunction, gens: PermutationGenerators)
 
 
 # ---------------------------------------------------------------------------
-# family specs (symbolic descriptions; usable above the dense-table cap)
+# family kinds (one record each, in one table) and family specs, symbolic
+# descriptions usable above the dense-table cap
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """All the package knows about one family kind. Every callable takes
+    the kind's parameter values in ``params`` order, then its own argument
+    if it has one, so ``functools.partial`` binds an instance."""
+
+    params: tuple[str, ...]  # names, in serialization order
+    build: Callable[..., BooleanFunction]  # the public constructor's call
+    symmetry: Callable[..., tuple]  # family_symmetry's evidence
+    predicate: Callable[..., np.ndarray]  # (*values, 0/1 batch): truth per row
+    rule: tuple[Callable[..., bool], str] | None = None  # value rule, its message
+    arity: Callable[..., int] = lambda n, *_: n
+    monotone: bool = True  # monotone by construction at any arity
+    mu: Callable[..., float] | None = None  # closed form, (*values, p)
+    derivative: Callable[..., float] | None = None  # with mu, or neither
+
+
+def _full_symmetry(*_):
+    return "full", None
+
+
+def _cyclic_symmetry(n: int, length: int):
+    shift = tuple(i % n + 1 for i in range(1, n + 1))
+    return "generators", PermutationGenerators(n, (shift,))
+
+
+def _tribes_symmetry(k: int, m: int):
+    """A cycle inside the first block and a block rotation: together they act
+    transitively on the coordinates and leave tribes invariant."""
+    n = k * m
+    if n == 1:
+        return "full", None
+    cycle = tuple((i % k + 1) if i <= k else i for i in range(1, n + 1))
+    rotation = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
+    return "generators", PermutationGenerators(n, (cycle,) * (k > 1) + (rotation,) * (m > 1))
+
+
+def _has_cyclic_run(n: int, length: int, b: np.ndarray) -> np.ndarray:
+    ext = np.concatenate([b, b[:, : length - 1]], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
+    return windows.all(axis=2).any(axis=1)
+
+
+# Builders look the constructor up when called, so a wrapper put on its
+# module name (``perfbench/tracer.py``'s) sees every build.
+_KINDS = {
+    "dictator": _Kind(
+        ("n", "i"), build=lambda n, i: dictator(n, i), symmetry=lambda n, i: (None, None),
+        predicate=lambda n, i, b: b[:, i - 1] != 0,
+        rule=(lambda n, i: 1 <= i <= n, "coordinate {i} out of range for arity {n}"),
+        mu=lambda n, i, p: p, derivative=lambda n, i, p: 1.0,
+    ),
+    "and_all": _Kind(
+        ("n",), build=lambda n: and_all(n), symmetry=_full_symmetry,
+        predicate=lambda n, b: b.all(axis=1),
+        mu=lambda n, p: math.exp(n * math.log(p)),
+        derivative=lambda n, p: n * math.exp((n - 1) * math.log(p)),
+    ),
+    "or_all": _Kind(
+        ("n",), build=lambda n: or_all(n), symmetry=_full_symmetry,
+        predicate=lambda n, b: b.any(axis=1),
+        mu=lambda n, p: -math.expm1(n * math.log1p(-p)),
+        derivative=lambda n, p: n * math.exp((n - 1) * math.log1p(-p)),
+    ),
+    "majority": _Kind(
+        ("n",), build=lambda n: majority(n), symmetry=_full_symmetry,
+        predicate=lambda n, b: b.sum(axis=1, dtype=np.int64) > n // 2,
+        rule=(lambda n: n % 2 == 1, "majority requires odd arity"),
+    ),
+    "parity": _Kind(
+        ("n",), build=lambda n: parity(n), symmetry=_full_symmetry,
+        predicate=lambda n, b: (b.sum(axis=1, dtype=np.int64) & 1) != 0,
+        monotone=False,
+    ),
+    "tribes": _Kind(
+        ("k", "m"), build=lambda k, m: tribes(k, m), symmetry=_tribes_symmetry,
+        predicate=lambda k, m, b: b.reshape(b.shape[0], m, k).all(axis=2).any(axis=1),
+        rule=(lambda k, m: k >= 1 and m >= 1, "tribes requires k >= 1 and m >= 1"),
+        arity=lambda k, m: k * m,
+        mu=lambda k, m, p: -math.expm1(m * math.log1p(-math.exp(k * math.log(p)))),
+        derivative=lambda k, m, p: (m * math.exp((m - 1) * math.log1p(-math.exp(k * math.log(p))))
+                                    * k * math.exp((k - 1) * math.log(p))),
+    ),
+    "cyclic_run": _Kind(
+        ("n", "len"), build=lambda n, length: cyclic_run(n, length), symmetry=_cyclic_symmetry,
+        predicate=_has_cyclic_run,
+        rule=(lambda n, length: 1 <= length <= n, "run length must satisfy 1 <= length <= n"),
+    ),
+}
+FAMILY_NAMES = tuple(_KINDS)
+
+_FAMILY_ALIASES = {"or": "or_all", "and": "and_all"}
 
 
 @dataclass(frozen=True)
@@ -457,37 +558,37 @@ class FamilySpec:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        # value rules live here, so every path (dense, closed form, sampled) keeps them
-        if self.kind not in FAMILY_NAMES:
+        # names and value rules are checked here, so every path (dense,
+        # closed form, sampled) keeps them
+        record = _KINDS.get(self.kind)
+        if record is None:
             raise ValueError(f"unknown family {self.kind!r}")
-        params = dict(self.params)
-        if self.kind == "dictator" and not 1 <= params["i"] <= params["n"]:
-            raise ValueError(f"coordinate {params['i']} out of range for arity {params['n']}")
-        if self.kind == "majority" and params["n"] % 2 == 0:
-            raise ValueError("majority requires odd arity")
-        if self.kind == "tribes" and (params["k"] < 1 or params["m"] < 1):
-            raise ValueError("tribes requires k >= 1 and m >= 1")
-        if self.kind == "cyclic_run" and not 1 <= params["len"] <= params["n"]:
-            raise ValueError("run length must satisfy 1 <= length <= n")
+        names = tuple(k for k, _ in self.params)
+        if names != record.params:
+            raise ValueError(f"family {self.kind!r} takes parameters {record.params}, got {names}")
+        if record.rule is not None:
+            holds, message = record.rule
+            if not holds(*self._values):
+                raise ValueError(message.format(**dict(self.params)))
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
-    def param(self, key: str) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+    @property
+    def _record(self) -> _Kind:
+        return _KINDS[self.kind]
+
+    @property
+    def _values(self) -> tuple[int, ...]:
+        return tuple(v for _, v in self.params)
 
     @property
     def monotone(self) -> bool:
         """Every family is monotone by construction at any arity, except parity."""
-        return self.kind != "parity"
+        return self._record.monotone
 
     @property
     def arity(self) -> int:
-        if self.kind == "tribes":
-            return self.param("k") * self.param("m")
-        return self.param("n")
+        return self._record.arity(*self._values)
 
     def to_string(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params)
@@ -495,13 +596,12 @@ class FamilySpec:
 
 
 def family_spec(kind: str, **params: int) -> FamilySpec:
+    """The spec of a kind (or its alias), parameters given in any order."""
     kind = _FAMILY_ALIASES.get(kind, kind)
-    order = _FAMILY_PARAM_ORDER.get(kind)
-    if order is None:
-        raise ValueError(f"unknown family {kind!r}")
-    if set(params) != set(order):
-        raise ValueError(f"family {kind!r} takes parameters {order}, got {tuple(params)}")
-    return FamilySpec(kind, tuple((k, int(params[k])) for k in order))
+    record = _KINDS.get(kind)
+    if record is not None and set(params) == set(record.params):
+        params = {k: int(params[k]) for k in record.params}
+    return FamilySpec(kind, tuple(params.items()))
 
 
 def parse_family_string(text: str) -> FamilySpec:
@@ -514,55 +614,18 @@ def parse_family_string(text: str) -> FamilySpec:
                 key, _, value = item.partition("=")
                 params[key] = int(value)
         return family_spec(name, **params)
-    except (ValueError, KeyError):
+    except ValueError:
         raise ValueError(f"malformed family string {text!r}")
 
 
 def build_family(spec: FamilySpec) -> BooleanFunction:
     """Dense truth table for a family instance (subject to the arity cap)."""
-    if spec.kind == "dictator":
-        return dictator(spec.param("n"), spec.param("i"))
-    if spec.kind == "and_all":
-        return and_all(spec.param("n"))
-    if spec.kind == "or_all":
-        return or_all(spec.param("n"))
-    if spec.kind == "majority":
-        return majority(spec.param("n"))
-    if spec.kind == "parity":
-        return parity(spec.param("n"))
-    if spec.kind == "tribes":
-        return tribes(spec.param("k"), spec.param("m"))
-    return cyclic_run(spec.param("n"), spec.param("len"))
+    return spec._record.build(*spec._values)
 
 
 def family_symmetry(spec: FamilySpec) -> tuple[str | None, PermutationGenerators | None]:
-    """Symmetry evidence for a family: ('full', None), ('generators', gens), or (None, None).
-
-    Tribes uses a block rotation plus a cycle inside the first block; together
-    they act transitively on coordinates and leave the function invariant.
-    """
-    if spec.kind in ("and_all", "or_all", "majority", "parity"):
-        return "full", None
-    if spec.kind == "cyclic_run":
-        n = spec.param("n")
-        shift = tuple(i % n + 1 for i in range(1, n + 1))
-        return "generators", PermutationGenerators(n, (shift,))
-    if spec.kind == "tribes":
-        k, m = spec.param("k"), spec.param("m")
-        n = k * m
-        if n == 1:
-            return "full", None
-        perms = []
-        if k > 1:
-            block_cycle = tuple(
-                (i % k + 1) if i <= k else i for i in range(1, n + 1)
-            )
-            perms.append(block_cycle)
-        if m > 1:
-            rotation = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
-            perms.append(rotation)
-        return "generators", PermutationGenerators(n, tuple(perms))
-    return None, None
+    """Symmetry evidence for a family: ('full', None), ('generators', gens), or (None, None)."""
+    return spec._record.symmetry(*spec._values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ a drawn bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -99,35 +100,11 @@ class OracleFunction:
 
 
 def family_oracle(spec: FamilySpec) -> OracleFunction:
-    """Formula-backed oracle for a named family, valid at any arity."""
-    n = spec.arity
-    kind = spec.kind
-    if kind == "or_all":
-        fn = lambda b: b.any(axis=1)
-    elif kind == "and_all":
-        fn = lambda b: b.all(axis=1)
-    elif kind == "dictator":
-        i = spec.param("i")
-        fn = lambda b: b[:, i - 1] != 0
-    elif kind == "majority":
-        half = n // 2
-        fn = lambda b: b.sum(axis=1, dtype=np.int64) > half
-    elif kind == "tribes":
-        k, m = spec.param("k"), spec.param("m")
-        fn = lambda b: b.reshape(b.shape[0], m, k).all(axis=2).any(axis=1)
-    elif kind == "cyclic_run":
-        length = spec.param("len")
-
-        def fn(b):
-            ext = np.concatenate([b, b[:, : length - 1]], axis=1)
-            windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
-            return windows.all(axis=2).any(axis=1)
-
-    else:  # parity, the one family left
-        fn = lambda b: (b.sum(axis=1, dtype=np.int64) & 1) != 0
-    return OracleFunction(
-        n, lambda b: np.asarray(fn(b), dtype=np.uint8), spec.monotone, spec.to_string()
-    )
+    """Formula-backed oracle for a named family, valid at any arity: its
+    kind's predicate on a 0/1 batch."""
+    predicate = functools.partial(spec._record.predicate, *spec._values)
+    return OracleFunction(spec.arity, lambda b: np.asarray(predicate(b), dtype=np.uint8),
+                          spec.monotone, spec.to_string())
 
 
 def connectivity_oracle(m: int) -> OracleFunction:

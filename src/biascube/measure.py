@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .booleans import INT64_COUNT_ARITY, BooleanFunction, _binomials, is_monotone, popcounts
+from .booleans import INT64_COUNT_ARITY, BooleanFunction, is_monotone, popcounts
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,6 @@ def weights(n: int, p) -> np.ndarray:
     return level_weights(n, p)[popcounts(n)]
 
 
-def _level_mean(f: BooleanFunction, p) -> float:
-    return float(level_weights(f.n, p) @ f.level_counts)
-
-
 def level_means(f: BooleanFunction, p) -> tuple[float, float]:
     """The measures of a Boolean function's 1-set and 0-set, mu and 1 - mu.
 
@@ -132,25 +128,12 @@ def level_means(f: BooleanFunction, p) -> tuple[float, float]:
     no correct digit, and a constant function reads exactly 0 on one side.
     """
     w = level_weights(f.n, p)
-    return float(w @ f.level_counts), float(w @ (_binomials(f.n) - f.level_counts))
-
-
-def _derivative_counts(counts: np.ndarray) -> np.ndarray:
-    """Integer c_k = (k+1) a_{k+1} - (n-k) a_k, k = 0..n-1, of a level count
-    vector a; the Russo derivative is sum_k c_k p**k (1-p)**(n-1-k).
-
-    Every c_k is nonnegative for an up-set: each of the a_k points of level
-    k has n-k upper neighbours, all in the set, and each point of level k+1
-    has only k+1 lower neighbours.
-    """
-    n = counts.size - 1
-    k = np.arange(n, dtype=np.int64)
-    return (k + 1) * counts[1:] - (n - k) * counts[:-1]
+    return float(w @ f.level_counts), float(w @ f.complement_counts)
 
 
 def expectation(g, p) -> float:
     if isinstance(g, BooleanFunction):
-        return _level_mean(g, p)
+        return float(level_weights(g.n, p) @ g.level_counts)
     n, v = _as_values(g)
     return float(weights(n, p) @ v)
 
@@ -367,7 +350,7 @@ def influences(f: BooleanFunction, p) -> np.ndarray:
 def expectation_derivative(g, p) -> float:
     """d/dp of the expectation: the sum of integrated coordinate gradients."""
     if isinstance(g, BooleanFunction):
-        return float(level_weights(g.n - 1, p) @ _derivative_counts(g.level_counts))
+        return float(level_weights(g.n - 1, p) @ g.derivative_counts)
     n, v = _as_values(g)
     # the gradient is constant on a fiber, whose two points weigh its base weight
     sums = _kernels._fiber_sums(v, n, weights(n - 1, p), lambda lower, upper: upper - lower)

@@ -13,6 +13,7 @@ measure is known analytically and therefore has no arity limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,10 +26,6 @@ from .reports import BoundReport, checked
 
 DEFAULT_BISECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Families whose measure curve is closed-form, hence has no arity cap.
-CLOSED_FORM_KINDS = frozenset({"or_all", "and_all", "tribes", "dictator"})
-
 
 @dataclass(eq=False)
 class MuCurve:
@@ -50,40 +47,20 @@ def dense_curve(f: BooleanFunction) -> MuCurve:
 
 
 def family_curve(spec: FamilySpec) -> MuCurve:
-    """Closed-form curve when the family has one, level counts otherwise.
+    """The kind's closed-form curve when its record has one, level counts
+    otherwise.
 
-    Closed forms exist for or_all, and_all, tribes, and dictator; those work
-    at any arity. Everything else is read off a BooleanFunction's level
-    counts: majority's come from its weight rule, cyclic_run's from its
-    dense table. Both are subject to the arity cap, so larger instances must
-    go through the Monte Carlo estimators.
+    A closed form (the kind's ``mu`` and ``derivative`` in
+    ``booleans._KINDS``; or_all, and_all, tribes and dictator today) works at
+    any arity. Every other kind is read off a BooleanFunction's level
+    counts, from its rule or its dense table, and so is subject to the arity
+    cap: larger instances must go through the Monte Carlo estimators.
     """
-    if spec.kind == "or_all":
-        n = spec.param("n")
-        return MuCurve(
-            mu=lambda p: -math.expm1(n * math.log1p(-p)),
-            derivative=lambda p: n * math.exp((n - 1) * math.log1p(-p)),
-        )
-    if spec.kind == "and_all":
-        n = spec.param("n")
-        return MuCurve(
-            mu=lambda p: math.exp(n * math.log(p)),
-            derivative=lambda p: n * math.exp((n - 1) * math.log(p)),
-        )
-    if spec.kind == "tribes":
-        k, m = spec.param("k"), spec.param("m")
-
-        def mu(p):
-            return -math.expm1(m * math.log1p(-math.exp(k * math.log(p))))
-
-        def derivative(p):
-            q = math.exp(k * math.log(p))
-            return m * math.exp((m - 1) * math.log1p(-q)) * k * math.exp((k - 1) * math.log(p))
-
-        return MuCurve(mu=mu, derivative=derivative)
-    if spec.kind == "dictator":
-        return MuCurve(mu=lambda p: p, derivative=lambda p: 1.0)
-    return dense_curve(build_family(spec))
+    record, values = spec._record, spec._values
+    if record.mu is None:
+        return dense_curve(build_family(spec))
+    return MuCurve(mu=functools.partial(record.mu, *values),
+                   derivative=functools.partial(record.derivative, *values))
 
 
 def _as_curve(target) -> MuCurve:
@@ -107,7 +84,7 @@ def set_measure(target, p) -> float:
     pv = bias_value(p)
     if isinstance(target, BooleanFunction):
         return expectation(target, pv)
-    if isinstance(target, FamilySpec) and target.kind not in CLOSED_FORM_KINDS:
+    if isinstance(target, FamilySpec) and target._record.mu is None:
         return expectation(build_family(target), pv)
     return float(_as_curve(target).mu(pv))
 
@@ -260,8 +237,6 @@ def width_from_derivative_check(
         locations = {alpha: bias_at_level(curve, alpha) for alpha in alphas}
         for ia, alpha in enumerate(alphas):
             for beta in alphas[ia:]:
-                if beta < alpha:
-                    continue
                 pairs += 1
                 p_a, p_b = locations[alpha], locations[beta]
                 sup_g = supremum_on_interval(g, p_a, p_b)

@@ -5,6 +5,7 @@ bit strings, compared against the vectorized implementations.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from biascube.booleans import (
     arity_cap,
     and_all,
     BooleanFunction,
+    FamilySpec,
     build_family,
     coordinate,
     cyclic_run,
@@ -45,7 +47,6 @@ from biascube.booleans import (
     tribes,
     with_coordinate,
 )
-from biascube.measure import _derivative_counts
 from biascube.suites import _family_schedule
 
 
@@ -238,6 +239,20 @@ class TestSerialization:
         # or sampled) sees a family that does not exist
         with pytest.raises(ValueError, match=f"^{message}$"):
             family_spec(kind, **params)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("majority", (("n", 5), ("x", 1)),
+         "family 'majority' takes parameters ('n',), got ('n', 'x')"),
+        ("tribes", (("n", 4),), "family 'tribes' takes parameters ('k', 'm'), got ('n',)"),
+        ("or_all", (("m", 3),), "family 'or_all' takes parameters ('n',), got ('m',)"),
+        ("tribes", (("m", 3), ("k", 2)),
+         "family 'tribes' takes parameters ('k', 'm'), got ('m', 'k')"),
+    ])
+    def test_spec_checks_parameter_names_and_order(self, kind, params, message):
+        # a spec built directly takes the names family_spec takes, in
+        # serialization order, so its string always parses back
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FamilySpec(kind, params)
 
     def test_family_string_with_invalid_values_is_malformed(self):
         with pytest.raises(ValueError, match="malformed family string"):
@@ -559,6 +574,21 @@ def test_rule_counts_agree_with_counted_tables():
         assert f.to_table_string() == counted.to_table_string(), label
 
 
+@pytest.mark.parametrize("n", (1, 2, 5, 8))
+def test_derived_counts_are_cached_read_only_int64(n):
+    for f in boolean_cases(n):
+        a = [int(v) for v in f.level_counts]
+        expected = {
+            "complement_counts": [math.comb(n, k) - a[k] for k in range(n + 1)],
+            "derivative_counts": [(k + 1) * a[k + 1] - (n - k) * a[k] for k in range(n)],
+        }
+        for name, values in expected.items():
+            counts = getattr(f, name)
+            assert counts.dtype == np.int64 and not counts.flags.writeable, name
+            assert counts.tolist() == values, name
+            assert getattr(f, name) is counts, name
+
+
 def test_raised_cap_stops_where_counts_leave_int64(monkeypatch):
     # a raised cap lets a rule-backed family past any table size, not past int64
     monkeypatch.setenv("BIASCUBE_MAX_ARITY", "80")
@@ -567,7 +597,7 @@ def test_raised_cap_stops_where_counts_leave_int64(monkeypatch):
     h = (n - 1) // 2
     f = majority(n)
     exact = [(k + 1) * math.comb(n, k + 1) if k == h else 0 for k in range(n)]
-    assert _derivative_counts(f.level_counts).tolist() == exact
+    assert f.derivative_counts.tolist() == exact
     for build in (lambda: majority(n + 2), lambda: dictator(n + 1, 1),
                   lambda: random_function(n + 1, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="dense-table cap 61"):

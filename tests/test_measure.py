@@ -31,7 +31,6 @@ from biascube.booleans import (
 )
 from biascube.measure import (
     Bias,
-    _derivative_counts,
     CubeFunction,
     bias_value,
     center_projection_sides,
@@ -405,11 +404,21 @@ def test_derivative_counts_nonnegative_for_monotone():
     rng = np.random.default_rng(17)
     for n in range(1, 15):
         for _ in range(6):
-            counts = _derivative_counts(random_monotone_function(n, rng).level_counts)
+            counts = random_monotone_function(n, rng).derivative_counts
             assert counts.shape == (n,)
             assert (counts >= 0).all()
     # a non-monotone function has a negative coefficient: parity(2) is 0,1,1,0
-    assert list(_derivative_counts(parity(2).level_counts)) == [2, -2]
+    assert list(parity(2).derivative_counts) == [2, -2]
+
+
+def test_measures_read_the_cached_counts():
+    # the derivative and the 0-set's measure read the counts cached on the
+    # function, so a check at many biases counts them once
+    f = majority(5)
+    f.__dict__["derivative_counts"] = np.zeros(5, dtype=np.int64)
+    f.__dict__["complement_counts"] = np.zeros(6, dtype=np.int64)
+    assert expectation_derivative(f, 0.3) == 0.0
+    assert measure.level_means(f, 0.3) == (expectation(f, 0.3), 0.0)
 
 
 @pytest.fixture
