@@ -43,6 +43,7 @@ ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
 # rule-backed family gets near it: a table that large cannot be allocated.
 INT64_COUNT_ARITY = 61
 
+
 def arity_cap() -> int:
     """Largest arity admitted for dense truth tables, at most
     ``INT64_COUNT_ARITY``."""
@@ -466,7 +467,7 @@ class _Kind:
     build: Callable[..., BooleanFunction]  # the public constructor's call
     symmetry: Callable[..., tuple]  # family_symmetry's evidence
     predicate: Callable[..., np.ndarray]  # (*values, 0/1 batch): truth per row
-    rule: tuple[Callable[..., bool], str] | None = None  # value rule, its message
+    rule: tuple[Callable[..., bool], str] = (lambda *_: True, "")  # value rule, its message
     arity: Callable[..., int] = lambda n, *_: n
     monotone: bool = True  # monotone by construction at any arity
     mu: Callable[..., float] | None = None  # closed form, (*values, p)
@@ -558,18 +559,16 @@ class FamilySpec:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        # names and value rules are checked here, so every path (dense,
-        # closed form, sampled) keeps them
+        # names and value rules live here, so every path (dense, closed form, sampled) keeps them
         record = _KINDS.get(self.kind)
         if record is None:
             raise ValueError(f"unknown family {self.kind!r}")
         names = tuple(k for k, _ in self.params)
         if names != record.params:
             raise ValueError(f"family {self.kind!r} takes parameters {record.params}, got {names}")
-        if record.rule is not None:
-            holds, message = record.rule
-            if not holds(*self._values):
-                raise ValueError(message.format(**dict(self.params)))
+        holds, message = record.rule
+        if not holds(*self._values):
+            raise ValueError(message.format(**dict(self.params)))
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
 
@@ -583,7 +582,7 @@ class FamilySpec:
 
     @property
     def monotone(self) -> bool:
-        """Every family is monotone by construction at any arity, except parity."""
+        """The kind's flag: monotone by construction at any arity (all but parity)."""
         return self._record.monotone
 
     @property

@@ -100,8 +100,7 @@ class OracleFunction:
 
 
 def family_oracle(spec: FamilySpec) -> OracleFunction:
-    """Formula-backed oracle for a named family, valid at any arity: its
-    kind's predicate on a 0/1 batch."""
+    """Formula-backed oracle for a named family at any arity: its kind's predicate."""
     predicate = functools.partial(spec._record.predicate, *spec._values)
     return OracleFunction(spec.arity, lambda b: np.asarray(predicate(b), dtype=np.uint8),
                           spec.monotone, spec.to_string())

@@ -27,6 +27,7 @@ from .reports import BoundReport, checked
 DEFAULT_BISECTION_TOL = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+
 @dataclass(eq=False)
 class MuCurve:
     """Measure-versus-bias curve of a monotone nontrivial set."""
@@ -237,6 +238,8 @@ def width_from_derivative_check(
         locations = {alpha: bias_at_level(curve, alpha) for alpha in alphas}
         for ia, alpha in enumerate(alphas):
             for beta in alphas[ia:]:
+                if beta < alpha:
+                    continue
                 pairs += 1
                 p_a, p_b = locations[alpha], locations[beta]
                 sup_g = supremum_on_interval(g, p_a, p_b)
