@@ -17,6 +17,7 @@ from .booleans import (
     and_all,
     arity_cap,
     build_family,
+    connectivity,
     cyclic_run,
     dictator,
     family_spec,
@@ -87,6 +88,7 @@ __all__ = [
     "and_all",
     "arity_cap",
     "build_family",
+    "connectivity",
     "cyclic_run",
     "dictator",
     "family_spec",

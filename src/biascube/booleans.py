@@ -6,16 +6,19 @@ of x. Coordinate 1 is the least significant bit. A truth table is indexed by
 the point integer, so ``table[x]`` is f(x).
 
 All of a function's dependence on the bias lies in its level counts and
-pivotal counts. Explicit tables, random functions, tribes and cyclic_run
-are counted from their dense table, a parsed table string from the packed
-words its hex digits spell; tribes, cyclic_run and random monotone
-functions are unions of up-sets, all built by ``_up_set``. The fully
+pivotal counts. Explicit tables, random functions, tribes, cyclic_run and
+connectivity are counted from their dense table, a parsed table string from
+the packed words its hex digits spell; tribes, cyclic_run and random
+monotone functions are unions of up-sets, all built by ``_up_set``, and
+connectivity's table is filled from its sampling predicate. The fully
 symmetric families (or, and, majority, parity) and the dictator get their
 counts from an exact rule and build their table only when it is read.
 
 All the package knows about a family kind is one ``_Kind`` record in the
 ``_KINDS`` table: ``FamilySpec``, ``build_family``, ``family_symmetry``,
 ``mc.family_oracle`` and ``threshold.family_curve`` look the kind up there.
+Connectivity of a graph on m vertices is a kind like any other, with one
+coordinate per edge.
 
 Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
 table of 16 Mi entries); larger instances go through the closed-form or
@@ -373,6 +376,44 @@ def cyclic_run(n: int, length: int) -> BooleanFunction:
     return BooleanFunction(n, _up_set(n, windows))
 
 
+@lru_cache(maxsize=32)
+def _edges(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoint arrays (u, v), u < v, of the C(m, 2) edges of the
+    complete graph on m vertices in lexicographic order: coordinate 1 is
+    edge (1,2), coordinate 2 is (1,3), ..., coordinate C(m,2) is (m-1,m)."""
+    u, v = np.triu_indices(m, 1)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
+def _is_connected(m: int, b: np.ndarray) -> np.ndarray:
+    """Connectivity of each row of a 0/1 batch, one column per edge of
+    ``_edges(m)``. The kernel is looked up when called, so a wrapper put on
+    its module name sees every call."""
+    return _kernels.connected_batch(b, m, *_edges(m))
+
+
+# points per block when a table is filled from a batch predicate
+_POINT_BLOCK = 1 << 16
+
+
+def connectivity(m: int) -> BooleanFunction:
+    """1 iff the graph on m labelled vertices whose edges are the coordinates
+    set to 1 is connected; one coordinate per edge, in ``_edges`` order.
+
+    The table is filled from the sampling predicate, ``_POINT_BLOCK`` points
+    at a time, so the default cap reaches m = 7 (21 edges)."""
+    n = family_spec("connectivity", m=m).arity
+    _check_arity(n)
+    table = np.empty(1 << n, dtype=np.uint8)
+    shifts = np.arange(n, dtype=np.uint32)
+    for start in range(0, 1 << n, _POINT_BLOCK):
+        points = np.arange(start, min(start + _POINT_BLOCK, 1 << n), dtype=np.uint32)
+        bits = ((points[:, None] >> shifts) & 1).astype(np.uint8)
+        table[start:start + len(points)] = _is_connected(m, bits)
+    return BooleanFunction(n, table)
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
@@ -494,6 +535,22 @@ def _tribes_symmetry(k: int, m: int):
     return "generators", PermutationGenerators(n, (cycle,) * (k > 1) + (rotation,) * (m > 1))
 
 
+def _connectivity_symmetry(m: int):
+    """The edge action of S_m, generated by the transposition of vertices 1
+    and 2 and the m-cycle v -> v+1: it acts transitively on the edges and
+    leaves connectivity invariant."""
+    edges = list(zip(*(end.tolist() for end in _edges(m))))
+    index = {edge: j + 1 for j, edge in enumerate(edges)}
+
+    def induced(sigma):
+        return tuple(index[tuple(sorted((sigma[a], sigma[b])))] for a, b in edges)
+
+    transposition = (1, 0, *range(2, m))
+    cycle = tuple((a + 1) % m for a in range(m))
+    gens = (induced(transposition), induced(cycle))
+    return "generators", PermutationGenerators(len(edges), gens)
+
+
 def _has_cyclic_run(n: int, length: int, b: np.ndarray) -> np.ndarray:
     ext = np.concatenate([b, b[:, : length - 1]], axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
@@ -545,6 +602,12 @@ _KINDS = {
         predicate=_has_cyclic_run,
         rule=(lambda n, length: 1 <= length <= n, "run length must satisfy 1 <= length <= n"),
     ),
+    "connectivity": _Kind(
+        ("m",), build=lambda m: connectivity(m), symmetry=_connectivity_symmetry,
+        predicate=_is_connected,
+        rule=(lambda m: m >= 2, "connectivity needs at least 2 vertices"),
+        arity=lambda m: m * (m - 1) // 2,
+    ),
 }
 FAMILY_NAMES = tuple(_KINDS)
 
@@ -566,6 +629,10 @@ class FamilySpec:
         names = tuple(k for k, _ in self.params)
         if names != record.params:
             raise ValueError(f"family {self.kind!r} takes parameters {record.params}, got {names}")
+        for name, value in self.params:
+            if type(value) is not int:
+                raise ValueError(f"family {self.kind!r} parameter {name} must be an int, "
+                                 f"got {value!r}")
         holds, message = record.rule
         if not holds(*self._values):
             raise ValueError(message.format(**dict(self.params)))
@@ -601,6 +668,14 @@ def family_spec(kind: str, **params: int) -> FamilySpec:
     if record is not None and set(params) == set(record.params):
         params = {k: int(params[k]) for k in record.params}
     return FamilySpec(kind, tuple(params.items()))
+
+
+def family_parameters(kind: str) -> tuple[str, ...]:
+    """Parameter names of a kind (or its alias), in serialization order."""
+    record = _KINDS.get(_FAMILY_ALIASES.get(kind, kind))
+    if record is None:
+        raise ValueError(f"unknown family {kind!r}")
+    return record.params
 
 
 def parse_family_string(text: str) -> FamilySpec:

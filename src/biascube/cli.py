@@ -8,6 +8,12 @@ metadata block (version, seed, RNG id, config echo) so any two runs can be
 diffed byte for byte. Floats in CSV are printed with 17 significant digits,
 which round-trips IEEE doubles exactly.
 
+Every subcommand names a family the same way: ``--family`` and one flag per
+parameter of the kind, ``--<name>`` (``--m`` for connectivity's vertex
+count); a missing one is refused by its flag. ``--i`` is the one flag with
+a rule of its own: it defaults to 1 for the dictator, and ``mc influence``
+reads it as the estimated coordinate.
+
 ``main`` parses a call with a parser holding only the subcommand it names,
 built on that subcommand's first call in the process and kept; its help,
 usage and errors are those of the full parser (``build_parser``), which a
@@ -34,6 +40,7 @@ from . import __version__, bounds, mc, suites
 from .booleans import (
     FamilySpec,
     build_family,
+    family_parameters,
     family_spec,
     parse_table_string,
 )
@@ -79,6 +86,7 @@ def _report_head(command: str, config: dict, seed=None, rng=None) -> dict:
 
 
 def _family_from_flags(args, skip=()) -> FamilySpec:
+    """The spec the family flags name; each parameter's flag is ``--<name>``."""
     params = {}
     for key in ("n", "i", "k", "m", "len"):
         value = getattr(args, key, None)
@@ -87,6 +95,10 @@ def _family_from_flags(args, skip=()) -> FamilySpec:
     # Every dictator coordinate gives the same curve, so --i is optional.
     if args.family == "dictator" and "i" not in params:
         params["i"] = 1
+    missing = [name for name in family_parameters(args.family) if name not in params]
+    if missing:
+        flags = ", ".join(f"--{name}" for name in missing)
+        raise UsageError(f"family {args.family!r} needs {flags}")
     return family_spec(args.family, **params)
 
 
@@ -240,10 +252,6 @@ def cmd_verify(args, out) -> int:
 
 
 def _oracle_from_flags(args) -> tuple[mc.OracleFunction, dict]:
-    if args.family == "connectivity":
-        if args.m is None:
-            raise UsageError("connectivity needs --m (vertex count)")
-        return mc.connectivity_oracle(args.m), {"family": "connectivity", "m": args.m}
     # For `mc influence`, --i names the estimated coordinate; only the
     # dictator family also consumes it as a parameter.
     skip = ("i",) if args.mc_command == "influence" and args.family != "dictator" else ()

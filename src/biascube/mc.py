@@ -35,8 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import connected_batch
-from .booleans import FamilySpec
+from .booleans import FamilySpec, family_spec
 from .measure import bias_value
 
 RNG_ID = "philox4x64:seedseq-path"
@@ -101,28 +100,23 @@ class OracleFunction:
 
 def family_oracle(spec: FamilySpec) -> OracleFunction:
     """Formula-backed oracle for a named family at any arity: its kind's predicate."""
-    predicate = functools.partial(spec._record.predicate, *spec._values)
-    return OracleFunction(spec.arity, lambda b: np.asarray(predicate(b), dtype=np.uint8),
-                          spec.monotone, spec.to_string())
+    return _kind_oracle(spec)
 
 
 def connectivity_oracle(m: int) -> OracleFunction:
-    """Connectivity of a graph on m vertices, one coordinate per edge.
+    """The oracle of ``family_spec("connectivity", m=m)``: connectivity of a
+    graph on m vertices, one coordinate per edge in lexicographic order
+    (coordinate 1 is edge (1,2), coordinate C(m,2) is (m-1,m)).
 
-    Coordinates follow lexicographic vertex pairs: coordinate 1 is edge
-    (1,2), coordinate 2 is (1,3), ..., coordinate m(m-1)/2 is (m-1,m).
-    """
-    if m < 2:
-        raise ValueError("connectivity needs at least 2 vertices")
-    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    edge_u = np.array([u for u, _ in pairs], dtype=np.int64)
-    edge_v = np.array([v for _, v in pairs], dtype=np.int64)
-    n = len(pairs)
+    It builds the oracle itself rather than through ``family_oracle``, so a
+    wrapper put on both names wraps its oracle once."""
+    return _kind_oracle(family_spec("connectivity", m=m))
 
-    def fn(bits):
-        return connected_batch(np.ascontiguousarray(bits, dtype=np.uint8), m, edge_u, edge_v)
 
-    return OracleFunction(n, fn, True, f"connectivity:m={m}")
+def _kind_oracle(spec: FamilySpec) -> OracleFunction:
+    predicate = functools.partial(spec._record.predicate, *spec._values)
+    return OracleFunction(spec.arity, lambda b: np.asarray(predicate(b), dtype=np.uint8),
+                          spec.monotone, spec.to_string())
 
 
 @dataclass(frozen=True)

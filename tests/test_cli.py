@@ -450,6 +450,8 @@ class TestMonteCarlo:
             capsys, "mc", "threshold", "--family", "connectivity", "--m", "16",
             "--alpha", "0.5", "--seed", "7",
         )
+        # connectivity echoes its spec string, as every other kind does
+        assert payload["config"]["family"] == "connectivity:m=16"
         result = payload["result"]
         assert result["p_hat"] == 0.19091796875
         assert result["flagged"] is False
@@ -463,6 +465,13 @@ class TestMonteCarlo:
         )
         assert code == 2
         assert "--m" in err
+
+    def test_missing_tribes_parameter_names_its_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "threshold", "--family", "tribes", "--k", "2", "--eps", "0.1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: family 'tribes' needs --m\n"
 
     def test_bias_validated(self, capsys):
         code, _, _ = run_cli(

@@ -18,8 +18,10 @@ import pytest
 from biascube import mc
 from biascube.booleans import (
     FAMILY_NAMES,
+    FamilySpec,
     and_all,
     build_family,
+    connectivity,
     cyclic_run,
     dictator,
     family_spec,
@@ -72,6 +74,11 @@ DENSE_GRID = [
     ("cyclic_run", {"n": 6, "len": 6}),
     ("cyclic_run", {"n": 9, "len": 3}),
     ("cyclic_run", {"n": 12, "len": 4}),
+    ("connectivity", {"m": 2}),
+    ("connectivity", {"m": 3}),
+    ("connectivity", {"m": 4}),
+    ("connectivity", {"m": 5}),
+    ("connectivity", {"m": 6}),
 ]
 
 # past the dense cap: only the oracle, and the curve where it has a closed form
@@ -83,6 +90,7 @@ SAMPLED_GRID = [
     ("parity", {"n": 70}),
     ("tribes", {"k": 3, "m": 10}),
     ("cyclic_run", {"n": 40, "len": 5}),
+    ("connectivity", {"m": 16}),
 ]
 
 BIASES = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -99,6 +107,7 @@ CONSTRUCTORS = {
     "parity": parity,
     "tribes": tribes,
     "cyclic_run": cyclic_run,
+    "connectivity": connectivity,
 }
 
 
@@ -149,7 +158,9 @@ def _fingerprint(spec, dense: bool) -> dict:
     return out
 
 
-# digests recorded from the per-kind if-chains, before the kinds became one table
+# digests recorded from the per-kind if-chains, before the kinds became one
+# table; connectivity's from its kind record, its oracle digests matching
+# those of the standalone connectivity oracle that preceded the record
 REFERENCE = {
     'dictator:n=1,i=1': {
         'arity': 1,
@@ -563,6 +574,62 @@ REFERENCE = {
         'oracle': '34c5a29384b05c42',
         'curve': 'arity 40 exceeds the dense-table cap 24; use a closed-form family or the Monte Carlo estimators',
     },
+    'connectivity:m=2': {
+        'arity': 1,
+        'monotone': True,
+        'oracle': 'b413f47d13ee2fe6',
+        'table': 'd86e8112f3c4c444',
+        'counts': 'ccb1ac866b7d8de3',
+        'symmetry': '752fea3a3eecba26',
+        'measure': '725731a2a7e34985',
+        'curve': '3b8d81ec6f562daa',
+    },
+    'connectivity:m=3': {
+        'arity': 3,
+        'monotone': True,
+        'oracle': '6fa1038404fd3fb9',
+        'table': 'ac4fc487af43d394',
+        'counts': 'b215b263c90f9578',
+        'symmetry': '623977de8f0fba62',
+        'measure': '83b12aec2fe64d40',
+        'curve': 'd757f47eeb5552e5',
+    },
+    'connectivity:m=4': {
+        'arity': 6,
+        'monotone': True,
+        'oracle': '308f5d48e216dd9d',
+        'table': '0f4921f398a80f52',
+        'counts': '49d720fa97f4eff0',
+        'symmetry': 'b1922c3dfcc896dd',
+        'measure': 'c9da2a17ce5cddc6',
+        'curve': 'cf48eb76da596564',
+    },
+    'connectivity:m=5': {
+        'arity': 10,
+        'monotone': True,
+        'oracle': 'f89aa3278ca0e395',
+        'table': 'fb900bd3e1e2de75',
+        'counts': '1e7bc09f095d3b5a',
+        'symmetry': '1febb97376ab4468',
+        'measure': '4a441fb22570259d',
+        'curve': '0c17c906885260ab',
+    },
+    'connectivity:m=6': {
+        'arity': 15,
+        'monotone': True,
+        'oracle': '4d2aee59410d6816',
+        'table': '250e7e349b897872',
+        'counts': '538052f23f8357e0',
+        'symmetry': '54a62ffa48f85ee1',
+        'measure': '6684f141780877ea',
+        'curve': 'fe73a7aca552eba2',
+    },
+    'connectivity:m=16': {
+        'arity': 120,
+        'monotone': True,
+        'oracle': '6caf38d537984e26',
+        'curve': 'arity 120 exceeds the dense-table cap 24; use a closed-form family or the Monte Carlo estimators',
+    },
 }
 
 
@@ -607,6 +674,7 @@ def test_oracle_is_the_table(case):
 def test_family_names_and_order():
     assert FAMILY_NAMES == (
         "dictator", "and_all", "or_all", "majority", "parity", "tribes", "cyclic_run",
+        "connectivity",
     )
     assert {kind for kind, _ in DENSE_GRID} == set(FAMILY_NAMES)
     assert {kind for kind, _ in SAMPLED_GRID} == set(FAMILY_NAMES)
@@ -627,12 +695,22 @@ ERRORS = [
     (lambda: majority(0), "majority requires odd arity"),
     (lambda: tribes(0, 0), "tribes requires k >= 1 and m >= 1"),
     (lambda: cyclic_run(0, 0), "run length must satisfy 1 <= length <= n"),
+    (lambda: connectivity(1), "connectivity needs at least 2 vertices"),
     (lambda: or_all(0), "arity must be at least 1"),
     (lambda: parity(-1), "arity must be at least 1"),
     (lambda: build_family(family_spec("or_all", n=30)),
      "arity 30 exceeds the dense-table cap 24; use a closed-form family or the "
      "Monte Carlo estimators"),
+    (lambda: build_family(family_spec("connectivity", m=8)),
+     "arity 28 exceeds the dense-table cap 24; use a closed-form family or the "
+     "Monte Carlo estimators"),
     (lambda: family_curve(family_spec("parity", n=4)), "bisection requires a monotone set"),
+    (lambda: FamilySpec("or_all", (("n", 5.5),)),
+     "family 'or_all' parameter n must be an int, got 5.5"),
+    (lambda: FamilySpec("or_all", (("n", True),)),
+     "family 'or_all' parameter n must be an int, got True"),
+    (lambda: FamilySpec("or_all", (("n", "5"),)),
+     "family 'or_all' parameter n must be an int, got '5'"),
 ]
 
 
