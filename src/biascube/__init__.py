@@ -49,7 +49,6 @@ from .mc import (
     RNG_ID,
     Estimate,
     OracleFunction,
-    connectivity_oracle,
     estimate_influence,
     estimate_mu,
     family_oracle,
@@ -115,7 +114,6 @@ __all__ = [
     "RNG_ID",
     "Estimate",
     "OracleFunction",
-    "connectivity_oracle",
     "estimate_influence",
     "estimate_mu",
     "family_oracle",

@@ -15,10 +15,11 @@ symmetric families (or, and, majority, parity) and the dictator get their
 counts from an exact rule and build their table only when it is read.
 
 All the package knows about a family kind is one ``_Kind`` record in the
-``_KINDS`` table: ``FamilySpec``, ``build_family``, ``family_symmetry``,
-``mc.family_oracle`` and ``threshold.family_curve`` look the kind up there.
-Connectivity of a graph on m vertices is a kind like any other, with one
-coordinate per edge.
+``_KINDS`` table, and no other module reads it: they go through
+``FamilySpec``, ``family_parameters``, ``build_family``, ``family_symmetry``,
+``family_predicate`` and ``family_closed_form``. So adding a kind, or a
+parameter, is one edit here; the CLI's flags follow. Connectivity of a graph
+on m vertices is a kind like any other, with one coordinate per edge.
 
 Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
 table of 16 Mi entries); larger instances go through the closed-form or
@@ -32,7 +33,7 @@ import binascii
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -513,6 +514,7 @@ class _Kind:
     monotone: bool = True  # monotone by construction at any arity
     mu: Callable[..., float] | None = None  # closed form, (*values, p)
     derivative: Callable[..., float] | None = None  # with mu, or neither
+    defaults: tuple[tuple[str, int], ...] = ()  # (name, value) the CLI may leave out
 
 
 def _full_symmetry(*_):
@@ -565,6 +567,8 @@ _KINDS = {
         predicate=lambda n, i, b: b[:, i - 1] != 0,
         rule=(lambda n, i: 1 <= i <= n, "coordinate {i} out of range for arity {n}"),
         mu=lambda n, i, p: p, derivative=lambda n, i, p: 1.0,
+        # every coordinate gives the same curve
+        defaults=(("i", 1),),
     ),
     "and_all": _Kind(
         ("n",), build=lambda n: and_all(n), symmetry=_full_symmetry,
@@ -670,12 +674,13 @@ def family_spec(kind: str, **params: int) -> FamilySpec:
     return FamilySpec(kind, tuple(params.items()))
 
 
-def family_parameters(kind: str) -> tuple[str, ...]:
-    """Parameter names of a kind (or its alias), in serialization order."""
+def family_parameters(kind: str) -> dict[str, int | None]:
+    """Parameter names of a kind (or its alias), in serialization order, each
+    with the value a left-out CLI flag takes (None: required; not in ``family_spec``)."""
     record = _KINDS.get(_FAMILY_ALIASES.get(kind, kind))
     if record is None:
         raise ValueError(f"unknown family {kind!r}")
-    return record.params
+    return {name: dict(record.defaults).get(name) for name in record.params}
 
 
 def parse_family_string(text: str) -> FamilySpec:
@@ -700,6 +705,19 @@ def build_family(spec: FamilySpec) -> BooleanFunction:
 def family_symmetry(spec: FamilySpec) -> tuple[str | None, PermutationGenerators | None]:
     """Symmetry evidence for a family: ('full', None), ('generators', gens), or (None, None)."""
     return spec._record.symmetry(*spec._values)
+
+
+def family_predicate(spec: FamilySpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The family's truth on each row of a 0/1 batch (column j is coordinate j+1), at any arity."""
+    return partial(spec._record.predicate, *spec._values)
+
+
+def family_closed_form(spec: FamilySpec) -> tuple[Callable, Callable] | None:
+    """Closed forms (mu, derivative) of p at any arity, or None if the kind has none."""
+    record = spec._record
+    if record.mu is None:
+        return None
+    return partial(record.mu, *spec._values), partial(record.derivative, *spec._values)
 
 
 # ---------------------------------------------------------------------------

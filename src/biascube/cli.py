@@ -9,10 +9,13 @@ diffed byte for byte. Floats in CSV are printed with 17 significant digits,
 which round-trips IEEE doubles exactly.
 
 Every subcommand names a family the same way: ``--family`` and one flag per
-parameter of the kind, ``--<name>`` (``--m`` for connectivity's vertex
-count); a missing one is refused by its flag. ``--i`` is the one flag with
-a rule of its own: it defaults to 1 for the dictator, and ``mc influence``
-reads it as the estimated coordinate.
+parameter of the kind, ``--<name>``. The flags, the kinds each one's help
+names and the values a left-out flag takes all come from the kind records
+(``booleans.family_parameters``), so a new kind or parameter needs no edit
+here. A left-out flag with no default is refused by its flag; the dictator's
+``--i`` defaults to 1. ``mc influence`` reads ``--i`` as the coordinate it
+estimates, and passes it to the family only when the kind has a parameter
+``i``.
 
 ``main`` parses a call with a parser holding only the subcommand it names,
 built on that subcommand's first call in the process and kept; its help,
@@ -30,6 +33,7 @@ written (no traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -38,6 +42,7 @@ import sys
 
 from . import __version__, bounds, mc, suites
 from .booleans import (
+    FAMILY_NAMES,
     FamilySpec,
     build_family,
     family_parameters,
@@ -85,17 +90,31 @@ def _report_head(command: str, config: dict, seed=None, rng=None) -> dict:
     }
 
 
-def _family_from_flags(args, skip=()) -> FamilySpec:
-    """The spec the family flags name; each parameter's flag is ``--<name>``."""
-    params = {}
-    for key in ("n", "i", "k", "m", "len"):
-        value = getattr(args, key, None)
-        if value is not None and key not in skip:
-            params[key] = value
-    # Every dictator coordinate gives the same curve, so --i is optional.
-    if args.family == "dictator" and "i" not in params:
-        params["i"] = 1
-    missing = [name for name in family_parameters(args.family) if name not in params]
+@functools.cache
+def _family_flags() -> dict[str, list[str]]:
+    """Every kind parameter, in order of first appearance in ``FAMILY_NAMES``,
+    with the kinds that take it: the family flags are ``--<name>``."""
+    return {name: [kind for kind in FAMILY_NAMES if name in family_parameters(kind)]
+            for kind in FAMILY_NAMES for name in family_parameters(kind)}
+
+
+# `mc influence`'s own flag, with its use: the family takes it only when
+# the kind has that parameter
+_INFLUENCE_FLAGS = {"i": "coordinate to estimate"}
+
+
+def _family_from_flags(args, own=()) -> FamilySpec:
+    """The spec the family flags name, a left-out flag taking its kind's
+    default, and a flag in ``own`` only when the kind has that parameter."""
+    if args.family is None:
+        raise UsageError("--family is required")
+    parameters = family_parameters(args.family)
+    params = {name: getattr(args, name) for name in _family_flags()
+              if getattr(args, name) is not None and (name in parameters or name not in own)}
+    for name, default in parameters.items():
+        if name not in params and default is not None:
+            params[name] = default
+    missing = [name for name in parameters if name not in params]
     if missing:
         flags = ", ".join(f"--{name}" for name in missing)
         raise UsageError(f"family {args.family!r} needs {flags}")
@@ -173,41 +192,54 @@ def _sweep_preamble(out, config: dict) -> None:
     out.write(_CSV_HEADER + "\n")
 
 
+def _sweep_output(args, out):
+    """Where a sweep writes: ``out``, or the ``--out`` file. A sweep opens it
+    only once its inputs are accepted, so a refused one leaves it as it was."""
+    if args.out is None:
+        return contextlib.nullcontext(out)
+    try:
+        return open(args.out, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}")
+
+
 def cmd_sweep(args, out) -> int:
     if (args.func is None) == (args.family is None):
         raise UsageError("give exactly one of --func or --family")
     grid = _parse_grid(args.grid)
 
     if args.func is not None:
-        _sweep_preamble(out, {"func": args.func, "grid": args.grid})
-        for p in grid:
-            c = bounds.log_sobolev_constant(p)
-            pqc = bounds.scaled_log_sobolev_constant(p)
-            out.write(f"{_fmt(p)},,,{_fmt(c)},{_fmt(pqc)},,\n")
+        with _sweep_output(args, out) as out:
+            _sweep_preamble(out, {"func": args.func, "grid": args.grid})
+            for p in grid:
+                c = bounds.log_sobolev_constant(p)
+                pqc = bounds.scaled_log_sobolev_constant(p)
+                out.write(f"{_fmt(p)},,,{_fmt(c)},{_fmt(pqc)},,\n")
         return 0
 
     spec = _family_from_flags(args)
     f = build_family(spec)
-    _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
     # Sets that fail the derivative bound's hypotheses, or are constant,
     # leave the last two columns empty.
     try:
         bound_n = None if f.is_constant() else bounds.bound_hypotheses(spec)
     except ValueError:
         bound_n = None
-    for p in grid:
-        mu, mu_bar = level_means(f, p)
-        dmu = expectation_derivative(f, p)
-        c = bounds.log_sobolev_constant(p)
-        pqc = bounds.scaled_log_sobolev_constant(p)
-        row = [_fmt(p), _fmt(mu), _fmt(dmu), _fmt(c), _fmt(pqc)]
-        if bound_n is not None:
-            rhs = bounds.derivative_bound_rhs(bound_n, p, mu, mu_bar)
-            row.append(_fmt(rhs))
-            row.append("true" if dmu >= rhs - 1e-9 else "false")
-        else:
-            row.extend(["", ""])
-        out.write(",".join(row) + "\n")
+    with _sweep_output(args, out) as out:
+        _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
+        for p in grid:
+            mu, mu_bar = level_means(f, p)
+            dmu = expectation_derivative(f, p)
+            c = bounds.log_sobolev_constant(p)
+            pqc = bounds.scaled_log_sobolev_constant(p)
+            row = [_fmt(p), _fmt(mu), _fmt(dmu), _fmt(c), _fmt(pqc)]
+            if bound_n is not None:
+                rhs = bounds.derivative_bound_rhs(bound_n, p, mu, mu_bar)
+                row.append(_fmt(rhs))
+                row.append("true" if dmu >= rhs - 1e-9 else "false")
+            else:
+                row.extend(["", ""])
+            out.write(",".join(row) + "\n")
     return 0
 
 
@@ -251,16 +283,9 @@ def cmd_verify(args, out) -> int:
     return 0 if result["pass"] else 1
 
 
-def _oracle_from_flags(args) -> tuple[mc.OracleFunction, dict]:
-    # For `mc influence`, --i names the estimated coordinate; only the
-    # dictator family also consumes it as a parameter.
-    skip = ("i",) if args.mc_command == "influence" and args.family != "dictator" else ()
-    spec = _family_from_flags(args, skip=skip)
-    return mc.family_oracle(spec), {"family": spec.to_string()}
-
-
 def cmd_mc(args, out) -> int:
-    oracle, echo = _oracle_from_flags(args)
+    spec = _family_from_flags(args, _INFLUENCE_FLAGS if args.mc_command == "influence" else ())
+    oracle, echo = mc.family_oracle(spec), {"family": spec.to_string()}
     workers = mc.worker_count(args.workers)
     command = args.mc_command
 
@@ -299,13 +324,15 @@ def cmd_mc(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_family_flags(parser, include_table: bool = False) -> None:
-    parser.add_argument("--family", help="family name, e.g. or, majority, tribes")
-    parser.add_argument("--n", type=int, help="arity, for families that take one")
-    parser.add_argument("--i", type=int, help="coordinate index (dictator, influence)")
-    parser.add_argument("--k", type=int, help="tribe size")
-    parser.add_argument("--m", type=int, help="tribe count, or vertex count for connectivity")
-    parser.add_argument("--len", type=int, help="run length for cyclic_run")
+def _add_family_flags(parser, include_table: bool = False, own=None) -> None:
+    """``--family`` and one flag per kind parameter, each naming the kinds
+    that take it; ``own`` maps a flag the subcommand reads itself to that use."""
+    parser.add_argument("--family", help="family kind: " + ", ".join(FAMILY_NAMES))
+    flags = {name: "parameter of " + ", ".join(kinds) for name, kinds in _family_flags().items()}
+    for name, use in (own or {}).items():
+        flags[name] = f"{use}; {flags[name]}" if name in flags else use
+    for name, help_text in flags.items():
+        parser.add_argument(f"--{name}", type=int, help=help_text)
     if include_table:
         parser.add_argument("--table", help="explicit truth table, n=<arity>:hex=<hex>")
 
@@ -343,7 +370,7 @@ def _mc_flags(parser) -> None:
         ("threshold", "bisect for the bias hitting a target level"),
     ):
         pmc = mcsub.add_parser(name, help=help_text)
-        _add_family_flags(pmc)
+        _add_family_flags(pmc, own=_INFLUENCE_FLAGS if name == "influence" else None)
         pmc.add_argument("--seed", type=int, default=0)
         pmc.add_argument("--workers", type=int, help=f"default from {mc.WORKERS_ENV}")
         if name in ("mu", "influence"):
@@ -429,9 +456,6 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command == "sweep" and args.out is not None:
-            with open(args.out, "w", newline="") as handle:
-                return cmd_sweep(args, handle)
         return _DISPATCH[args.command](args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

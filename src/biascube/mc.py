@@ -30,12 +30,12 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .booleans import FamilySpec, family_spec
+from .booleans import FamilySpec, family_predicate
 from .measure import bias_value
 
 RNG_ID = "philox4x64:seedseq-path"
@@ -99,22 +99,9 @@ class OracleFunction:
 
 
 def family_oracle(spec: FamilySpec) -> OracleFunction:
-    """Formula-backed oracle for a named family at any arity: its kind's predicate."""
-    return _kind_oracle(spec)
-
-
-def connectivity_oracle(m: int) -> OracleFunction:
-    """The oracle of ``family_spec("connectivity", m=m)``: connectivity of a
-    graph on m vertices, one coordinate per edge in lexicographic order
-    (coordinate 1 is edge (1,2), coordinate C(m,2) is (m-1,m)).
-
-    It builds the oracle itself rather than through ``family_oracle``, so a
-    wrapper put on both names wraps its oracle once."""
-    return _kind_oracle(family_spec("connectivity", m=m))
-
-
-def _kind_oracle(spec: FamilySpec) -> OracleFunction:
-    predicate = functools.partial(spec._record.predicate, *spec._values)
+    """Formula-backed oracle for a named family at any arity: its kind's
+    predicate, monotone as the kind is."""
+    predicate = family_predicate(spec)
     return OracleFunction(spec.arity, lambda b: np.asarray(predicate(b), dtype=np.uint8),
                           spec.monotone, spec.to_string())
 
@@ -130,13 +117,7 @@ class Estimate:
     ci_hi: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
+        return asdict(self)
 
 
 def wilson_estimate(successes: int, samples: int) -> Estimate:
@@ -189,7 +170,7 @@ def _bernoulli(
     return out
 
 
-def _values(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
+def _outputs(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
     return np.asarray(oracle.evaluate_batch(bits), dtype=np.uint8)
 
 
@@ -198,7 +179,7 @@ def _count_hits(oracle: OracleFunction, pv: float, count: int, rng: np.random.Ge
     # the first block is the largest; every block is drawn into its rows
     drawn = np.empty((blocks[0], oracle.n), dtype=np.uint8)
     return sum(
-        int(_values(oracle, _bernoulli(rng, rows, oracle.n, pv, drawn[:rows])).sum())
+        int(_outputs(oracle, _bernoulli(rng, rows, oracle.n, pv, drawn[:rows])).sum())
         for rows in blocks
     )
 
@@ -218,16 +199,17 @@ def _count_fiber_splits(
         full[:, :col] = base[:, :col]
         full[:, col + 1 :] = base[:, col:]
         full[:, col] = 0
-        low = _values(oracle, full)
+        low = _outputs(oracle, full)
         full[:, col] = 1
-        hits += int((low != _values(oracle, full)).sum())
+        hits += int((low != _outputs(oracle, full)).sum())
     return hits
 
 
 def _nested_hits(
-    oracle: OracleFunction, pv: float, seed: int, *path: int
+    count_hits: Callable[[int, np.random.Generator], int], seed: int, *path: int
 ) -> Callable[[int, int], int]:
-    """``per_chunk`` for ``_estimate`` on the streams ``substream(seed, *path, c)``.
+    """``per_chunk`` for ``_estimate`` on the streams ``substream(seed, *path, c)``,
+    ``count_hits(count, rng)`` counting the hits of ``count`` rows drawn from one.
 
     Chunk c keeps its generator, the rows drawn from it and their hits. A
     larger estimate on the same path then draws only its new rows: chunk c
@@ -243,7 +225,7 @@ def _nested_hits(
             chunks[c] = (substream(seed, *path, c), 0, 0)
         rng, drawn, hits = chunks[c]
         if count > drawn:
-            hits += _count_hits(oracle, pv, count - drawn, rng)
+            hits += count_hits(count - drawn, rng)
             chunks[c] = (rng, count, hits)
         return hits
 
@@ -252,10 +234,11 @@ def _nested_hits(
 
 def _estimate(per_chunk: Callable[[int, int], int], samples: int, workers: int) -> Estimate:
     """Wilson estimate from ``per_chunk(c, count)`` hit counts over the
-    fixed-size stream chunks of ``samples``, run serially or on a pool."""
+    fixed-size stream chunks of ``samples``, run serially or on a pool.
+    Fewer than one sample is refused by ``wilson_estimate``, before any draw."""
     counts = _split(samples, _STREAM_CHUNK)
     # the reduction is a sum of ints, so scheduling cannot change the total
-    if workers == 1 or len(counts) == 1:
+    if workers == 1 or len(counts) <= 1:
         hits = sum(per_chunk(c, count) for c, count in enumerate(counts))
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(counts))) as pool:
@@ -267,11 +250,9 @@ def estimate_mu(
     oracle: OracleFunction, p, samples: int, seed: int, workers: int | None = None
 ) -> Estimate:
     """Sampled measure of the 1-set under the product measure at bias p."""
-    if samples < 1:
-        raise ValueError("needs at least one sample")
-    return _estimate(
-        _nested_hits(oracle, bias_value(p), seed, _TAG_MU), samples, worker_count(workers)
-    )
+    per_chunk = _nested_hits(functools.partial(_count_hits, oracle, bias_value(p)),
+                             seed, _TAG_MU)
+    return _estimate(per_chunk, samples, worker_count(workers))
 
 
 def estimate_influence(
@@ -283,18 +264,11 @@ def estimate_influence(
     the two completions for disagreement, which is the nonconstancy-on-the-
     fiber event itself rather than any derivative surrogate.
     """
-    if samples < 1:
-        raise ValueError("needs at least one sample")
     if not 1 <= i <= oracle.n:
         raise ValueError(f"coordinate {i} out of range for arity {oracle.n}")
-    pv = bias_value(p)
-    return _estimate(
-        lambda c, count: _count_fiber_splits(
-            oracle, pv, i, count, substream(seed, _TAG_INFLUENCE, i, c)
-        ),
-        samples,
-        worker_count(workers),
-    )
+    per_chunk = _nested_hits(functools.partial(_count_fiber_splits, oracle, bias_value(p), i),
+                             seed, _TAG_INFLUENCE, i)
+    return _estimate(per_chunk, samples, worker_count(workers))
 
 
 @dataclass(frozen=True)
@@ -302,8 +276,8 @@ class LevelSearchResult:
     """Outcome of the sampled bisection for p(alpha)."""
 
     p_hat: float
-    estimate: Estimate
     alpha: float
+    estimate: Estimate
     flagged: bool
     steps: int
     evaluations: int
@@ -311,16 +285,7 @@ class LevelSearchResult:
     rng: str = RNG_ID
 
     def to_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "alpha": self.alpha,
-            "estimate": self.estimate.to_dict(),
-            "flagged": self.flagged,
-            "steps": self.steps,
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-            "rng": self.rng,
-        }
+        return asdict(self)
 
 
 def mc_p_of_alpha(
@@ -362,7 +327,8 @@ def mc_p_of_alpha(
     while hi - lo > tol_p:
         mid = 0.5 * (lo + hi)
         # a doubled estimate resumes the streams of the one before it
-        per_chunk = _nested_hits(oracle, mid, seed, _TAG_BISECT, steps)
+        per_chunk = _nested_hits(functools.partial(_count_hits, oracle, mid),
+                                 seed, _TAG_BISECT, steps)
         samples = samples_per_step
         while True:
             est = _estimate(per_chunk, samples, nworkers)
@@ -380,9 +346,10 @@ def mc_p_of_alpha(
         steps += 1
 
     p_hat = 0.5 * (lo + hi)
-    final = _estimate(_nested_hits(oracle, p_hat, seed, _TAG_FINAL, 0), samples_per_step, nworkers)
+    final = _estimate(_nested_hits(functools.partial(_count_hits, oracle, p_hat),
+                                   seed, _TAG_FINAL, 0), samples_per_step, nworkers)
     evaluations += samples_per_step
-    return LevelSearchResult(p_hat, final, alpha, flagged, steps, evaluations, seed)
+    return LevelSearchResult(p_hat, alpha, final, flagged, steps, evaluations, seed)
 
 
 def spot_check_monotone(
@@ -399,5 +366,5 @@ def spot_check_monotone(
     for rows in _blocks(oracle, pairs, _SPOT_SCALARS):
         x = _bernoulli(rng, rows, oracle.n, pv)
         y = x | _bernoulli(rng, rows, oracle.n, pv)
-        violations += int((_values(oracle, x) > _values(oracle, y)).sum())
+        violations += int((_outputs(oracle, x) > _outputs(oracle, y)).sum())
     return violations

@@ -13,14 +13,13 @@ measure is known analytically and therefore has no arity limit.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .booleans import BooleanFunction, FamilySpec, build_family, is_monotone
+from .booleans import BooleanFunction, FamilySpec, build_family, family_closed_form, is_monotone
 from .measure import bias_value, expectation, expectation_derivative
 from .reports import BoundReport, checked
 
@@ -48,20 +47,18 @@ def dense_curve(f: BooleanFunction) -> MuCurve:
 
 
 def family_curve(spec: FamilySpec) -> MuCurve:
-    """The kind's closed-form curve when its record has one, level counts
-    otherwise.
+    """The kind's closed-form curve when it has one, level counts otherwise.
 
-    A closed form (the kind's ``mu`` and ``derivative`` in
-    ``booleans._KINDS``; or_all, and_all, tribes and dictator today) works at
-    any arity. Every other kind is read off a BooleanFunction's level
-    counts, from its rule or its dense table, and so is subject to the arity
-    cap: larger instances must go through the Monte Carlo estimators.
+    A closed form (``booleans.family_closed_form``; or_all, and_all, tribes
+    and dictator today) works at any arity. Every other kind is read off a
+    BooleanFunction's level counts, from its rule or its dense table, and so
+    is subject to the arity cap: larger instances must go through the Monte
+    Carlo estimators.
     """
-    record, values = spec._record, spec._values
-    if record.mu is None:
+    closed = family_closed_form(spec)
+    if closed is None:
         return dense_curve(build_family(spec))
-    return MuCurve(mu=functools.partial(record.mu, *values),
-                   derivative=functools.partial(record.derivative, *values))
+    return MuCurve(*closed)
 
 
 def _as_curve(target) -> MuCurve:
@@ -85,7 +82,7 @@ def set_measure(target, p) -> float:
     pv = bias_value(p)
     if isinstance(target, BooleanFunction):
         return expectation(target, pv)
-    if isinstance(target, FamilySpec) and target._record.mu is None:
+    if isinstance(target, FamilySpec) and family_closed_form(target) is None:
         return expectation(build_family(target), pv)
     return float(_as_curve(target).mu(pv))
 
@@ -142,13 +139,7 @@ class ThresholdResult:
     iterations: tuple[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "p_low": self.p_low,
-            "p_high": self.p_high,
-            "width": self.width,
-            "iterations": list(self.iterations),
-        }
+        return {**asdict(self), "iterations": list(self.iterations)}
 
 
 def threshold_width(target, eps: float, tol: float = DEFAULT_BISECTION_TOL) -> ThresholdResult:

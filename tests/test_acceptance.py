@@ -296,10 +296,8 @@ def test_criterion_09_monte_carlo_calibration():
             cov_inf += est_i.ci_lo <= inf_exact <= est_i.ci_hi
         coverage[spec.to_string()] = (cov_mu, cov_inf)
 
-    p_hats = [
-        mc.mc_p_of_alpha(mc.connectivity_oracle(m), 0.5, 4096, 1e-3, 7).p_hat
-        for m in (8, 12, 16)
-    ]
+    graphs = [mc.family_oracle(family_spec("connectivity", m=m)) for m in (8, 12, 16)]
+    p_hats = [mc.mc_p_of_alpha(oracle, 0.5, 4096, 1e-3, 7).p_hat for oracle in graphs]
     decreasing = all(a > b for a, b in zip(p_hats, p_hats[1:]))
     elapsed = perf_counter() - start
 

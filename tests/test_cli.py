@@ -8,7 +8,9 @@ warn there; the parser checks compare the parse's own help and errors.
 
 import argparse
 import collections
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -236,6 +238,32 @@ class TestSweep:
         assert b"\r" not in data
         assert data.decode() == out
 
+    @pytest.mark.parametrize("where, errno_code", [
+        ("missing-dir", errno.ENOENT),
+        ("directory", errno.EISDIR),
+    ], ids=["missing-dir", "directory"])
+    def test_out_path_that_cannot_be_written_is_one_error_line(self, capsys, tmp_path,
+                                                               where, errno_code):
+        target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "sweep", "--func", "cls", "--grid", "0.25:0.75:0.25",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {target}: {os.strerror(errno_code)}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "or", "--n", "30", "--grid", "0.1:0.9:0.1"), "dense-table cap"),
+        (("--family", "or", "--n", "4", "--grid", "abc"), "malformed grid"),
+    ])
+    def test_refused_sweep_leaves_the_out_file_as_it_was(self, capsys, monkeypatch, tmp_path,
+                                                         argv, message):
+        monkeypatch.delenv(booleans.ARITY_CAP_ENV, raising=False)
+        target = tmp_path / "keep.csv"
+        target.write_text("kept\n")
+        code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert target.read_text() == "kept\n"
+
 
 class TestThreshold:
     def test_or_width_and_bounds(self, capsys):
@@ -458,6 +486,17 @@ class TestMonteCarlo:
         assert result["steps"] == 10
         est = result["estimate"]
         assert est["ci_lo"] <= 0.5 <= est["ci_hi"]
+
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--eps", "0.1"),
+        ("mc", "mu"),
+        ("mc", "influence", "--i", "2"),
+        ("mc", "threshold", "--alpha", "0.5"),
+    ])
+    def test_missing_family_names_its_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --family is required\n"
 
     def test_connectivity_requires_m(self, capsys):
         code, _, err = run_cli(

@@ -7,7 +7,9 @@ pivotal counts, its symmetry generators, the sampling oracle's output (on
 every point up to arity 9, on a seeded batch above), and the measure curve
 at p = 0.05, 0.10, ..., 0.95, each value compared with ``==``. ``REFERENCE``
 holds the digests (the first 16 hex digits of a sha256 over each part's
-bytes), so a change in any bit of any part shows under its own key.
+bytes), so a change in any bit of any part shows under its own key. Past
+arity 9 the oracle also reads a batch drawn inside the kind's transition
+window, which holds both values (``WINDOW_REFERENCE``).
 """
 
 import hashlib
@@ -129,6 +131,27 @@ def _oracle_points(n: int) -> np.ndarray:
         return ((x[:, None] >> np.arange(n)) & 1).astype(np.uint8)
     rng = np.random.default_rng(20051 + n)
     return rng.integers(0, 2, size=(BATCH_ROWS, n), dtype=np.uint8)
+
+
+# a bias inside each sampled kind's transition window, where its measure is
+# near 1/2 (parity's is 1/2 at every bias), so that a batch drawn there holds
+# both values; at p = 1/2 and_all:n=40 reads 0 on every row of
+# ``_oracle_points``' batch, and or_all:n=64 and connectivity:m=16 read 1
+WINDOW_BIAS = {
+    "dictator": 0.5,
+    "and_all": 0.983,
+    "or_all": 0.0108,
+    "majority": 0.5,
+    "parity": 0.5,
+    "tribes": 0.406,
+    "cyclic_run": 0.5,
+    "connectivity": 0.19,
+}
+
+
+def _window_points(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(30051 + n)
+    return (rng.random((BATCH_ROWS, n)) < WINDOW_BIAS[kind]).astype(np.uint8)
 
 
 def _curve_values(spec) -> list[str]:
@@ -641,6 +664,30 @@ def test_kind_matches_its_reference(case):
     assert got == REFERENCE[_case_id(case)]
 
 
+# the sampled-grid oracles on ``_window_points``: (rows that read 1, digest)
+WINDOW_REFERENCE = {
+    'dictator:n=100,i=37': (256, '1f412b0b37260d78'),
+    'and_all:n=40': (273, '8925d3abd103dfca'),
+    'or_all:n=64': (256, '9fb7cd0d8e68865b'),
+    'majority:n=101': (238, '1d8978aa71feefd2'),
+    'parity:n=70': (252, 'fd8e19b771e8f028'),
+    'tribes:k=3,m=10': (247, '642bb1a5ae185996'),
+    'cyclic_run:n=40,len=5': (235, '914ede82bb502664'),
+    'connectivity:m=16': (270, '4ee3c6ae5072141a'),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLED_GRID, ids=_case_id)
+def test_oracle_in_the_transition_window(case):
+    kind, params = case
+    spec = family_spec(kind, **params)
+    got = np.asarray(mc.family_oracle(spec).evaluate_batch(_window_points(kind, spec.arity)))
+    ones = int(got.sum())
+    # both values, so a constant oracle cannot match
+    assert 0 < ones < BATCH_ROWS
+    assert (ones, _digest(got.tobytes())) == WINDOW_REFERENCE[_case_id(case)]
+
+
 @pytest.mark.parametrize("case", DENSE_GRID + SAMPLED_GRID, ids=_case_id)
 def test_string_round_trip(case):
     kind, params = case
@@ -678,6 +725,7 @@ def test_family_names_and_order():
     )
     assert {kind for kind, _ in DENSE_GRID} == set(FAMILY_NAMES)
     assert {kind for kind, _ in SAMPLED_GRID} == set(FAMILY_NAMES)
+    assert set(WINDOW_BIAS) == set(FAMILY_NAMES)
 
 
 ERRORS = [

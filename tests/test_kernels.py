@@ -246,8 +246,9 @@ class TestConnectedBatch:
         # every block of the seed-7 connectivity level search on 16 vertices,
         # the rows the benchmark's search evaluates
         from biascube import mc
+        from biascube.booleans import family_spec
 
-        oracle = mc.connectivity_oracle(16)
+        oracle = mc.family_oracle(family_spec("connectivity", m=16))
         edge_u, edge_v = self.edges(16)
         rows = []
 

@@ -5,6 +5,7 @@ so they are deterministic rerun to rerun; coverage-style checks live in the
 acceptance tests.
 """
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -17,7 +18,6 @@ from biascube.booleans import family_spec, parity
 from biascube.mc import (
     OracleFunction,
     RNG_ID,
-    connectivity_oracle,
     estimate_influence,
     estimate_mu,
     family_oracle,
@@ -97,7 +97,7 @@ class TestOracles:
         assert not family_oracle(family_spec("parity", n=4)).monotone_declared
 
     def test_connectivity_extremes(self):
-        oracle = connectivity_oracle(6)
+        oracle = family_oracle(family_spec("connectivity", m=6))
         n_edges = 15
         full = np.ones((1, n_edges), dtype=np.uint8)
         empty = np.zeros((1, n_edges), dtype=np.uint8)
@@ -145,6 +145,18 @@ class TestEstimators:
         oracle = family_oracle(family_spec("or_all", n=5))
         with pytest.raises(ValueError):
             estimate_influence(oracle, 0.5, 6, 100, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sample_count_below_one_is_refused_before_any_draw(self, samples, workers):
+        def refuse(bits):
+            raise AssertionError("the oracle was evaluated")
+
+        oracle = OracleFunction(5, refuse, True, "refuse")
+        for estimate in (lambda: estimate_mu(oracle, 0.5, samples, 0, workers=workers),
+                         lambda: estimate_influence(oracle, 0.5, 2, samples, 0, workers=workers)):
+            with pytest.raises(ValueError, match="needs at least one sample"):
+                estimate()
 
 
 class TestLevelSearch:
@@ -272,7 +284,8 @@ class TestPinnedStream:
 
     @WORKERS
     def test_level_search_connectivity8(self, seed, workers):
-        result = mc_p_of_alpha(connectivity_oracle(8), 0.5, 20_000, 1 / 32, seed, workers=workers)
+        oracle = family_oracle(family_spec("connectivity", m=8))
+        result = mc_p_of_alpha(oracle, 0.5, 20_000, 1 / 32, seed, workers=workers)
         assert result.to_dict() == PINNED[seed]["level"]
 
     def test_spot_check_tribes(self, seed):
@@ -306,7 +319,8 @@ def _level_search_m16(monkeypatch, workers):
         return count_hits(oracle, pv, count, rng)
 
     monkeypatch.setattr(mc, "_count_hits", recording)
-    result = mc_p_of_alpha(connectivity_oracle(16), 0.5, 4096, 1e-3, 7, workers=workers)
+    oracle = family_oracle(family_spec("connectivity", m=16))
+    result = mc_p_of_alpha(oracle, 0.5, 4096, 1e-3, 7, workers=workers)
     return result.to_dict(), sum(counted)
 
 
@@ -353,7 +367,8 @@ def test_row_block_size_moves_no_pinned_result(monkeypatch, split, seeds, level,
         influence = estimate_influence(majority, 0.5, 7, 40_000, seed, workers=workers)
         assert influence.to_dict() == PINNED[seed]["influence"]
         if level:
-            search = mc_p_of_alpha(connectivity_oracle(8), 0.5, 20_000, 1 / 32, seed, workers=workers)
+            graphs = family_oracle(family_spec("connectivity", m=8))
+            search = mc_p_of_alpha(graphs, 0.5, 20_000, 1 / 32, seed, workers=workers)
             assert search.to_dict() == PINNED[seed]["level"]
 
 
@@ -408,7 +423,7 @@ def test_two_worker_connectivity_estimate_peak_memory():
     # two chunks of 16384 x 120 coordinates drawn at once peaked at 34 MiB
     # when each held its raw words, and at 5.1 MiB when each held its chunk's
     # 0/1 matrix; a row block of 2**18 coordinates reads 1.2 MiB
-    oracle = connectivity_oracle(16)
+    oracle = family_oracle(family_spec("connectivity", m=16))
     peak = _traced_peak(lambda: estimate_mu(oracle, 0.19, 65536, 1, workers=2))
     assert peak < 2 << 20
 
@@ -471,10 +486,11 @@ def test_resumed_estimates_match_fresh_draws_under_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        per_chunk = mc._nested_hits(oracle, 0.02, 5, 9)
+        count_hits = functools.partial(mc._count_hits, oracle, 0.02)
+        per_chunk = mc._nested_hits(count_hits, 5, 9)
         for samples in (3000, 20_000, 70_000, 70_000, 140_000):
             resumed = mc._estimate(per_chunk, samples, 8)
-            fresh = mc._estimate(mc._nested_hits(oracle, 0.02, 5, 9), samples, 1)
+            fresh = mc._estimate(mc._nested_hits(count_hits, 5, 9), samples, 1)
             assert resumed == fresh
     finally:
         sys.setswitchinterval(interval)

@@ -113,17 +113,3 @@ def test_family_oracle_evaluate_batch_can_be_swapped():
         assert (swapped.evaluate_batch(points) == oracle.evaluate_batch(points)).all()
         assert seen == [3], kind
 
-
-def test_connectivity_oracle_is_wrapped_once(monkeypatch):
-    # The tracer wraps the oracles that both mc.family_oracle and
-    # mc.connectivity_oracle return; if one name called the other, the
-    # connectivity oracle would be wrapped twice and its time counted twice.
-    def refuse(spec):
-        raise AssertionError("connectivity_oracle called mc.family_oracle")
-
-    monkeypatch.setattr(mc, "family_oracle", refuse)
-    oracle = mc.connectivity_oracle(4)
-    assert isinstance(oracle, mc.OracleFunction)
-    assert oracle.n == 6 and oracle.monotone_declared and oracle.name == "connectivity:m=4"
-    points = np.array([[0] * 6, [1] * 6, [1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1]], dtype=np.uint8)
-    assert oracle.evaluate_batch(points).tolist() == [0, 1, 1, 0]
