@@ -101,6 +101,7 @@ __all__ = [
     "parity",
     "parse_family_string",
     "parse_table_string",
+    "tribes",
     "derivative_bound_check",
     "log_sobolev_check",
     "log_sobolev_constant",

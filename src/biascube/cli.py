@@ -12,10 +12,10 @@ Every subcommand names a family the same way: ``--family`` and one flag per
 parameter of the kind, ``--<name>``. The flags, the kinds each one's help
 names and the values a left-out flag takes all come from the kind records
 (``booleans.family_parameters``), so a new kind or parameter needs no edit
-here. A left-out flag with no default is refused by its flag; the dictator's
-``--i`` defaults to 1. ``mc influence`` reads ``--i`` as the coordinate it
-estimates, and passes it to the family only when the kind has a parameter
-``i``.
+here. A left-out flag with no default is refused by its flag, and so is a
+flag the kind does not take; the dictator's ``--i`` defaults to 1. ``mc
+influence`` reads ``--i`` as the coordinate it estimates, and passes it to
+the family only when the kind has a parameter ``i``.
 
 ``main`` parses a call with a parser holding only the subcommand it names,
 built on that subcommand's first call in the process and kept; its help,
@@ -103,21 +103,27 @@ def _family_flags() -> dict[str, list[str]]:
 _INFLUENCE_FLAGS = {"i": "coordinate to estimate"}
 
 
+def _flag_list(names) -> str:
+    return ", ".join(f"--{name}" for name in names)
+
+
 def _family_from_flags(args, own=()) -> FamilySpec:
     """The spec the family flags name, a left-out flag taking its kind's
-    default, and a flag in ``own`` only when the kind has that parameter."""
+    default, and a flag in ``own`` only when the kind has that parameter.
+    A family flag the kind does not take is refused by name."""
     if args.family is None:
         raise UsageError("--family is required")
     parameters = family_parameters(args.family)
-    params = {name: getattr(args, name) for name in _family_flags()
-              if getattr(args, name) is not None and (name in parameters or name not in own)}
-    for name, default in parameters.items():
-        if name not in params and default is not None:
-            params[name] = default
-    missing = [name for name in parameters if name not in params]
+    given = [name for name in _family_flags() if getattr(args, name) is not None]
+    stray = [name for name in given if name not in parameters and name not in own]
+    if stray:
+        raise UsageError(f"family {args.family!r} does not take {_flag_list(stray)}; "
+                         f"it takes {_flag_list(parameters)}")
+    params = {name: getattr(args, name) if name in given else default
+              for name, default in parameters.items()}
+    missing = [name for name, value in params.items() if value is None]
     if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise UsageError(f"family {args.family!r} needs {flags}")
+        raise UsageError(f"family {args.family!r} needs {_flag_list(missing)}")
     return family_spec(args.family, **params)
 
 
@@ -208,37 +214,33 @@ def cmd_sweep(args, out) -> int:
         raise UsageError("give exactly one of --func or --family")
     grid = _parse_grid(args.grid)
 
+    # A constant sweep has no set, so mu and dmu_dp are empty; sets that
+    # fail the derivative bound's hypotheses, or are constant, leave the
+    # last two columns empty.
+    f = bound_n = None
     if args.func is not None:
-        with _sweep_output(args, out) as out:
-            _sweep_preamble(out, {"func": args.func, "grid": args.grid})
-            for p in grid:
-                c = bounds.log_sobolev_constant(p)
-                pqc = bounds.scaled_log_sobolev_constant(p)
-                out.write(f"{_fmt(p)},,,{_fmt(c)},{_fmt(pqc)},,\n")
-        return 0
-
-    spec = _family_from_flags(args)
-    f = build_family(spec)
-    # Sets that fail the derivative bound's hypotheses, or are constant,
-    # leave the last two columns empty.
-    try:
-        bound_n = None if f.is_constant() else bounds.bound_hypotheses(spec)
-    except ValueError:
-        bound_n = None
+        echo = {"func": args.func}
+    else:
+        spec = _family_from_flags(args)
+        f = build_family(spec)
+        echo = {"family": spec.to_string()}
+        try:
+            bound_n = None if f.is_constant() else bounds.bound_hypotheses(spec)
+        except ValueError:
+            bound_n = None
     with _sweep_output(args, out) as out:
-        _sweep_preamble(out, {"family": spec.to_string(), "grid": args.grid})
+        _sweep_preamble(out, {**echo, "grid": args.grid})
         for p in grid:
-            mu, mu_bar = level_means(f, p)
-            dmu = expectation_derivative(f, p)
             c = bounds.log_sobolev_constant(p)
             pqc = bounds.scaled_log_sobolev_constant(p)
-            row = [_fmt(p), _fmt(mu), _fmt(dmu), _fmt(c), _fmt(pqc)]
-            if bound_n is not None:
-                rhs = bounds.derivative_bound_rhs(bound_n, p, mu, mu_bar)
-                row.append(_fmt(rhs))
-                row.append("true" if dmu >= rhs - 1e-9 else "false")
-            else:
-                row.extend(["", ""])
+            row = [_fmt(p), "", "", _fmt(c), _fmt(pqc), "", ""]
+            if f is not None:
+                mu, mu_bar = level_means(f, p)
+                dmu = expectation_derivative(f, p)
+                row[1:3] = _fmt(mu), _fmt(dmu)
+                if bound_n is not None:
+                    rhs = bounds.derivative_bound_rhs(bound_n, p, mu, mu_bar)
+                    row[5:] = _fmt(rhs), "true" if dmu >= rhs - 1e-9 else "false"
             out.write(",".join(row) + "\n")
     return 0
 
@@ -344,7 +346,9 @@ def _analyze_flags(parser) -> None:
 
 def _sweep_flags(parser) -> None:
     _add_family_flags(parser)
-    parser.add_argument("--func", choices=("cls", "pqcls"), help="constant curve sweep")
+    parser.add_argument("--func", choices=("cls", "pqcls"),
+                        help="constant curve sweep; cls and pqcls print the same rows "
+                        "(both constant columns) and differ only in the # config line")
     parser.add_argument("--grid", required=True, help="p-grid as start:stop:step")
     parser.add_argument("--out", help="output path (default stdout)")
 

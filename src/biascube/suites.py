@@ -98,7 +98,8 @@ def suite_russo(seed: int, trials: int = 200, n_max: int = 10) -> dict:
     h = 1e-5
     checks, failures = [], []
     worst = {p: 0.0 for p in CHECK_BIASES}
-    draws = _random_monotone_rows(rng, trials, n_max)
+    draws = _random_trials(rng, trials, n_max,
+                           lambda n, rng: (_random_monotone_table(n, rng),))
     sweep = _by_arity(draws, lambda n, tables: _russo_sides(n, tables, h))
     for t, (n, (totals, fds)) in enumerate(sweep):
         for p, total, fd in zip(CHECK_BIASES, totals, fds):
@@ -179,23 +180,12 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
 _HELD_ENTRIES = 1 << 20
 
 
-def _random_monotone_rows(rng: np.random.Generator, trials: int, n_max: int):
-    """Per trial, an arity n in 2..n_max and the 0/1 table of a random
-    monotone function of that arity."""
+def _random_trials(rng: np.random.Generator, trials: int, n_max: int, draw):
+    """Per trial, an arity n in 2..n_max, then the rows ``draw(n, rng)``
+    makes of that arity, one per stream."""
     for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
-        yield n, (_random_monotone_table(n, rng),)
-
-
-def _random_rows(rng: np.random.Generator, trials: int, n_max: int, lognormal: bool):
-    """Per trial, an arity n in 2..n_max and a normal row of 2**n values,
-    then a lognormal row of the same arity when ``lognormal`` is set."""
-    for _ in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        rows = (_random_values(n, rng),)
-        if lognormal:
-            rows += (_random_values(n, rng, positive=True),)
-        yield n, rows
+        yield n, draw(n, rng)
 
 
 def _by_arity(draws, evaluate):
@@ -248,7 +238,8 @@ def suite_lsi(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     literal_total = 0
     for p in CHECK_BIASES:
         # each trial draws its arity, a normal g, then a lognormal instance
-        draws = _random_rows(rng, trials, n_max, lognormal=True)
+        draws = _random_trials(rng, trials, n_max, lambda n, rng: (
+            _random_values(n, rng), _random_values(n, rng, positive=True)))
 
         def evaluate(n, squared, literal):
             return zip(bounds._log_sobolev_checks(squared, n, p),
@@ -298,7 +289,7 @@ def suite_poincare(seed: int, trials: int = 500, n_max: int = 8) -> dict:
     for p in CHECK_BIASES:
         violations = 0
         worst = -np.inf
-        draws = _random_rows(rng, trials, n_max, lognormal=False)
+        draws = _random_trials(rng, trials, n_max, lambda n, rng: (_random_values(n, rng),))
         sweep = _by_arity(draws, lambda n, rows: bounds._poincare_checks(rows, n, p))
         for t, (n, rep) in enumerate(sweep):
             worst = max(worst, rep.lhs - rep.rhs)

@@ -6,9 +6,9 @@ bias p(alpha). The engine finds it by bisection (never Newton: dense measure
 curves can be extremely flat near the endpoints). The threshold width at
 level eps is p(1-eps) - p(eps).
 
-Works either on a BooleanFunction, whose measure is read off its level
-counts, or on a MuCurve, a thin wrapper for closed-form families whose
-measure is known analytically and therefore has no arity limit.
+Works on a BooleanFunction or FamilySpec, read off its level counts or its
+kind's closed form (no arity limit), or on a MuCurve, a thin wrapper for a
+measure known analytically; one dispatcher, ``_curve``, serves every reader.
 """
 
 from __future__ import annotations
@@ -35,42 +35,41 @@ class MuCurve:
     derivative: Callable[[float], float] | None = None
 
 
+def _curve(target, invertible: bool = True) -> MuCurve:
+    """A MuCurve as given, a family's closed form where its kind has one, else
+    the level counts of its (or a BooleanFunction's) table. The inverse
+    operations need ``invertible``: a monotone nontrivial set."""
+    if isinstance(target, MuCurve):
+        return target
+    if isinstance(target, FamilySpec):
+        closed = family_closed_form(target)
+        if closed is not None:
+            return MuCurve(*closed)
+        target = build_family(target)
+    elif not isinstance(target, BooleanFunction):
+        raise TypeError(
+            f"expected a BooleanFunction, FamilySpec, or MuCurve, got {type(target).__name__}"
+        )
+    if invertible:
+        if target.is_constant():
+            raise ValueError("the set is trivial: its measure is constant in p")
+        if not is_monotone(target):
+            raise ValueError("bisection requires a monotone set")
+    return MuCurve(mu=lambda p: expectation(target, p),
+                   derivative=lambda p: expectation_derivative(target, p))
+
+
 def dense_curve(f: BooleanFunction) -> MuCurve:
     """Curve of a Boolean function, read off its level counts at O(n) per
     bias; requires monotone and nontrivial."""
-    if f.is_constant():
-        raise ValueError("the set is trivial: its measure is constant in p")
-    if not is_monotone(f):
-        raise ValueError("bisection requires a monotone set")
-    return MuCurve(mu=lambda p: expectation(f, p),
-                   derivative=lambda p: expectation_derivative(f, p))
+    return _curve(f)
 
 
 def family_curve(spec: FamilySpec) -> MuCurve:
-    """The kind's closed-form curve when it has one, level counts otherwise.
-
-    A closed form (``booleans.family_closed_form``; or_all, and_all, tribes
-    and dictator today) works at any arity. Every other kind is read off a
-    BooleanFunction's level counts, from its rule or its dense table, and so
-    is subject to the arity cap: larger instances must go through the Monte
-    Carlo estimators.
-    """
-    closed = family_closed_form(spec)
-    if closed is None:
-        return dense_curve(build_family(spec))
-    return MuCurve(*closed)
-
-
-def _as_curve(target) -> MuCurve:
-    if isinstance(target, MuCurve):
-        return target
-    if isinstance(target, BooleanFunction):
-        return dense_curve(target)
-    if isinstance(target, FamilySpec):
-        return family_curve(target)
-    raise TypeError(
-        f"expected a BooleanFunction, FamilySpec, or MuCurve, got {type(target).__name__}"
-    )
+    """The kind's closed-form curve (``booleans.family_closed_form``), at any
+    arity, when it has one; else its function's level counts, under the arity
+    cap: larger instances must go through the Monte Carlo estimators."""
+    return _curve(spec)
 
 
 def set_measure(target, p) -> float:
@@ -80,11 +79,7 @@ def set_measure(target, p) -> float:
     only the inverse operations below need a monotone nontrivial set.
     """
     pv = bias_value(p)
-    if isinstance(target, BooleanFunction):
-        return expectation(target, pv)
-    if isinstance(target, FamilySpec) and family_closed_form(target) is None:
-        return expectation(build_family(target), pv)
-    return float(_as_curve(target).mu(pv))
+    return float(_curve(target, invertible=False).mu(pv))
 
 
 def _check_tol(tol: float) -> None:
@@ -125,7 +120,7 @@ def bias_at_level(target, alpha: float, tol: float = DEFAULT_BISECTION_TOL) -> f
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"level must lie in (0,1), got {alpha}")
     _check_tol(tol)
-    curve = _as_curve(target)
+    curve = _curve(target)
     p, _, _ = _bisect(curve, alpha, tol)
     return p
 
@@ -147,7 +142,7 @@ def threshold_width(target, eps: float, tol: float = DEFAULT_BISECTION_TOL) -> T
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     _check_tol(tol)
-    curve = _as_curve(target)
+    curve = _curve(target)
     p_low, it_low, _ = _bisect(curve, eps, tol)
     p_high, it_high, _ = _bisect(curve, 1.0 - eps, tol)
     return ThresholdResult(eps, p_low, p_high, p_high - p_low, (it_low, it_high))
@@ -203,7 +198,7 @@ def width_from_derivative_check(
     """
     if a <= 0:
         raise ValueError("the constant a must be positive")
-    curve = _as_curve(A)
+    curve = _curve(A)
     if p_grid is None:
         p_grid = np.linspace(0.01, 0.99, 99)
     worst_i = 0.0

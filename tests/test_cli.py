@@ -566,6 +566,33 @@ class TestFamilyParameters:
         assert err == f"error: {message}\n"
 
 
+class TestStrayFamilyFlags:
+    """A family flag the kind does not take is refused as a flag, before a
+    left-out flag takes its default, on every subcommand that names a family."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("analyze", "--family", "dictator", "--n", "4", "--k", "2", "--p", "0.3"),
+         "family 'dictator' does not take --k; it takes --n, --i"),
+        (("sweep", "--family", "or", "--n", "4", "--m", "2", "--len", "3",
+          "--grid", "0.1:0.9:0.1"),
+         "family 'or' does not take --m, --len; it takes --n"),
+        (("threshold", "--family", "tribes", "--k", "2", "--m", "3", "--n", "6",
+          "--eps", "0.1"),
+         "family 'tribes' does not take --n; it takes --k, --m"),
+        (("mc", "mu", "--family", "or", "--n", "8", "--i", "2"),
+         "family 'or' does not take --i; it takes --n"),
+        (("mc", "influence", "--family", "majority", "--n", "5", "--k", "2", "--i", "1"),
+         "family 'majority' does not take --k; it takes --n"),
+        (("mc", "threshold", "--family", "connectivity", "--m", "5", "--n", "10",
+          "--alpha", "0.5"),
+         "family 'connectivity' does not take --n; it takes --m"),
+    ], ids=["analyze", "sweep", "threshold", "mc-mu", "mc-influence", "mc-threshold"])
+    def test_stray_flag_is_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def exit_of(capsys, parse, argv):
     """Exit code, stdout and stderr of a parse that exits."""
     with pytest.raises(SystemExit) as exc:
