@@ -13,9 +13,11 @@ parameter of the kind, ``--<name>``. The flags, the kinds each one's help
 names and the values a left-out flag takes all come from the kind records
 (``booleans.family_parameters``), so a new kind or parameter needs no edit
 here. A left-out flag with no default is refused by its flag, and so is a
-flag the kind does not take; the dictator's ``--i`` defaults to 1. ``mc
-influence`` reads ``--i`` as the coordinate it estimates, and passes it to
-the family only when the kind has a parameter ``i``.
+flag the kind does not take or one given where no family is named (next
+to ``--table``, ``--func`` or without ``--family``); the dictator's ``--i``
+defaults to 1. ``mc influence`` reads ``--i`` as the coordinate it
+estimates, and passes it to the family only when the kind has a parameter
+``i``.
 
 ``main`` parses a call with a parser holding only the subcommand it names,
 built on that subcommand's first call in the process and kept; its help,
@@ -107,14 +109,28 @@ def _flag_list(names) -> str:
     return ", ".join(f"--{name}" for name in names)
 
 
+def _given_family_flags(args) -> list[str]:
+    return [name for name in _family_flags() if getattr(args, name) is not None]
+
+
+def _refuse_family_flags(args, target: str) -> None:
+    """Family flags next to a target that is not a family are refused by
+    name, not ignored."""
+    given = _given_family_flags(args)
+    if given:
+        raise UsageError(f"{target} takes no family flags, got {_flag_list(given)}")
+
+
 def _family_from_flags(args, own=()) -> FamilySpec:
     """The spec the family flags name, a left-out flag taking its kind's
     default, and a flag in ``own`` only when the kind has that parameter.
-    A family flag the kind does not take is refused by name."""
+    A family flag the kind does not take, or given without ``--family``,
+    is refused by name."""
+    given = _given_family_flags(args)
     if args.family is None:
-        raise UsageError("--family is required")
+        named = [name for name in given if name not in own]
+        raise UsageError("--family is required" + (f" for {_flag_list(named)}" if named else ""))
     parameters = family_parameters(args.family)
-    given = [name for name in _family_flags() if getattr(args, name) is not None]
     stray = [name for name in given if name not in parameters and name not in own]
     if stray:
         raise UsageError(f"family {args.family!r} does not take {_flag_list(stray)}; "
@@ -135,6 +151,7 @@ def _build_target(args):
         spec = _family_from_flags(args)
         return build_family(spec), {"family": spec.to_string()}
     if args.table is not None:
+        _refuse_family_flags(args, "--table")
         return parse_table_string(args.table), {"table": args.table}
     raise UsageError("one of --family or --table is required")
 
@@ -219,6 +236,7 @@ def cmd_sweep(args, out) -> int:
     # last two columns empty.
     f = bound_n = None
     if args.func is not None:
+        _refuse_family_flags(args, "--func")
         echo = {"func": args.func}
     else:
         spec = _family_from_flags(args)

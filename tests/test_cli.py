@@ -592,6 +592,19 @@ class TestStrayFamilyFlags:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("analyze", "--table", "n=2:hex=E", "--n", "5", "--k", "3", "--p", "0.5"),
+         "--table takes no family flags, got --n, --k"),
+        (("sweep", "--func", "cls", "--n", "4", "--grid", "0.1:0.9:0.1"),
+         "--func takes no family flags, got --n"),
+        (("threshold", "--n", "6", "--m", "2", "--eps", "0.1"),
+         "--family is required for --n, --m"),
+    ], ids=["analyze-table", "sweep-func", "threshold-no-family"])
+    def test_flag_without_a_family_is_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 def exit_of(capsys, parse, argv):
     """Exit code, stdout and stderr of a parse that exits."""

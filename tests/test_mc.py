@@ -402,6 +402,23 @@ def test_bernoulli_matches_float_compare(pv, monkeypatch):
             assert _philox_state(rng) == _philox_state(reference)
 
 
+@BIASES
+def test_bernoulli_matches_raw_word_compare(pv, monkeypatch):
+    # the comparison of raw Philox words that the doubles replaced: the same
+    # bits and the same generator state after every shape and block size
+    below = np.uint64(math.ceil(pv * 2.0**53) << 11)
+    default = mc._RAW_WORDS
+    for raw_words in (1, 5, 7, 64, default):
+        monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+        shapes = ((37, 11), (5, 13), (64, 7)) + (((16384, 120),) if raw_words == default else ())
+        rng, reference = substream(3, 9), substream(3, 9)
+        for rows, cols in shapes:
+            got = mc._bernoulli(rng, rows, cols, pv)
+            raw = reference.bit_generator.random_raw(rows * cols).reshape(rows, cols)
+            assert np.array_equal(got, (raw < below).view(np.uint8))
+            assert _philox_state(rng) == _philox_state(reference)
+
+
 def _traced_peak(fn) -> int:
     fn()  # first calls allocate caches that a later call reuses
     tracemalloc.start()
@@ -436,6 +453,15 @@ def test_or_estimate_peak_memory():
     assert peak < 3 << 18
 
 
+def test_spot_check_peak_memory():
+    # 100,000 pairs on or n=64 are two row blocks of 65,536 x 64 coordinates;
+    # holding x, y and their OR at once peaked at 10.2 MiB, two reused row
+    # buffers with the OR written into y read 8.2 MiB
+    oracle = family_oracle(family_spec("or_all", n=64))
+    peak = _traced_peak(lambda: spot_check_monotone(oracle, 0.0138, 100_000, seed=0))
+    assert peak < 9 << 20
+
+
 def test_majority_influence_peak_memory():
     # the fiber path holds the drawn n - 1 columns and the completed n: for
     # whole 16384-row chunks of majority on 101 bits 3.3 MiB, for 2**18-
@@ -446,15 +472,16 @@ def test_majority_influence_peak_memory():
 
 
 class _GivenWords:
-    """Generator stand-in whose bit generator hands out the given raw words."""
+    """Generator stand-in whose doubles are made from the given raw words."""
 
     def __init__(self, words):
-        self.bit_generator = self
         self.words = words
 
-    def random_raw(self, size):
-        assert size == self.words.size
-        return self.words.copy()
+    def random(self, out):
+        # numpy's double from one raw word
+        assert out.size == self.words.size
+        out[...] = (self.words >> np.uint64(11)) * 2.0**-53
+        return out
 
 
 @BIASES
