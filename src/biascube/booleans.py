@@ -23,8 +23,9 @@ on m vertices is a kind like any other, with one coordinate per edge.
 
 Functions are capped at ``arity_cap()`` coordinates (default 24, i.e. a
 table of 16 Mi entries); larger instances go through the closed-form or
-Monte Carlo paths instead. Every constructor checks the cap before it
-allocates.
+Monte Carlo paths instead. Every family is built through ``build_family``,
+the one gate that checks the cap before a kind's builder allocates; the
+table readers and random draws check it at their own entry.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class BooleanFunction:
     * a table: ``BooleanFunction(n, table)`` validates a dense 0/1 truth
       table, and its level counts, pivotal counts and monotone verdict are
       counted from the packed table on first use;
-    * a rule: the family constructors whose counts follow from an exact rule
+    * a rule: the family builders whose counts follow from an exact rule
       (the fully symmetric families and the dictator) set those counts and
       the verdict from the rule, and build the table only when something
       reads it (``table``, ``evaluate``, ``is_invariant``,
@@ -138,22 +139,15 @@ class BooleanFunction:
     def _lazy(cls, n: int, build_table, **known) -> BooleanFunction:
         """A function whose table ``build_table()`` gives on first read;
         ``known`` fills cached properties (``_words``, the counts, the
-        verdict) by name."""
+        verdict) by name, and every array in it is made read-only."""
         f = cls.__new__(cls)
         f.n = n
         f._build_table = build_table
+        for value in known.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         f.__dict__.update(known)
         return f
-
-    @classmethod
-    def _from_rule(cls, n: int, level_counts, pivotal_counts, monotone: bool,
-                   build_table) -> BooleanFunction:
-        """A function whose counts and monotone verdict come from its
-        family's rule; ``build_table()`` gives its table on first read."""
-        level_counts.flags.writeable = False
-        pivotal_counts.flags.writeable = False
-        return cls._lazy(n, build_table, level_counts=level_counts,
-                         pivotal_counts=pivotal_counts, _monotone=monotone)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -302,50 +296,47 @@ def _binomials(m: int) -> np.ndarray:
     return out
 
 
-def _symmetric(kind: str, n: int, value) -> BooleanFunction:
-    """The family ``kind`` at arity n: worth v_k = ``value(k)`` at every
-    point of weight k.
+def _symmetric(n: int, value) -> BooleanFunction:
+    """Worth v_k = ``value(k)`` at every point of weight k.
 
     a_k = C(n, k) v_k, and each coordinate is pivotal at the C(n-1, k) base
     points of level k exactly when v_k != v_{k+1}.
     """
-    family_spec(kind, n=n)
-    _check_arity(n)
     v = np.array([value(k) for k in range(n + 1)], dtype=np.uint8)
     pivotal = _binomials(n - 1) * (v[:-1] != v[1:])
-    return BooleanFunction._from_rule(
-        n, _binomials(n) * v, np.tile(pivotal, (n, 1)), bool((v[:-1] <= v[1:]).all()),
-        lambda: v[popcounts(n)],
-    )
+    return BooleanFunction._lazy(
+        n, lambda: v[popcounts(n)], level_counts=_binomials(n) * v,
+        pivotal_counts=np.tile(pivotal, (n, 1)), _monotone=bool((v[:-1] <= v[1:]).all()))
+
+
+def _dictator(n: int, i: int) -> BooleanFunction:
+    pivotal = np.zeros((n, n), dtype=np.int64)
+    pivotal[i - 1] = _binomials(n - 1)
+    return BooleanFunction._lazy(
+        n, lambda: (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1, _monotone=True,
+        level_counts=np.concatenate(([0], _binomials(n - 1))), pivotal_counts=pivotal)
 
 
 def dictator(n: int, i: int) -> BooleanFunction:
     """f(x) = x_i: a_k = C(n-1, k-1), and only coordinate i is pivotal, at
     every base point."""
-    family_spec("dictator", n=n, i=i)
-    _check_arity(n)
-    pivotal = np.zeros((n, n), dtype=np.int64)
-    pivotal[i - 1] = _binomials(n - 1)
-    return BooleanFunction._from_rule(
-        n, np.concatenate(([0], _binomials(n - 1))), pivotal, True,
-        lambda: (np.arange(1 << n, dtype=np.uint32) >> (i - 1)) & 1,
-    )
+    return build_family(family_spec("dictator", n=n, i=i))
 
 
 def and_all(n: int) -> BooleanFunction:
-    return _symmetric("and_all", n, lambda k: k == n)
+    return build_family(family_spec("and_all", n=n))
 
 
 def or_all(n: int) -> BooleanFunction:
-    return _symmetric("or_all", n, lambda k: k > 0)
+    return build_family(family_spec("or_all", n=n))
 
 
 def majority(n: int) -> BooleanFunction:
-    return _symmetric("majority", n, lambda k: k >= (n + 1) // 2)
+    return build_family(family_spec("majority", n=n))
 
 
 def parity(n: int) -> BooleanFunction:
-    return _symmetric("parity", n, lambda k: k % 2)
+    return build_family(family_spec("parity", n=n))
 
 
 def _up_set(n: int, masks) -> np.ndarray:
@@ -362,19 +353,23 @@ def _up_set(n: int, masks) -> np.ndarray:
     return table
 
 
+def _tribes(k: int, m: int) -> BooleanFunction:
+    return BooleanFunction(k * m, _up_set(k * m, [((1 << k) - 1) << (t * k) for t in range(m)]))
+
+
 def tribes(k: int, m: int) -> BooleanFunction:
     """OR of m disjoint ANDs over consecutive blocks of k coordinates."""
-    n = family_spec("tribes", k=k, m=m).arity
-    _check_arity(n)
-    return BooleanFunction(n, _up_set(n, [((1 << k) - 1) << (t * k) for t in range(m)]))
+    return build_family(family_spec("tribes", k=k, m=m))
+
+
+def _cyclic_run(n: int, length: int) -> BooleanFunction:
+    windows = [sum(1 << ((start + off) % n) for off in range(length)) for start in range(n)]
+    return BooleanFunction(n, _up_set(n, windows))
 
 
 def cyclic_run(n: int, length: int) -> BooleanFunction:
     """1 iff some cyclic run of `length` consecutive coordinates is all ones."""
-    family_spec("cyclic_run", n=n, len=length)
-    _check_arity(n)
-    windows = [sum(1 << ((start + off) % n) for off in range(length)) for start in range(n)]
-    return BooleanFunction(n, _up_set(n, windows))
+    return build_family(family_spec("cyclic_run", n=n, len=length))
 
 
 @lru_cache(maxsize=32)
@@ -398,14 +393,8 @@ def _is_connected(m: int, b: np.ndarray) -> np.ndarray:
 _POINT_BLOCK = 1 << 16
 
 
-def connectivity(m: int) -> BooleanFunction:
-    """1 iff the graph on m labelled vertices whose edges are the coordinates
-    set to 1 is connected; one coordinate per edge, in ``_edges`` order.
-
-    The table is filled from the sampling predicate, ``_POINT_BLOCK`` points
-    at a time, so the default cap reaches m = 7 (21 edges)."""
-    n = family_spec("connectivity", m=m).arity
-    _check_arity(n)
+def _connectivity(m: int) -> BooleanFunction:
+    n = m * (m - 1) // 2
     table = np.empty(1 << n, dtype=np.uint8)
     shifts = np.arange(n, dtype=np.uint32)
     for start in range(0, 1 << n, _POINT_BLOCK):
@@ -413,6 +402,15 @@ def connectivity(m: int) -> BooleanFunction:
         bits = ((points[:, None] >> shifts) & 1).astype(np.uint8)
         table[start:start + len(points)] = _is_connected(m, bits)
     return BooleanFunction(n, table)
+
+
+def connectivity(m: int) -> BooleanFunction:
+    """1 iff the graph on m labelled vertices whose edges are the coordinates
+    set to 1 is connected; one coordinate per edge, in ``_edges`` order.
+
+    The table is filled from the sampling predicate, ``_POINT_BLOCK`` points
+    at a time, so the default cap reaches m = 7 (21 edges)."""
+    return build_family(family_spec("connectivity", m=m))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +504,7 @@ class _Kind:
     if it has one, so ``functools.partial`` binds an instance."""
 
     params: tuple[str, ...]  # names, in serialization order
-    build: Callable[..., BooleanFunction]  # the public constructor's call
+    build: Callable[..., BooleanFunction]  # from values build_family has checked and capped
     symmetry: Callable[..., tuple]  # family_symmetry's evidence
     predicate: Callable[..., np.ndarray]  # (*values, 0/1 batch): truth per row
     rule: tuple[Callable[..., bool], str] = (lambda *_: True, "")  # value rule, its message
@@ -559,11 +557,9 @@ def _has_cyclic_run(n: int, length: int, b: np.ndarray) -> np.ndarray:
     return windows.all(axis=2).any(axis=1)
 
 
-# Builders look the constructor up when called, so a wrapper put on its
-# module name (``perfbench/tracer.py``'s) sees every build.
 _KINDS = {
     "dictator": _Kind(
-        ("n", "i"), build=lambda n, i: dictator(n, i), symmetry=lambda n, i: (None, None),
+        ("n", "i"), build=_dictator, symmetry=lambda n, i: (None, None),
         predicate=lambda n, i, b: b[:, i - 1] != 0,
         rule=(lambda n, i: 1 <= i <= n, "coordinate {i} out of range for arity {n}"),
         mu=lambda n, i, p: p, derivative=lambda n, i, p: 1.0,
@@ -571,29 +567,29 @@ _KINDS = {
         defaults=(("i", 1),),
     ),
     "and_all": _Kind(
-        ("n",), build=lambda n: and_all(n), symmetry=_full_symmetry,
+        ("n",), build=lambda n: _symmetric(n, lambda k: k == n), symmetry=_full_symmetry,
         predicate=lambda n, b: b.all(axis=1),
         mu=lambda n, p: math.exp(n * math.log(p)),
         derivative=lambda n, p: n * math.exp((n - 1) * math.log(p)),
     ),
     "or_all": _Kind(
-        ("n",), build=lambda n: or_all(n), symmetry=_full_symmetry,
+        ("n",), build=lambda n: _symmetric(n, lambda k: k > 0), symmetry=_full_symmetry,
         predicate=lambda n, b: b.any(axis=1),
         mu=lambda n, p: -math.expm1(n * math.log1p(-p)),
         derivative=lambda n, p: n * math.exp((n - 1) * math.log1p(-p)),
     ),
     "majority": _Kind(
-        ("n",), build=lambda n: majority(n), symmetry=_full_symmetry,
+        ("n",), build=lambda n: _symmetric(n, lambda k: k > n // 2), symmetry=_full_symmetry,
         predicate=lambda n, b: b.sum(axis=1, dtype=np.int64) > n // 2,
         rule=(lambda n: n % 2 == 1, "majority requires odd arity"),
     ),
     "parity": _Kind(
-        ("n",), build=lambda n: parity(n), symmetry=_full_symmetry,
+        ("n",), build=lambda n: _symmetric(n, lambda k: k % 2), symmetry=_full_symmetry,
         predicate=lambda n, b: (b.sum(axis=1, dtype=np.int64) & 1) != 0,
         monotone=False,
     ),
     "tribes": _Kind(
-        ("k", "m"), build=lambda k, m: tribes(k, m), symmetry=_tribes_symmetry,
+        ("k", "m"), build=_tribes, symmetry=_tribes_symmetry,
         predicate=lambda k, m, b: b.reshape(b.shape[0], m, k).all(axis=2).any(axis=1),
         rule=(lambda k, m: k >= 1 and m >= 1, "tribes requires k >= 1 and m >= 1"),
         arity=lambda k, m: k * m,
@@ -602,12 +598,12 @@ _KINDS = {
                                     * k * math.exp((k - 1) * math.log(p))),
     ),
     "cyclic_run": _Kind(
-        ("n", "len"), build=lambda n, length: cyclic_run(n, length), symmetry=_cyclic_symmetry,
+        ("n", "len"), build=_cyclic_run, symmetry=_cyclic_symmetry,
         predicate=_has_cyclic_run,
         rule=(lambda n, length: 1 <= length <= n, "run length must satisfy 1 <= length <= n"),
     ),
     "connectivity": _Kind(
-        ("m",), build=lambda m: connectivity(m), symmetry=_connectivity_symmetry,
+        ("m",), build=_connectivity, symmetry=_connectivity_symmetry,
         predicate=_is_connected,
         rule=(lambda m: m >= 2, "connectivity needs at least 2 vertices"),
         arity=lambda m: m * (m - 1) // 2,
@@ -670,7 +666,9 @@ def family_spec(kind: str, **params: int) -> FamilySpec:
     kind = _FAMILY_ALIASES.get(kind, kind)
     record = _KINDS.get(kind)
     if record is not None and set(params) == set(record.params):
-        params = {k: int(params[k]) for k in record.params}
+        # integers (numpy's too) become ints; any other value meets FamilySpec's check
+        params = {k: int(params[k]) if isinstance(params[k], (int, np.integer))
+                  and not isinstance(params[k], bool) else params[k] for k in record.params}
     return FamilySpec(kind, tuple(params.items()))
 
 
@@ -698,7 +696,10 @@ def parse_family_string(text: str) -> FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> BooleanFunction:
-    """Dense truth table for a family instance (subject to the arity cap)."""
+    """Dense truth table for a family instance. This is the one way into a
+    kind's builder, and it refuses an arity over the cap before the builder
+    allocates anything."""
+    _check_arity(spec.arity)
     return spec._record.build(*spec._values)
 
 

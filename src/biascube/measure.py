@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .booleans import INT64_COUNT_ARITY, BooleanFunction, is_monotone, popcounts
+from .booleans import INT64_COUNT_ARITY, BooleanFunction, _check_arity, is_monotone, popcounts
 
 
 @dataclass(frozen=True)
@@ -378,6 +378,7 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
 
 def random_cube_function(n: int, rng: np.random.Generator, positive: bool = False) -> CubeFunction:
     """Seeded random real function; lognormal values when positive is set."""
+    _check_arity(n)
     return CubeFunction(n, _random_values(n, rng, positive))
 
 

@@ -42,7 +42,7 @@ from .reports import BoundReport, checked
 
 CHECK_BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-# substream tags; must stay clear of the monte_carlo module's 0..4 range
+# substream tags; must stay clear of the 0..4 range of mc's own tags
 _TAG_BASE = 100
 
 
@@ -124,11 +124,10 @@ def suite_moment(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     rng = _suite_rng("moment", seed)
     checks, failures = [], []
     worst = {1.0: 0.0, 2.0: 0.0}
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        f = random_function(n, rng)
+    draws = _random_trials(rng, trials, n_max,
+                           lambda n, rng: (random_function(n, rng), int(rng.integers(1, n + 1))))
+    for t, (n, (f, i)) in enumerate(draws):
         p = CHECK_BIASES[t % len(CHECK_BIASES)]
-        i = int(rng.integers(1, n + 1))
         for alpha in (1.0, 2.0):
             lhs, rhs = moment_identity(f, p, i, alpha)
             err = abs(lhs - rhs)
@@ -148,12 +147,10 @@ def suite_adjoint(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     checks, failures = [], []
     worst_pair = 0.0
     worst_idem = 0.0
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        f = random_cube_function(n, rng)
-        g = random_cube_function(n, rng)
+    draws = _random_trials(rng, trials, n_max, lambda n, rng: (
+        random_cube_function(n, rng), random_cube_function(n, rng), int(rng.integers(1, n + 1))))
+    for t, (n, (f, g, i)) in enumerate(draws):
         p = CHECK_BIASES[t % len(CHECK_BIASES)]
-        i = int(rng.integers(1, n + 1))
         lhs, rhs = center_projection_sides(f, g, p, i)
         err = abs(lhs - rhs)
         worst_pair = max(worst_pair, err)
@@ -181,8 +178,8 @@ _HELD_ENTRIES = 1 << 20
 
 
 def _random_trials(rng: np.random.Generator, trials: int, n_max: int, draw):
-    """Per trial, an arity n in 2..n_max, then the rows ``draw(n, rng)``
-    makes of that arity, one per stream."""
+    """Per trial, an arity n in 2..n_max, then the tuple ``draw(n, rng)``
+    draws at that arity (for ``_by_arity``, one row per stream)."""
     for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
         yield n, draw(n, rng)
@@ -317,9 +314,8 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
     worst: dict[str, float] = {}
     failures = []
     signs = set()
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        g = random_cube_function(n, rng)
+    draws = _random_trials(rng, trials, n_max, lambda n, rng: (random_cube_function(n, rng),))
+    for t, (n, (g,)) in enumerate(draws):
         p = CHECK_BIASES[t % len(CHECK_BIASES)]
         for rep in martingale._all_checks(g, p):
             # residual-style checks carry the residual in lhs; the

@@ -7,6 +7,7 @@ bit strings, compared against the vectorized implementations.
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from conftest import boolean_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biascube import _kernels
+from biascube import _kernels, booleans
 from biascube._kernels import _fibers
 from biascube.booleans import (
+    FAMILY_NAMES,
     INT64_COUNT_ARITY,
     arity_cap,
     and_all,
@@ -47,6 +49,7 @@ from biascube.booleans import (
     tribes,
     with_coordinate,
 )
+from biascube.measure import random_cube_function
 from biascube.suites import _family_schedule
 
 
@@ -614,10 +617,30 @@ def test_arity_cap_env(monkeypatch):
         arity_cap()
 
 
+# one instance of each kind above a cap of 10
+OVERSIZE = {
+    "dictator": {"n": 24, "i": 1},
+    "and_all": {"n": 24},
+    "or_all": {"n": 24},
+    "majority": {"n": 23},
+    "parity": {"n": 24},
+    "tribes": {"k": 4, "m": 6},
+    "cyclic_run": {"n": 24, "len": 3},
+    "connectivity": {"m": 8},
+}
+
+
 def test_oversize_tables_refused_before_allocation(monkeypatch):
     monkeypatch.setenv("BIASCUBE_MAX_ARITY", "10")
-    for build in (lambda: dictator(24, 1), lambda: majority(23),
-                  lambda: parse_table_string("n=24:hex=1")):
+    assert set(OVERSIZE) == set(FAMILY_NAMES)
+    rng = np.random.default_rng(0)
+    builds = [lambda: parse_table_string("n=24:hex=1"), lambda: random_function(22, rng),
+              lambda: random_monotone_function(22, rng), lambda: random_cube_function(22, rng)]
+    for kind, params in OVERSIZE.items():
+        # through the one gate, and through the kind's public constructor
+        builds.append(partial(build_family, family_spec(kind, **params)))
+        builds.append(partial(getattr(booleans, kind), *params.values()))
+    for build in builds:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="dense-table cap"):

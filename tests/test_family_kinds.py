@@ -759,11 +759,24 @@ ERRORS = [
      "family 'or_all' parameter n must be an int, got True"),
     (lambda: FamilySpec("or_all", (("n", "5"),)),
      "family 'or_all' parameter n must be an int, got '5'"),
+    # family_spec converts only integers, so a constructor truncates nothing;
+    # a third entry is the id of a case whose message an earlier case has
+    (lambda: family_spec("or_all", n=5.5), "family 'or_all' parameter n must be an int, got 5.5",
+     "family_spec('or_all', n=5.5)"),
+    (lambda: tribes(2.5, 3), "family 'tribes' parameter k must be an int, got 2.5"),
+    (lambda: majority(5.0), "family 'majority' parameter n must be an int, got 5.0"),
 ]
 
 
-@pytest.mark.parametrize("call, message", ERRORS, ids=[m for _, m in ERRORS])
+@pytest.mark.parametrize("call, message", [case[:2] for case in ERRORS],
+                         ids=[case[-1] for case in ERRORS])
 def test_error_messages(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_numpy_integer_parameters_build():
+    f = or_all(np.int64(5))
+    assert f.n == 5 and type(f.n) is int
+    assert (f.table == or_all(5).table).all()
