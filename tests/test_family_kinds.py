@@ -26,6 +26,7 @@ from biascube.booleans import (
     connectivity,
     cyclic_run,
     dictator,
+    family_predicate,
     family_spec,
     family_symmetry,
     is_monotone,
@@ -780,3 +781,67 @@ def test_numpy_integer_parameters_build():
     f = or_all(np.int64(5))
     assert f.n == 5 and type(f.n) is int
     assert (f.table == or_all(5).table).all()
+
+
+def _connected_rows(m: int, b: np.ndarray) -> np.ndarray:
+    # union-find over each row's edges, in ``_edges`` order
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    out = []
+    for row in b:
+        root = list(range(m))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for (u, v), bit in zip(edges, row):
+            if bit:
+                root[find(u)] = find(v)
+        out.append(len({find(a) for a in range(m)}) == 1)
+    return np.array(out)
+
+
+def _cyclic_rows(n: int, length: int, b: np.ndarray) -> np.ndarray:
+    return np.array([any(all(row[(s + o) % n] for o in range(length)) for s in range(n))
+                     for row in b])
+
+
+# each kind's truth per row in its plain form: int64 sums, any/all
+PLAIN_PREDICATES = {
+    "dictator": lambda b, n, i: b[:, i - 1] != 0,
+    "and_all": lambda b, n: b.all(axis=1),
+    "or_all": lambda b, n: b.any(axis=1),
+    "majority": lambda b, n: b.sum(axis=1, dtype=np.int64) > n // 2,
+    "parity": lambda b, n: (b.sum(axis=1, dtype=np.int64) & 1) != 0,
+    "tribes": lambda b, k, m: b.reshape(b.shape[0], m, k).all(axis=2).any(axis=1),
+    "cyclic_run": lambda b, n, length: _cyclic_rows(n, length, b),
+    "connectivity": lambda b, m: _connected_rows(m, b),
+}
+
+
+def _agreement_batch(n: int, rows: int) -> np.ndarray:
+    """0/1 rows at biases spread over [0, 1], all-0 and all-1 rows included,
+    then the rows holding the first n // 2 and n // 2 + 1 coordinates."""
+    rng = np.random.default_rng(40051 + n)
+    biases = np.linspace(0.0, 1.0, rows)[:, None]
+    b = (rng.random((rows, n)) < biases).astype(np.uint8)
+    steps = (np.arange(n) < np.array([[n // 2], [n // 2 + 1]])).astype(np.uint8)
+    return np.concatenate([b, steps])
+
+
+# sums past 255 and past 65,535 at the arities next to them, so that an
+# accumulator narrower than its arity wraps and reads a wrong row
+WIDE_GRID = [(kind, {"n": n}) for kind in ("majority", "parity")
+             for n in (255, 257, 65_535, 65_537)]
+
+
+@pytest.mark.parametrize("case", DENSE_GRID + SAMPLED_GRID + WIDE_GRID, ids=_case_id)
+def test_predicate_matches_its_plain_form(case):
+    kind, params = case
+    spec = family_spec(kind, **params)
+    b = _agreement_batch(spec.arity, 6 if spec.arity > 1000 else 64)
+    want = PLAIN_PREDICATES[kind](b, *params.values())
+    got = np.asarray(family_predicate(spec)(b))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert want.any() and not want.all()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from biascube import mc
-from biascube.booleans import family_spec, parity
+from biascube.booleans import family_spec, parity, parse_family_string
 from biascube.mc import (
     OracleFunction,
     RNG_ID,
@@ -295,6 +295,27 @@ class TestPinnedStream:
         mislabel = OracleFunction(
             8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
         assert spot_check_monotone(mislabel, 0.5, 4000, seed=seed) == PINNED[seed]["spot_mislabel"]
+
+
+# Seeded hit counts of estimate_influence over 40,000 samples, at seeds 0
+# and 1, for the fiber column at either end of the row (i = 1, i = n) and
+# at the arities where the drawn n - 1 columns are one (or n=2) or none
+# (dictator n=1). The estimate is the Wilson interval of the count.
+PINNED_FIBERS = {
+    ("majority:n=101", 0.5, 1): (3174, 3274),
+    ("majority:n=101", 0.5, 101): (3289, 3183),
+    ("or_all:n=2", 0.3, 2): (28136, 27956),
+    ("dictator:n=1,i=1", 0.5, 1): (40000, 40000),
+}
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("family, p, i", sorted(PINNED_FIBERS))
+@WORKERS
+def test_influence_fiber_columns_pinned(family, p, i, seed, workers):
+    oracle = family_oracle(parse_family_string(family))
+    est = estimate_influence(oracle, p, i, 40_000, seed, workers=workers)
+    assert est == wilson_estimate(PINNED_FIBERS[family, p, i][seed], 40_000)
 
 
 # The benchmark's level search: connectivity on 16 vertices at seed 7. Its
