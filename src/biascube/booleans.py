@@ -506,7 +506,7 @@ class _Kind:
     params: tuple[str, ...]  # names, in serialization order
     build: Callable[..., BooleanFunction]  # from values build_family has checked and capped
     symmetry: Callable[..., tuple]  # family_symmetry's evidence
-    predicate: Callable[..., np.ndarray]  # (*values, 0/1 batch): truth per row
+    predicate: Callable[..., np.ndarray]  # (*values, 0/1 batch): 0/1 or bool per row
     rule: tuple[Callable[..., bool], str] = (lambda *_: True, "")  # value rule, its message
     arity: Callable[..., int] = lambda n, *_: n
     monotone: bool = True  # monotone by construction at any arity
@@ -551,6 +551,12 @@ def _connectivity_symmetry(m: int):
     return "generators", PermutationGenerators(len(edges), gens)
 
 
+def _count_dtype(n: int) -> type:
+    """The narrowest accumulator that sums n 0/1 coordinates without
+    wrapping; numpy reduces a narrower sum faster."""
+    return np.uint16 if n < 1 << 16 else np.int64
+
+
 def _has_cyclic_run(n: int, length: int, b: np.ndarray) -> np.ndarray:
     ext = np.concatenate([b, b[:, : length - 1]], axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
@@ -568,29 +574,30 @@ _KINDS = {
     ),
     "and_all": _Kind(
         ("n",), build=lambda n: _symmetric(n, lambda k: k == n), symmetry=_full_symmetry,
-        predicate=lambda n, b: b.all(axis=1),
+        predicate=lambda n, b: np.bitwise_and.reduce(b, axis=1),
         mu=lambda n, p: math.exp(n * math.log(p)),
         derivative=lambda n, p: n * math.exp((n - 1) * math.log(p)),
     ),
     "or_all": _Kind(
         ("n",), build=lambda n: _symmetric(n, lambda k: k > 0), symmetry=_full_symmetry,
-        predicate=lambda n, b: b.any(axis=1),
+        predicate=lambda n, b: np.bitwise_or.reduce(b, axis=1),
         mu=lambda n, p: -math.expm1(n * math.log1p(-p)),
         derivative=lambda n, p: n * math.exp((n - 1) * math.log1p(-p)),
     ),
     "majority": _Kind(
         ("n",), build=lambda n: _symmetric(n, lambda k: k > n // 2), symmetry=_full_symmetry,
-        predicate=lambda n, b: b.sum(axis=1, dtype=np.int64) > n // 2,
+        predicate=lambda n, b: b.sum(axis=1, dtype=_count_dtype(n)) > n // 2,
         rule=(lambda n: n % 2 == 1, "majority requires odd arity"),
     ),
     "parity": _Kind(
         ("n",), build=lambda n: _symmetric(n, lambda k: k % 2), symmetry=_full_symmetry,
-        predicate=lambda n, b: (b.sum(axis=1, dtype=np.int64) & 1) != 0,
+        predicate=lambda n, b: np.bitwise_xor.reduce(b, axis=1),
         monotone=False,
     ),
     "tribes": _Kind(
         ("k", "m"), build=_tribes, symmetry=_tribes_symmetry,
-        predicate=lambda k, m, b: b.reshape(b.shape[0], m, k).all(axis=2).any(axis=1),
+        predicate=lambda k, m, b: np.bitwise_or.reduce(
+            np.bitwise_and.reduce(b.reshape(b.shape[0], m, k), axis=2), axis=1),
         rule=(lambda k, m: k >= 1 and m >= 1, "tribes requires k >= 1 and m >= 1"),
         arity=lambda k, m: k * m,
         mu=lambda k, m, p: -math.expm1(m * math.log1p(-math.exp(k * math.log(p)))),

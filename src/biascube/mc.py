@@ -10,20 +10,23 @@ results bit for bit at any worker count. Distinct operations on the same
 seed never share a stream. The generator name travels with every
 serialized estimate.
 
-Coordinates are drawn with ``Generator.random(out=)`` into one 128 KiB
-buffer of ``_RAW_WORDS`` (2**14) doubles and compared with the bias, which
-gives the bits of ``rng.random() < p``. Each double is
-``(raw >> 11) * 2**-53`` of one raw Philox word, so every bit equals the
-raw-word comparison ``raw < ceil(p * 2**53) << 11`` and the generator
-state after a draw is the one ``random_raw`` leaves. Filling the buffer
-costs 2.74 ns per word against 4.14 ns for ``random_raw`` (best of 5 over
-2**24 words, 2 cores, numpy 2.4.6). A chunk is drawn and evaluated in row
-blocks of about ``_BLOCK_SCALARS`` (2**18) coordinates, refilling one
-256 KiB 0/1 matrix. A worker thus holds one row block, one buffer of
-doubles and what the oracle builds from the row block, whatever the chunk
-or the arity: 0.4-0.6 MiB under tracemalloc at connectivity m=16, or n=64
-and majority n=101. Sequential draws on one generator concatenate exactly,
-so the row block size changes no drawn bit. An estimate that grows on one
+Coordinates are raw 64-bit Philox words, drawn ``_RAW_WORDS`` (2**14) at a
+time through numpy's full-range bounded-integer fill, which hands out each
+word as the generator's ``next_uint64`` gives it, and compared with
+``ceil(p * 2**53) << 11``. numpy's double is ``(raw >> 11) * 2**-53`` of
+the same word, so every bit equals ``rng.random() < p`` and the generator
+state after a draw is the one ``random_raw`` leaves. The draw costs 2.66 ns
+per word at a (4096, 64) block, against 2.77 ns through
+``Generator.random(out=)`` and a floor of 2.19 ns for
+``random_raw(output=False)``, which only advances the stream (best of 7,
+2 cores, numpy 2.4.6). A chunk is drawn and evaluated in row blocks of
+about ``_BLOCK_SCALARS`` (2**18) coordinates, refilling one 256 KiB 0/1
+matrix; the influence fiber path draws its n - 1 columns straight into the
+rows it completes. A worker thus holds one row block, one 128 KiB block of
+words and what the oracle builds from the row block, whatever the chunk or
+the arity: 0.4-0.6 MiB under tracemalloc at connectivity m=16, or n=64 and
+majority n=101. Sequential draws on one generator concatenate exactly, so
+the row block size changes no drawn bit. An estimate that grows on one
 path, as the level search's doubled estimates do, resumes each chunk's
 stream instead of redrawing its prefix. None of this changes a drawn bit.
 """
@@ -69,8 +72,11 @@ _SPOT_SCALARS = 1 << 22
 # samples per substream; fixed so estimates cannot depend on the worker count
 _STREAM_CHUNK = 1 << 14
 
-# doubles (one raw Philox word each) drawn per call in _bernoulli: 128 KiB
+# raw Philox words drawn per call in _bernoulli: 128 KiB
 _RAW_WORDS = 1 << 14
+
+# bounded-integer fill over [0, _WORD_MAX] draws each raw word unchanged
+_WORD_MAX = np.uint64(2**64 - 1)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -153,26 +159,35 @@ def _bernoulli(
     rng: np.random.Generator, rows: int, cols: int, pv: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates,
-    written into ``out`` (C-contiguous, that shape and dtype) when given.
+    written in row-major order into ``out`` (that shape and dtype, columns
+    adjacent, rows at any stride) when given.
 
-    The bits are those of ``rng.random((rows, cols)) < pv``, drawn
-    ``_RAW_WORDS`` doubles at a time into one 128 KiB buffer with
-    ``rng.random(out=)`` and compared straight into the output. Each double
-    is ``(raw >> 11) * 2**-53`` of one raw 64-bit Philox word, so the bit is
-    also ``raw < ceil(pv * 2**53) << 11`` (pv * 2**53 is exact) and the
-    generator ends in the state that ``random_raw`` of as many words leaves.
-    ``random(out=)`` costs 2.74 ns per word against 4.14 for ``random_raw``,
-    which also allocates its words on every call (see the module docstring).
+    The bits are those of ``rng.random((rows, cols)) < pv``. At most
+    ``_RAW_WORDS`` raw 64-bit Philox words are drawn at a time, through
+    numpy's full-range bounded-integer fill, which returns each word as
+    ``next_uint64`` gives it, and compared straight into the output with
+    ``ceil(pv * 2**53) << 11`` (pv * 2**53 is exact): numpy's double is
+    ``(raw >> 11) * 2**-53``, so ``raw`` is below that bound exactly when
+    the double is below pv. The generator ends in the state that
+    ``random_raw`` of as many words leaves. The fill and compare cost 2.66 ns
+    per word, against 2.77 through ``random(out=)`` (see the module
+    docstring).
     """
     if out is None:
         out = np.empty((rows, cols), dtype=np.uint8)
-    flat = out.reshape(-1).view(np.bool_)
-    # back-to-back random calls continue one stream, so only a block of
-    # doubles is held at a time, never the whole matrix of them
-    buf = np.empty(min(flat.size, _RAW_WORDS))
-    for start in range(0, flat.size, _RAW_WORDS):
-        block = flat[start : start + _RAW_WORDS]
-        np.less(rng.random(out=buf[: block.size]), pv, out=block)
+    below = np.uint64(math.ceil(pv * 2.0**53) << 11)
+    bits = out.view(np.bool_)
+    if bits.flags.c_contiguous:
+        # one long row, drawn in whole blocks of _RAW_WORDS words
+        bits = bits.reshape(1, -1)
+    # back-to-back draws continue one stream, so only a block of words is
+    # held at a time, never the whole matrix of them
+    step = max(1, _RAW_WORDS // max(bits.shape[1], 1))
+    for r in range(0, bits.shape[0], step):
+        for c in range(0, bits.shape[1], _RAW_WORDS):
+            block = bits[r : r + step, c : c + _RAW_WORDS]
+            np.less(rng.integers(0, _WORD_MAX, size=block.shape, dtype=np.uint64, endpoint=True),
+                    below, out=block)
     return out
 
 
@@ -194,16 +209,20 @@ def _count_fiber_splits(
     oracle: OracleFunction, pv: float, i: int, count: int, rng: np.random.Generator
 ) -> int:
     hits = 0
-    col = i - 1
+    n, col = oracle.n, i - 1
     blocks = _blocks(oracle, count)
     # the first block is the largest; every block is drawn into its rows
-    drawn = np.empty((blocks[0], oracle.n - 1), dtype=np.uint8)
-    completed = np.empty((blocks[0], oracle.n), dtype=np.uint8)
+    completed = np.empty((blocks[0], n), dtype=np.uint8)
     for rows in blocks:
-        base = _bernoulli(rng, rows, oracle.n - 1, pv, drawn[:rows])
         full = completed[:rows]
-        full[:, :col] = base[:, :col]
-        full[:, col + 1 :] = base[:, col:]
+        flat = full.reshape(-1)
+        # the drawn (rows, n - 1) bits, in row-major order, fill every
+        # position of the row block but column col: the first col positions,
+        # then rows - 1 runs of n - 1, each from just after column col of one
+        # row to just before it in the next, then the last row's tail
+        runs = flat[col + 1 : col + 1 + (rows - 1) * n].reshape(rows - 1, n)[:, : n - 1]
+        for part in (flat[None, :col], runs, flat[None, (rows - 1) * n + col + 1 :]):
+            _bernoulli(rng, *part.shape, pv, part)
         full[:, col] = 0
         low = _outputs(oracle, full)
         full[:, col] = 1

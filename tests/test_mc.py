@@ -440,6 +440,21 @@ def test_bernoulli_matches_raw_word_compare(pv, monkeypatch):
             assert _philox_state(rng) == _philox_state(reference)
 
 
+def test_bernoulli_into_strided_rows(monkeypatch):
+    # rows of a wider matrix, as the fiber path draws into: row-major bits
+    # and generator state of a fresh draw, the columns around them untouched
+    for raw_words in (1, 5, 7, 64, mc._RAW_WORDS):
+        monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+        rng, reference = substream(3, 9), substream(3, 9)
+        for rows, cols in ((37, 11), (5, 13), (64, 7), (3, 0)):
+            wide = np.full((rows, cols + 3), 7, dtype=np.uint8)
+            mc._bernoulli(rng, rows, cols, 0.19, wide[:, 2 : 2 + cols])
+            want = (reference.random((rows, cols)) < 0.19).view(np.uint8)
+            assert np.array_equal(wide[:, 2 : 2 + cols], want)
+            assert (wide[:, :2] == 7).all() and (wide[:, 2 + cols :] == 7).all()
+            assert _philox_state(rng) == _philox_state(reference)
+
+
 def _traced_peak(fn) -> int:
     fn()  # first calls allocate caches that a later call reuses
     tracemalloc.start()
@@ -483,26 +498,37 @@ def test_spot_check_peak_memory():
     assert peak < 9 << 20
 
 
+def _influence_peak(n: int, samples: int) -> int:
+    oracle = family_oracle(family_spec("majority", n=n))
+    return _traced_peak(lambda: estimate_influence(oracle, 0.5, 1, samples, 1, workers=1))
+
+
 def test_majority_influence_peak_memory():
-    # the fiber path holds the drawn n - 1 columns and the completed n: for
-    # whole 16384-row chunks of majority on 101 bits 3.3 MiB, for 2**18-
-    # coordinate row blocks 0.6 MiB
-    oracle = family_oracle(family_spec("majority", n=101))
-    peak = _traced_peak(lambda: estimate_influence(oracle, 0.5, 1, 65536, 1, workers=1))
-    assert peak < 1 << 20
+    # holding the drawn n - 1 columns beside the completed n read 3.3 MiB for
+    # whole 16384-row chunks of majority on 101 bits and 0.63 MiB for 2**18-
+    # coordinate row blocks; drawn in place, a row block (256 KiB) and one
+    # block of raw words (128 KiB) read 0.39 MiB
+    assert _influence_peak(101, 65536) < 1 << 19
+
+
+def test_influence_peak_memory_past_one_block_of_words_per_row():
+    # at n = 40,001 a row block is 6 rows (234 KiB) and reads 0.36 MiB with
+    # one block of raw words; a row's 40,000 words drawn at once would add
+    # 0.18 MiB
+    assert _influence_peak(40_001, 64) < 1 << 19
 
 
 class _GivenWords:
-    """Generator stand-in whose doubles are made from the given raw words."""
+    """Generator stand-in whose raw words are the given ones."""
 
     def __init__(self, words):
         self.words = words
 
-    def random(self, out):
-        # numpy's double from one raw word
-        assert out.size == self.words.size
-        out[...] = (self.words >> np.uint64(11)) * 2.0**-53
-        return out
+    def integers(self, low, high, size, dtype, endpoint):
+        # the full-range fill, which hands out each raw word unchanged
+        assert (low, high, dtype, endpoint) == (0, 2**64 - 1, np.uint64, True)
+        assert math.prod(size) == self.words.size
+        return self.words.reshape(size)
 
 
 @BIASES
