@@ -10,25 +10,33 @@ results bit for bit at any worker count. Distinct operations on the same
 seed never share a stream. The generator name travels with every
 serialized estimate.
 
-Coordinates are raw 64-bit Philox words, drawn ``_RAW_WORDS`` (2**14) at a
-time through numpy's full-range bounded-integer fill, which hands out each
-word as the generator's ``next_uint64`` gives it, and compared with
-``ceil(p * 2**53) << 11``. numpy's double is ``(raw >> 11) * 2**-53`` of
-the same word, so every bit equals ``rng.random() < p`` and the generator
-state after a draw is the one ``random_raw`` leaves. The draw costs 2.66 ns
-per word at a (4096, 64) block, against 2.77 ns through
+Every coordinate is 1 with probability T / 2**53, T = ceil(p * 2**53),
+drawn by one of two rules that ``_bernoulli`` picks from p itself. Write
+T = k * 2**(53 - s) with k odd. When s <= 32 (p = 1/2 and the midpoints of
+the first 32 bisection steps, s <= 11 in the benchmark's level search),
+each row takes ceil(n / 64) lane words per digit of an s-bit uniform V, and
+a coordinate is 1 exactly when its lane's V < k: s raw words per 64
+coordinates (``_draw_planes`` gives the layout). Every other bias takes one
+raw word per coordinate, compared with ``T << 11``. numpy's double is
+``(raw >> 11) * 2**-53`` of the same word, so those bits equal
+``rng.random() < p`` and the generator state after a draw is the one
+``random_raw`` leaves. Raw words are drawn at most ``_RAW_WORDS`` (2**14) at
+a time through numpy's full-range bounded-integer fill, which hands out
+each word as the generator's ``next_uint64`` gives it. On that path the
+draw costs 2.66 ns per word at a (4096, 64) block, against 2.77 ns through
 ``Generator.random(out=)`` and a floor of 2.19 ns for
 ``random_raw(output=False)``, which only advances the stream (best of 7,
 2 cores, numpy 2.4.6). A chunk is drawn and evaluated in row blocks of
 about ``_BLOCK_SCALARS`` (2**18) coordinates, refilling one 256 KiB 0/1
 matrix; the influence fiber path draws its n - 1 columns straight into the
 rows it completes. A worker thus holds one row block, one 128 KiB block of
-words and what the oracle builds from the row block, whatever the chunk or
-the arity: 0.4-0.6 MiB under tracemalloc at connectivity m=16, or n=64 and
-majority n=101. Sequential draws on one generator concatenate exactly, so
-the row block size changes no drawn bit. An estimate that grows on one
-path, as the level search's doubled estimates do, resumes each chunk's
-stream instead of redrawing its prefix. None of this changes a drawn bit.
+words (and at most 128 KiB of unpacked plane bits) and what the oracle
+builds from the row block, whatever the chunk or the arity: 0.4-0.6 MiB
+under tracemalloc at connectivity m=16, or n=64 and majority n=101.
+Sequential draws on one generator concatenate exactly, so the row block
+size changes no drawn bit. An estimate that grows on one path, as the level
+search's doubled estimates do, resumes each chunk's stream instead of
+redrawing its prefix. None of this changes a drawn bit.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import numpy as np
 from .booleans import FamilySpec, family_predicate
 from .measure import bias_value
 
-RNG_ID = "philox4x64:seedseq-path"
+RNG_ID = "philox4x64:seedseq-path:dyadic-planes"
 WORKERS_ENV = "BIASCUBE_WORKERS"
 
 # 95% two-sided normal quantile, written out so intervals never depend on a
@@ -64,11 +72,6 @@ _TAG_SPOT = 4
 # coordinates per row block of a chunk: a 256 KiB 0/1 matrix
 _BLOCK_SCALARS = 1 << 18
 
-# coordinates per row block of spot_check_monotone, whose x and y draws
-# alternate per block: its counts depend on this split, so it stays where
-# those counts were first drawn
-_SPOT_SCALARS = 1 << 22
-
 # samples per substream; fixed so estimates cannot depend on the worker count
 _STREAM_CHUNK = 1 << 14
 
@@ -77,6 +80,9 @@ _RAW_WORDS = 1 << 14
 
 # bounded-integer fill over [0, _WORD_MAX] draws each raw word unchanged
 _WORD_MAX = np.uint64(2**64 - 1)
+
+# significant bits of the largest threshold drawn from bit-planes
+_PLANE_BITS = 32
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -150,31 +156,47 @@ def _split(total: int, size: int) -> list[int]:
     return [size] * full + [rem] * (rem > 0)
 
 
-def _blocks(oracle: OracleFunction, count: int, scalars: int = _BLOCK_SCALARS) -> list[int]:
-    # rows per block keep one draw near ``scalars`` coordinates
-    return _split(count, max(1, scalars // max(oracle.n, 1)))
+def _blocks(oracle: OracleFunction, count: int) -> list[int]:
+    # rows per block keep one draw near _BLOCK_SCALARS coordinates
+    return _split(count, max(1, _BLOCK_SCALARS // max(oracle.n, 1)))
+
+
+def _dyadic(pv: float) -> tuple[int, int] | None:
+    """(k, s) with ``ceil(pv * 2**53) = k * 2**(53 - s)`` and k odd, when
+    that threshold has at most ``_PLANE_BITS`` significant bits."""
+    threshold = math.ceil(pv * 2.0**53)
+    zeros = (threshold & -threshold).bit_length() - 1
+    bits = 53 - zeros
+    return (threshold >> zeros, bits) if bits <= _PLANE_BITS else None
 
 
 def _bernoulli(
     rng: np.random.Generator, rows: int, cols: int, pv: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates,
-    written in row-major order into ``out`` (that shape and dtype, columns
-    adjacent, rows at any stride) when given.
+    written into ``out`` (that shape and dtype, columns adjacent, rows at
+    any stride) when given.
 
-    The bits are those of ``rng.random((rows, cols)) < pv``. At most
-    ``_RAW_WORDS`` raw 64-bit Philox words are drawn at a time, through
-    numpy's full-range bounded-integer fill, which returns each word as
-    ``next_uint64`` gives it, and compared straight into the output with
-    ``ceil(pv * 2**53) << 11`` (pv * 2**53 is exact): numpy's double is
-    ``(raw >> 11) * 2**-53``, so ``raw`` is below that bound exactly when
-    the double is below pv. The generator ends in the state that
-    ``random_raw`` of as many words leaves. The fill and compare cost 2.66 ns
-    per word, against 2.77 through ``random(out=)`` (see the module
-    docstring).
+    Every coordinate is 1 with probability T / 2**53, T = ceil(pv * 2**53)
+    (pv * 2**53 is exact). Write T = k * 2**(53 - s) with k odd. When
+    s <= ``_PLANE_BITS`` the matrix is drawn from bit-planes, s raw words
+    per 64 coordinates of a row, in the layout ``_draw_planes`` gives.
+    Otherwise each coordinate takes one raw 64-bit Philox word, in
+    row-major order, and is 1 exactly when the word is below ``T << 11``.
+    numpy's double is ``(raw >> 11) * 2**-53``, so those bits are the ones
+    of ``rng.random((rows, cols)) < pv``, and the generator ends in the
+    state that ``random_raw`` of as many words leaves. At most
+    ``_RAW_WORDS`` raw words are drawn at a time, through numpy's
+    full-range bounded-integer fill, which returns each word as
+    ``next_uint64`` gives it, and compared straight into the output. That
+    fill and compare cost 2.66 ns per word (see the module docstring).
     """
     if out is None:
         out = np.empty((rows, cols), dtype=np.uint8)
+    planes = _dyadic(pv)
+    if planes is not None:
+        _draw_planes(rng, *planes, out)
+        return out
     below = np.uint64(math.ceil(pv * 2.0**53) << 11)
     bits = out.view(np.bool_)
     if bits.flags.c_contiguous:
@@ -186,9 +208,74 @@ def _bernoulli(
     for r in range(0, bits.shape[0], step):
         for c in range(0, bits.shape[1], _RAW_WORDS):
             block = bits[r : r + step, c : c + _RAW_WORDS]
-            np.less(rng.integers(0, _WORD_MAX, size=block.shape, dtype=np.uint64, endpoint=True),
-                    below, out=block)
+            np.less(_raw_words(rng, block.shape), below, out=block)
     return out
+
+
+def _raw_words(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Raw Philox words in C order of ``shape``, as ``random_raw`` gives them."""
+    return rng.integers(0, _WORD_MAX, size=shape, dtype=np.uint64, endpoint=True)
+
+
+def _draw_planes(
+    rng: np.random.Generator, k: int, s: int, out: np.ndarray, skip: int | None = None
+) -> None:
+    """Bernoulli(k / 2**s) coordinates, k odd and s >= 1, from bit-planes.
+
+    Each row of ``cols`` coordinates takes G = ceil(cols / 64) lane words.
+    ``rows * G * s`` raw words are drawn through the full-range fill in C
+    order of shape (rows, G, s). Word (r, g, j) holds binary digit j + 1
+    (the first is the most significant) of the s-bit uniform V of each of
+    its 64 lanes, lane l being bit l of the word from the least significant.
+    Coordinate 64 g + l of row r is 1 exactly when V < k; lanes past
+    ``cols`` are dropped. With ``skip``, ``out`` has cols + 1 columns and
+    the drawn ones fill all of them but column ``skip``, which is left as
+    it is.
+
+    V >= k is reduced from the last digit up: it is the last plane itself
+    (k is odd), and each higher plane ANDs it in where k has a 1 and ORs
+    it in where k has a 0. The words are drawn in pieces of whole rows, or
+    of one row when a row alone is too long, in the order of one draw of
+    them all; each piece draws at most ``_RAW_WORDS`` words and unpacks at
+    most 2**17 coordinates (128 KiB). At s = 11 this fills a (2184, 120)
+    row block in 0.34 ms, where the raw-word rule takes 1.31 ms (best of 7,
+    2 cores, numpy 2.4.6).
+    """
+    rows, cols = out.shape[0], out.shape[1] - (skip is not None)
+    groups = -(-cols // 64)
+    # lane words per piece: s of each drawn, 64 coordinates of each unpacked
+    width = max(1, _RAW_WORDS // max(s, 8))
+    piece_rows = max(1, width // max(groups, 1))
+    piece_groups = max(1, min(groups, width))
+    ops = [np.bitwise_and if (k >> (s - 1 - j)) & 1 else np.bitwise_or for j in range(s - 1)]
+    for r in range(0, rows, piece_rows):
+        for g in range(0, groups, piece_groups):
+            words = _raw_words(rng, (min(piece_rows, rows - r), min(piece_groups, groups - g), s))
+            # reduced into a contiguous copy: in place, every op would write
+            # through the plane stride
+            lanes = words[:, :, s - 1].copy()
+            for j in range(s - 2, -1, -1):
+                ops[j](words[:, :, j], lanes, out=lanes)
+            # the words go before the bits are unpacked, and the bits die
+            # with the call that writes them: one piece's arrays at a time
+            del words
+            lanes = np.invert(lanes, out=lanes).astype("<u8", copy=False)
+            count = min(64 * lanes.shape[1], cols - 64 * g)
+            _write_around(out[r : r + lanes.shape[0]], 64 * g, skip, np.unpackbits(
+                lanes.view(np.uint8), axis=1, count=count, bitorder="little"))
+
+
+def _write_around(block: np.ndarray, lo: int, skip: int | None, bits: np.ndarray) -> None:
+    """Drawn columns lo, lo + 1, ... of ``block``'s rows, one column further
+    right from column ``skip`` on."""
+    hi = lo + bits.shape[1]
+    if skip is None or hi <= skip:
+        block[:, lo:hi] = bits
+    elif lo >= skip:
+        block[:, lo + 1 : hi + 1] = bits
+    else:
+        block[:, lo:skip] = bits[:, : skip - lo]
+        block[:, skip + 1 : hi + 1] = bits[:, skip - lo :]
 
 
 def _outputs(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
@@ -210,19 +297,26 @@ def _count_fiber_splits(
 ) -> int:
     hits = 0
     n, col = oracle.n, i - 1
+    planes = _dyadic(pv)
     blocks = _blocks(oracle, count)
     # the first block is the largest; every block is drawn into its rows
     completed = np.empty((blocks[0], n), dtype=np.uint8)
     for rows in blocks:
         full = completed[:rows]
-        flat = full.reshape(-1)
-        # the drawn (rows, n - 1) bits, in row-major order, fill every
-        # position of the row block but column col: the first col positions,
-        # then rows - 1 runs of n - 1, each from just after column col of one
-        # row to just before it in the next, then the last row's tail
-        runs = flat[col + 1 : col + 1 + (rows - 1) * n].reshape(rows - 1, n)[:, : n - 1]
-        for part in (flat[None, :col], runs, flat[None, (rows - 1) * n + col + 1 :]):
-            _bernoulli(rng, *part.shape, pv, part)
+        if planes is not None:
+            # one plane draw of the (rows, n - 1) columns, around column col
+            _draw_planes(rng, *planes, full, skip=col)
+        else:
+            flat = full.reshape(-1)
+            # the drawn (rows, n - 1) bits, in row-major order, fill every
+            # position of the row block but column col: the first col
+            # positions, then rows - 1 runs of n - 1, each from just after
+            # column col of one row to just before it in the next, then the
+            # last row's tail
+            runs = flat[col + 1 : col + 1 + (rows - 1) * n].reshape(rows - 1, n)[:, : n - 1]
+            for part in (flat[None, :col], runs, flat[None, (rows - 1) * n + col + 1 :]):
+                if part.size:
+                    _bernoulli(rng, *part.shape, pv, part)
         full[:, col] = 0
         low = _outputs(oracle, full)
         full[:, col] = 1
@@ -388,7 +482,7 @@ def spot_check_monotone(
     pv = bias_value(p)
     rng = substream(seed, _TAG_SPOT)
     violations = 0
-    blocks = _blocks(oracle, pairs, _SPOT_SCALARS)
+    blocks = _blocks(oracle, pairs)
     # x and y of every block are drawn into the rows of two buffers sized for
     # the largest block, and their OR overwrites y
     x_rows = np.empty((max(blocks, default=0), oracle.n), dtype=np.uint8)

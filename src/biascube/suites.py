@@ -337,9 +337,10 @@ def suite_martingale(seed: int, trials: int = 100, n_max: int = 8) -> dict:
 def _random_words(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     """(trials, ceil(2**n / 64)) packed tables of fair coin flips.
 
-    The bits of ``rng.random((trials, 2**n)) < 0.5``, with the generator
-    left in the same state, drawn about 2**16 coordinates at a time so that
-    only the packed words of the whole batch are held.
+    The bits of ``_bernoulli(rng, trials, 2**n, 0.5)``, drawn about 2**16
+    coordinates at a time so that only the packed words of the whole batch
+    are held. A fair coin is the bit-plane draw at 1/2: each table takes
+    ceil(2**n / 64) raw words, and a coordinate is 1 where its bit is 0.
     """
     rows = max(1, (1 << 16) >> n)
     words = np.empty((trials, -(-(1 << n) // 64)), dtype=np.uint64)

@@ -261,7 +261,7 @@ class TestConnectedBatch:
         checked = mc.OracleFunction(oracle.n, both, True, oracle.name)
         result = mc.mc_p_of_alpha(checked, 0.5, 4096, 1e-3, 7, workers=1)
         assert result.p_hat == 0.19091796875
-        assert sum(rows) == 1_150_976
+        assert sum(rows) == 2_207_744
 
 
 def test_runs_with_numpy_as_the_only_dependency():

@@ -208,10 +208,11 @@ class TestSpotCheck:
         oracle = OracleFunction(8, eval_batch, monotone_declared=True, name="mislabel")
         assert spot_check_monotone(oracle, 0.5, 500, seed=4) > 0
 
-    @pytest.mark.parametrize("pairs, violations", [(100_000, 24_867), (200_000, 50_050)])
+    @pytest.mark.parametrize("pairs, violations", [(100_000, 24_914), (200_000, 49_814)])
     def test_counts_keep_their_block_split(self, pairs, violations):
-        # x and y are drawn in turn per row block, so a smaller block moves
-        # the count (24,856 at 100,000 pairs with 2**18-coordinate blocks)
+        # x and y are drawn in turn per row block, so another block size
+        # moves the count (25,056 at 100,000 pairs with 2**22-coordinate
+        # blocks)
         table = parity(8).table
         mislabel = OracleFunction(
             8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
@@ -234,28 +235,28 @@ PINNED = {
     0: {
         "mu": {"mean": 0.47365, "stderr": 0.0024965259737282927, "samples": 40000,
                "ci_lo": 0.46875966360990196, "ci_hi": 0.47854539702608867},
-        "influence": {"mean": 0.0791, "stderr": 0.0013494738789617234, "samples": 40000,
-                      "ci_lo": 0.07649531584729274, "ci_hi": 0.0817855198904098},
+        "influence": {"mean": 0.07935, "stderr": 0.0013514212657421076, "samples": 40000,
+                      "ci_lo": 0.076741476026933, "ci_hi": 0.08203931169714536},
         "level": {"p_hat": 0.296875, "alpha": 0.5,
-                  "estimate": {"mean": 0.47075, "stderr": 0.0035294789806712265,
-                               "samples": 20000, "ci_lo": 0.46383862733878867,
-                               "ci_hi": 0.4776726067704935},
+                  "estimate": {"mean": 0.46885, "stderr": 0.003528666019191955,
+                               "samples": 20000, "ci_lo": 0.4619405851229986,
+                               "ci_hi": 0.47577137872329667},
                   "flagged": False, "steps": 5, "evaluations": 120000, "seed": 0,
-                  "rng": "philox4x64:seedseq-path"},
-        "spot_mislabel": 1032,
+                  "rng": "philox4x64:seedseq-path:dyadic-planes"},
+        "spot_mislabel": 983,
     },
     1: {
         "mu": {"mean": 0.47105, "stderr": 0.0024958059695216694, "samples": 40000,
                "ci_lo": 0.4661613242595902, "ci_hi": 0.4759442357180922},
-        "influence": {"mean": 0.080875, "stderr": 0.0013632152652369323, "samples": 40000,
-                      "ci_lo": 0.07824321975525454, "ci_hi": 0.08358727508571619},
+        "influence": {"mean": 0.076875, "stderr": 0.0013319650368440606, "samples": 40000,
+                      "ci_lo": 0.07430483718479504, "ci_hi": 0.07952642587416288},
         "level": {"p_hat": 0.296875, "alpha": 0.5,
-                  "estimate": {"mean": 0.47215, "stderr": 0.003530045166141646,
-                               "samples": 20000, "ci_lo": 0.46523724910516734,
-                               "ci_hi": 0.47907344730315776},
+                  "estimate": {"mean": 0.4634, "stderr": 0.0035260490637539347,
+                               "samples": 20000, "ci_lo": 0.45649675937822853,
+                               "ci_hi": 0.4703172976610783},
                   "flagged": False, "steps": 5, "evaluations": 120000, "seed": 1,
-                  "rng": "philox4x64:seedseq-path"},
-        "spot_mislabel": 999,
+                  "rng": "philox4x64:seedseq-path:dyadic-planes"},
+        "spot_mislabel": 1004,
     },
 }
 
@@ -302,8 +303,8 @@ class TestPinnedStream:
 # at the arities where the drawn n - 1 columns are one (or n=2) or none
 # (dictator n=1). The estimate is the Wilson interval of the count.
 PINNED_FIBERS = {
-    ("majority:n=101", 0.5, 1): (3174, 3274),
-    ("majority:n=101", 0.5, 101): (3289, 3183),
+    ("majority:n=101", 0.5, 1): (3276, 3203),
+    ("majority:n=101", 0.5, 101): (3291, 3144),
     ("or_all:n=2", 0.3, 2): (28136, 27956),
     ("dictator:n=1,i=1", 0.5, 1): (40000, 40000),
 }
@@ -318,15 +319,50 @@ def test_influence_fiber_columns_pinned(family, p, i, seed, workers):
     assert est == wilson_estimate(PINNED_FIBERS[family, p, i][seed], 40_000)
 
 
+@pytest.mark.parametrize("pv", (0.5, 0.3), ids=("planes", "raw-words"))
+@pytest.mark.parametrize("i", (1, 40, 101))
+@pytest.mark.parametrize("split", ("7-rows", "2**22-coordinates"))
+def test_influence_fiber_rows_are_one_draw_around_the_column(pv, i, split, monkeypatch):
+    # the two completions of every row block are the (rows, n - 1) matrix
+    # one draw gives, with column i - 1 inserted at 0 and then at 1
+    _split_rows(monkeypatch, split)
+    seen = []
+    oracle = OracleFunction(
+        101, lambda bits: seen.append(bits.copy()) or np.zeros(len(bits), np.uint8), True, "seen")
+    assert mc._count_fiber_splits(oracle, pv, i, 30, substream(3, 9)) == 0
+    drawn = mc._bernoulli(substream(3, 9), 30, 100, pv)
+    for column, completions in enumerate((seen[0::2], seen[1::2])):
+        assert np.array_equal(np.concatenate(completions), np.insert(drawn, i - 1, column, axis=1))
+
+
+def test_influence_raw_word_draw_skips_empty_parts(monkeypatch):
+    # at one row per block there are no runs between rows, and at i = 1 or
+    # i = n no part before or after the fiber column either: each row is
+    # drawn in one part there and in two at i = 7
+    _split_rows(monkeypatch, "1-row")
+    shapes = []
+    bernoulli = mc._bernoulli
+
+    def recording(rng, rows, cols, pv, out=None):
+        shapes.append((rows, cols))
+        return bernoulli(rng, rows, cols, pv, out)
+
+    monkeypatch.setattr(mc, "_bernoulli", recording)
+    oracle = family_oracle(family_spec("majority", n=101))
+    for i in (1, 7, 101):
+        estimate_influence(oracle, 0.3, i, 20, 0)
+    assert len(shapes) == 20 * 4 and all(rows * cols for rows, cols in shapes)
+
+
 # The benchmark's level search: connectivity on 16 vertices at seed 7. Its
 # steps next to the level double their sample count, so this pins the
 # doubling path, which the connectivity-8 search above never takes.
 LEVEL_SEARCH_M16 = {
     "p_hat": 0.19091796875, "alpha": 0.5,
-    "estimate": {"mean": 0.488525390625, "stderr": 0.00781044243748461, "samples": 4096,
-                 "ci_lo": 0.4732351258095087, "ci_hi": 0.5038371583399768},
-    "flagged": False, "steps": 10, "evaluations": 2256896, "seed": 7,
-    "rng": "philox4x64:seedseq-path",
+    "estimate": {"mean": 0.49853515625, "stderr": 0.007812466472315371, "samples": 4096,
+                 "ci_lo": 0.48323155104961774, "ci_hi": 0.5138415065013804},
+    "flagged": False, "steps": 10, "evaluations": 4370432, "seed": 7,
+    "rng": "philox4x64:seedseq-path:dyadic-planes",
 }
 
 
@@ -347,14 +383,14 @@ def _level_search_m16(monkeypatch, workers):
 
 @WORKERS
 def test_level_search_connectivity16_doubling(monkeypatch, workers):
-    # Drawing every estimate afresh would count 2,256,896 rows, the
+    # Drawing every estimate afresh would count 4,370,432 rows, the
     # search's evaluations; resuming each chunk counts every row once.
-    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 1_150_976)
+    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 2_207_744)
 
 
 # Rows per block as a function of the arity: single rows, 7 rows (never a
-# whole lane word, nor a multiple of 8), and the 2**22-coordinate blocks the
-# pinned values were first drawn in.
+# whole lane word, nor a multiple of 8), and 2**22-coordinate blocks, 16
+# times the default.
 ROW_SPLITS = {
     "1-row": lambda n: 1,
     "7-rows": lambda n: 7,
@@ -365,12 +401,12 @@ ROW_SPLITS = {
 def _split_rows(monkeypatch, split):
     rows = ROW_SPLITS[split]
     monkeypatch.setattr(
-        mc, "_blocks", lambda oracle, count, scalars=None: mc._split(count, rows(oracle.n)))
+        mc, "_blocks", lambda oracle, count: mc._split(count, rows(oracle.n)))
 
 
 # Single rows skip the level search: its 120,000 one-row connectivity calls
-# take about 5 s per seed, and the 1,150,976 rows of the m = 16 search a
-# minute. 7-row blocks already cut every lane word of the connectivity kernel.
+# take about 5 s per seed, and the 2,207,744 rows of the m = 16 search
+# minutes. 7-row blocks already cut every lane word of the connectivity kernel.
 @pytest.mark.parametrize("split, seeds, level", [
     ("1-row", (0,), False),
     ("7-rows", (0,), True),
@@ -396,12 +432,12 @@ def test_row_block_size_moves_no_pinned_result(monkeypatch, split, seeds, level,
 @WORKERS
 def test_row_block_size_moves_no_counted_row(monkeypatch, workers):
     _split_rows(monkeypatch, "2**22-coordinates")
-    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 1_150_976)
+    assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 2_207_744)
 
 
-BIASES = pytest.mark.parametrize(
-    "pv", (5e-324, 2.0**-53, 0.0138, 0.19091796875, 0.5, 1.0 - 2.0**-53)
-)
+# biases whose threshold ceil(pv * 2**53) has more than 32 significant bits,
+# drawn one raw word per coordinate
+BIASES = pytest.mark.parametrize("pv", (5e-324, 2.0**-53, 0.0138, 1.0 - 2.0**-53))
 
 
 @BIASES
@@ -498,6 +534,19 @@ def test_spot_check_peak_memory():
     assert peak < 9 << 20
 
 
+@pytest.mark.parametrize("family, pv", [
+    ("or_all:n=64", 0.0138), ("or_all:n=64", 0.5),
+    ("connectivity:m=16", 0.19), ("connectivity:m=16", 0.5),
+])
+def test_spot_check_row_block_peak_memory(family, pv):
+    # x and y are drawn in the 2**18-coordinate row blocks of the estimates:
+    # 0.6-0.8 MiB on or n=64 and 0.8 MiB on connectivity m=16, where 2**22-
+    # coordinate blocks peaked at 8.2 and 13.0 MiB
+    oracle = family_oracle(parse_family_string(family))
+    peak = _traced_peak(lambda: spot_check_monotone(oracle, pv, 100_000, seed=0))
+    assert peak < 1 << 20
+
+
 def _influence_peak(n: int, samples: int) -> int:
     oracle = family_oracle(family_spec("majority", n=n))
     return _traced_peak(lambda: estimate_influence(oracle, 0.5, 1, samples, 1, workers=1))
@@ -545,6 +594,69 @@ def test_bernoulli_at_the_words_next_to_the_threshold(pv):
     want = ((words >> np.uint64(11)) * 2.0**-53 < pv).view(np.uint8)
     assert np.array_equal(got[0], want)
     assert want.any() and not want.all()
+
+
+def _below_k(words, rows: int, cols: int, k: int, s: int) -> np.ndarray:
+    """Coordinates V < k of the plane layout, with Python ints: word
+    (r, g, j) of the (rows, G, s) words holds digit j + 1 of V at bit l for
+    coordinate 64 g + l of row r."""
+    groups = -(-cols // 64)
+    words = [int(w) for w in words]
+    bits = np.zeros((rows, cols), dtype=np.uint8)
+    for r in range(rows):
+        for c in range(cols):
+            first = (r * groups + c // 64) * s
+            v = 0
+            for word in words[first : first + s]:
+                v = (v << 1) | ((word >> (c % 64)) & 1)
+            bits[r, c] = v < k
+    return bits
+
+
+# Dyadic biases k / 2**s, k odd: s = 1 (1/2), 11 (the m = 16 search's level)
+# and 32 draw from bit-planes; s = 33 is one digit past them and takes raw
+# words
+PLANES = {0.5: (1, 1), 0.19091796875: (391, 11),
+          0xB504F333 / 2**32: (0xB504F333, 32), 0x16A09E667 / 2**33: (0x16A09E667, 33)}
+
+
+@pytest.mark.parametrize("pv", list(PLANES), ids=lambda pv: f"s={PLANES[pv][1]}")
+def test_bernoulli_draws_dyadic_biases_from_bit_planes(pv, monkeypatch):
+    k, s = PLANES[pv]
+    assert math.ceil(pv * 2.0**53) == k << (53 - s)
+    planes = s <= 32
+    # handed-in words: lanes 0-3 of row 0 hold V = k - 1, k, 0 and 2**s - 1,
+    # the rest seeded; the second lane word of each row is cut at column 70
+    rows, cols = 3, 70
+    words = np.random.default_rng(5).integers(
+        0, 2**64 - 1, size=rows * 2 * s if planes else rows * cols, dtype=np.uint64,
+        endpoint=True)
+    if planes:
+        for lane, v in enumerate((k - 1, k, 0, 2**s - 1)):
+            for j in range(s):
+                digit = np.uint64(((v >> (s - 1 - j)) & 1) << lane)
+                words[j] = words[j] & ~np.uint64(1 << lane) | digit
+        want = _below_k(words, rows, cols, k, s)
+        assert want[0, :4].tolist() == [1, 0, 1, 0]
+    else:
+        want = (words < np.uint64(k << (53 - s) << 11)).view(np.uint8).reshape(rows, cols)
+    assert np.array_equal(mc._bernoulli(_GivenWords(words), rows, cols, pv), want)
+    # a seeded stream: the same bits from random_raw's words, and its state,
+    # at every block size, with rows cut into pieces and pieces into rows
+    default = mc._RAW_WORDS
+    for rows, cols in ((37, 11), (5, 130), (64, 7), (3, 0)):
+        drawn = rows * -(-cols // 64) * s if planes else rows * cols
+        reference = substream(3, 9)
+        raw = reference.bit_generator.random_raw(drawn)
+        if planes:
+            want = _below_k(raw, rows, cols, k, s)
+        else:
+            want = (raw < np.uint64(k << (53 - s) << 11)).view(np.uint8).reshape(rows, cols)
+        for raw_words in (1, 5, 7, 64, default):
+            monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+            rng = substream(3, 9)
+            assert np.array_equal(mc._bernoulli(rng, rows, cols, pv), want)
+            assert _philox_state(rng) == _philox_state(reference)
 
 
 def _philox_state(rng):

@@ -317,9 +317,15 @@ class TestBoundedBatchScans:
     @pytest.mark.parametrize("trials, n", [(t, n) for n in (5, 12) for t in (1, 15, 16, 17, 1000)]
                              + [(t, 17) for t in (1, 15, 16, 17)])
     def test_thm42_draw_packs_the_float_compare_bits(self, trials, n):
+        # a fair coin is the bit-plane draw at k / 2**s = 1/2: each row of
+        # 2**n coordinates takes ceil(2**n / 64) raw words, and a coordinate
+        # is 1 where its lane bit is 0, so the packed tables are the
+        # complemented words, cut to 32 coordinates at n = 5
         rng, reference = suites._suite_rng("thm42", 3), suites._suite_rng("thm42", 3)
         words = suites._random_words(rng, trials, n)
-        expected = pack_tables((reference.random((trials, 1 << n)) < 0.5).astype(np.uint8))
+        groups = -(-(1 << n) // 64)
+        raw = reference.bit_generator.random_raw(trials * groups).reshape(trials, groups)
+        expected = ~raw & np.uint64(2 ** min(1 << n, 64) - 1)
         assert words.dtype == np.uint64
         assert np.array_equal(words, expected)
         # the generator is left where the one-array draw leaves it
