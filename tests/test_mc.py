@@ -435,9 +435,51 @@ def test_row_block_size_moves_no_counted_row(monkeypatch, workers):
     assert _level_search_m16(monkeypatch, workers) == (LEVEL_SEARCH_M16, 2_207_744)
 
 
-# biases whose threshold ceil(pv * 2**53) has more than 32 significant bits,
-# drawn one raw word per coordinate
-BIASES = pytest.mark.parametrize("pv", (5e-324, 2.0**-53, 0.0138, 1.0 - 2.0**-53))
+# Dyadic biases k / 2**s, k odd: s = 1 (1/2), 11 (the m = 16 search's level)
+# and 32 draw from bit-planes; s = 33 is one digit past them and takes raw
+# words
+PLANES = {0.5: (1, 1), 0.19091796875: (391, 11),
+          0xB504F333 / 2**32: (0xB504F333, 32), 0x16A09E667 / 2**33: (0x16A09E667, 33)}
+
+# 1/2 and 391/2048 are drawn from bit-planes; the other thresholds
+# ceil(pv * 2**53) have more than 32 significant bits and take one raw word
+# per coordinate
+BIASES = pytest.mark.parametrize(
+    "pv", (5e-324, 2.0**-53, 0.0138, 0.19091796875, 0.5, 1.0 - 2.0**-53)
+)
+
+
+def _plane_draw(pv: float) -> tuple[int, int] | None:
+    """(k, s) of a bias drawn from bit-planes, else None."""
+    return PLANES[pv] if pv in PLANES and PLANES[pv][1] <= 32 else None
+
+
+def _words_drawn(pv: float, rows: int, cols: int) -> int:
+    planes = _plane_draw(pv)
+    return rows * -(-cols // 64) * planes[1] if planes else rows * cols
+
+
+def _plane_uniforms(words, rows: int, cols: int, s: int) -> np.ndarray:
+    """The s-bit uniforms V of the plane layout as a (rows, cols) uint64
+    matrix: word (r, g, j) of the (rows, G, s) words holds digit j + 1 of V
+    at bit l for coordinate 64 g + l of row r."""
+    groups = -(-cols // 64)
+    words = np.asarray(words, dtype=np.uint64).reshape(rows, groups, s)
+    lanes = np.arange(64, dtype=np.uint64)
+    v = np.zeros((rows, groups, 64), dtype=np.uint64)
+    for j in range(s):
+        v = (v << np.uint64(1)) | ((words[:, :, j, None] >> lanes) & np.uint64(1))
+    return v.reshape(rows, groups * 64)[:, :cols]
+
+
+def _plane_words(values, s: int) -> np.ndarray:
+    """The s lane words of one row whose lanes 0, 1, ... hold the s-bit
+    uniforms ``values``."""
+    words = [0] * s
+    for lane, v in enumerate(values):
+        for j in range(s):
+            words[j] |= ((v >> (s - 1 - j)) & 1) << lane
+    return np.array(words, dtype=np.uint64)
 
 
 @BIASES
@@ -445,7 +487,9 @@ def test_bernoulli_matches_float_compare(pv, monkeypatch):
     # 37 * 11 = 407 words is not a multiple of Philox's 4-word block, so
     # each later draw starts inside a block the one before it opened. Raw
     # blocks of 1, 5, 7 and 64 words end inside a row and inside that 4-word
-    # block; the default block also takes a draw larger than itself.
+    # block; the default block also takes a draw larger than itself. A
+    # plane draw's double is its uniform V scaled by 2**-s, which is exact.
+    planes = _plane_draw(pv)
     default = mc._RAW_WORDS
     for raw_words in (1, 5, 7, 64, default):
         monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
@@ -453,7 +497,12 @@ def test_bernoulli_matches_float_compare(pv, monkeypatch):
         rng, reference = substream(3, 9), substream(3, 9)
         for rows, cols in shapes:
             got = mc._bernoulli(rng, rows, cols, pv)
-            want = (reference.random((rows, cols)) < pv).view(np.uint8)
+            if planes:
+                raw = reference.bit_generator.random_raw(_words_drawn(pv, rows, cols))
+                uniforms = _plane_uniforms(raw, rows, cols, planes[1]) * 2.0 ** -planes[1]
+            else:
+                uniforms = reference.random((rows, cols))
+            want = (uniforms < pv).view(np.uint8)
             assert got.dtype == np.uint8 and got.shape == (rows, cols)
             assert np.array_equal(got, want)
             assert _philox_state(rng) == _philox_state(reference)
@@ -461,8 +510,10 @@ def test_bernoulli_matches_float_compare(pv, monkeypatch):
 
 @BIASES
 def test_bernoulli_matches_raw_word_compare(pv, monkeypatch):
-    # the comparison of raw Philox words that the doubles replaced: the same
-    # bits and the same generator state after every shape and block size
+    # the comparison of raw Philox words that the doubles replaced, or of the
+    # plane uniforms V < k: the same bits and the same generator state after
+    # every shape and block size
+    planes = _plane_draw(pv)
     below = np.uint64(math.ceil(pv * 2.0**53) << 11)
     default = mc._RAW_WORDS
     for raw_words in (1, 5, 7, 64, default):
@@ -471,8 +522,12 @@ def test_bernoulli_matches_raw_word_compare(pv, monkeypatch):
         rng, reference = substream(3, 9), substream(3, 9)
         for rows, cols in shapes:
             got = mc._bernoulli(rng, rows, cols, pv)
-            raw = reference.bit_generator.random_raw(rows * cols).reshape(rows, cols)
-            assert np.array_equal(got, (raw < below).view(np.uint8))
+            raw = reference.bit_generator.random_raw(_words_drawn(pv, rows, cols))
+            if planes:
+                want = _plane_uniforms(raw, rows, cols, planes[1]) < np.uint64(planes[0])
+            else:
+                want = raw.reshape(rows, cols) < below
+            assert np.array_equal(got, want.view(np.uint8))
             assert _philox_state(rng) == _philox_state(reference)
 
 
@@ -584,7 +639,19 @@ class _GivenWords:
 def test_bernoulli_at_the_words_next_to_the_threshold(pv):
     # a seeded stream almost never lands within 2**11 of the threshold, so
     # the words on both sides of it are handed in directly and judged by
-    # numpy's double, (raw >> 11) * 2**-53
+    # numpy's double, (raw >> 11) * 2**-53; a plane draw gets lane words
+    # whose uniforms V sit at 0, k - 1, k, k + 1 and 2**s - 1, judged by
+    # V * 2**-s
+    planes = _plane_draw(pv)
+    if planes:
+        k, s = planes
+        values = sorted({0, k - 1, k, k + 1, 2**s - 1} & set(range(2**s)))
+        words = _plane_words(values, s)
+        got = mc._bernoulli(_GivenWords(words), 1, len(values), pv)
+        want = ((np.array(values) * 2.0**-s) < pv).view(np.uint8)
+        assert np.array_equal(got[0], want)
+        assert want.any() and not want.all()
+        return
     k = math.ceil(pv * 2.0**53)
     edges = {0, 2**64 - 1}
     for top in (k - 1, k):
@@ -611,13 +678,6 @@ def _below_k(words, rows: int, cols: int, k: int, s: int) -> np.ndarray:
                 v = (v << 1) | ((word >> (c % 64)) & 1)
             bits[r, c] = v < k
     return bits
-
-
-# Dyadic biases k / 2**s, k odd: s = 1 (1/2), 11 (the m = 16 search's level)
-# and 32 draw from bit-planes; s = 33 is one digit past them and takes raw
-# words
-PLANES = {0.5: (1, 1), 0.19091796875: (391, 11),
-          0xB504F333 / 2**32: (0xB504F333, 32), 0x16A09E667 / 2**33: (0x16A09E667, 33)}
 
 
 @pytest.mark.parametrize("pv", list(PLANES), ids=lambda pv: f"s={PLANES[pv][1]}")
