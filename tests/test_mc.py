@@ -324,15 +324,20 @@ def test_influence_fiber_columns_pinned(family, p, i, seed, workers):
 @pytest.mark.parametrize("split", ("7-rows", "2**22-coordinates"))
 def test_influence_fiber_rows_are_one_draw_around_the_column(pv, i, split, monkeypatch):
     # the two completions of every row block are the (rows, n - 1) matrix
-    # one draw gives, with column i - 1 inserted at 0 and then at 1
+    # one draw gives, with column i - 1 inserted at 0 and then at 1; blocks
+    # of 1, 5, 7 and 64 raw words cut the draw into pieces that end next
+    # to, and straddle, the fiber column
     _split_rows(monkeypatch, split)
-    seen = []
-    oracle = OracleFunction(
-        101, lambda bits: seen.append(bits.copy()) or np.zeros(len(bits), np.uint8), True, "seen")
-    assert mc._count_fiber_splits(oracle, pv, i, 30, substream(3, 9)) == 0
-    drawn = mc._bernoulli(substream(3, 9), 30, 100, pv)
-    for column, completions in enumerate((seen[0::2], seen[1::2])):
-        assert np.array_equal(np.concatenate(completions), np.insert(drawn, i - 1, column, axis=1))
+    for raw_words in (1, 5, 7, 64, 1 << 14):
+        monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+        seen = []
+        oracle = OracleFunction(101, lambda bits: seen.append(bits.copy())
+                                or np.zeros(len(bits), np.uint8), True, "seen")
+        assert mc._count_fiber_splits(oracle, pv, i, 30, substream(3, 9)) == 0
+        drawn = mc._bernoulli(substream(3, 9), 30, 100, pv)
+        for column, completions in enumerate((seen[0::2], seen[1::2])):
+            assert np.array_equal(np.concatenate(completions),
+                                  np.insert(drawn, i - 1, column, axis=1))
 
 
 def test_influence_raw_word_draw_skips_empty_parts(monkeypatch):
