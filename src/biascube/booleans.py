@@ -49,16 +49,25 @@ ARITY_CAP_ENV = "BIASCUBE_MAX_ARITY"
 INT64_COUNT_ARITY = 61
 
 
+def positive_env_int(name: str, default: int) -> int:
+    """The positive integer that environment variable ``name`` holds, or
+    ``default`` when it is unset; any other value is refused by name."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
+
+
 def arity_cap() -> int:
     """Largest arity admitted for dense truth tables, at most
     ``INT64_COUNT_ARITY``."""
-    raw = os.environ.get(ARITY_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ARITY_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{ARITY_CAP_ENV} must be a positive integer, got {raw!r}")
-    return min(cap, INT64_COUNT_ARITY)
+    return min(positive_env_int(ARITY_CAP_ENV, DEFAULT_ARITY_CAP), INT64_COUNT_ARITY)
 
 
 def _check_arity(n: int) -> None:

@@ -10,47 +10,33 @@ results bit for bit at any worker count. Distinct operations on the same
 seed never share a stream. The generator name travels with every
 serialized estimate.
 
-Every coordinate is 1 with probability T / 2**53, T = ceil(p * 2**53),
-drawn by one of two rules that ``_bernoulli`` picks from p itself. Write
-T = k * 2**(53 - s) with k odd. When s <= 32 (p = 1/2 and the midpoints of
-the first 32 bisection steps, s <= 11 in the benchmark's level search),
-each row takes ceil(n / 64) lane words per digit of an s-bit uniform V, and
-a coordinate is 1 exactly when its lane's V < k: s raw words per 64
-coordinates (``_draw_planes`` gives the layout). Every other bias takes one
-raw word per coordinate, compared with ``T << 11``. numpy's double is
-``(raw >> 11) * 2**-53`` of the same word, so those bits equal
-``rng.random() < p`` and the generator state after a draw is the one
-``random_raw`` leaves. Raw words are drawn at most ``_RAW_WORDS`` (2**14) at
-a time through numpy's full-range bounded-integer fill, which hands out
-each word as the generator's ``next_uint64`` gives it. On that path the
-draw costs 2.66 ns per word at a (4096, 64) block, against 2.77 ns through
-``Generator.random(out=)`` and a floor of 2.19 ns for
-``random_raw(output=False)``, which only advances the stream (best of 7,
-2 cores, numpy 2.4.6). A chunk is drawn and evaluated in row blocks of
-about ``_BLOCK_SCALARS`` (2**18) coordinates, refilling one 256 KiB 0/1
-matrix; the influence fiber path draws its n - 1 columns straight into the
-rows it completes. A worker thus holds one row block, one 128 KiB block of
-words (and at most 128 KiB of unpacked plane bits) and what the oracle
-builds from the row block, whatever the chunk or the arity: 0.4-0.6 MiB
-under tracemalloc at connectivity m=16, or n=64 and majority n=101.
-Sequential draws on one generator concatenate exactly, so the row block
-size changes no drawn bit. An estimate that grows on one path, as the level
-search's doubled estimates do, resumes each chunk's stream instead of
-redrawing its prefix. None of this changes a drawn bit.
+Every coordinate is drawn by ``_bernoulli``, whose docstring gives its two
+rules (bit-planes for dyadic biases of at most 32 significant bits, one raw
+Philox word per coordinate otherwise) and what each costs. A chunk is drawn
+and evaluated in row blocks of about ``_BLOCK_SCALARS`` (2**18)
+coordinates, refilling one 256 KiB 0/1 matrix (``_drawn_blocks``); the
+influence fiber path draws its n - 1 columns straight into the rows it
+completes, around column i - 1. A worker thus holds one row block, one
+128 KiB piece of raw words (and at most 128 KiB of unpacked plane bits)
+and what the oracle builds from the row block, whatever the chunk or the
+arity: 0.4-0.6 MiB under tracemalloc at connectivity m=16, or n=64 and
+majority n=101. Sequential draws on one generator concatenate exactly, so
+the row block size changes no drawn bit. An estimate that grows on one
+path, as the level search's doubled estimates do, resumes each chunk's
+stream instead of redrawing its prefix. None of this changes a drawn bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .booleans import FamilySpec, family_predicate
+from .booleans import FamilySpec, family_predicate, positive_env_int
 from .measure import bias_value
 
 RNG_ID = "philox4x64:seedseq-path:dyadic-planes"
@@ -75,7 +61,7 @@ _BLOCK_SCALARS = 1 << 18
 # samples per substream; fixed so estimates cannot depend on the worker count
 _STREAM_CHUNK = 1 << 14
 
-# raw Philox words drawn per call in _bernoulli: 128 KiB
+# raw Philox words per piece of a _bernoulli draw, at most: 128 KiB
 _RAW_WORDS = 1 << 14
 
 # bounded-integer fill over [0, _WORD_MAX] draws each raw word unchanged
@@ -92,7 +78,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 def worker_count(workers: int | None = None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        workers = positive_env_int(WORKERS_ENV, 1)
     if workers < 1:
         raise ValueError("worker count must be positive")
     return workers
@@ -171,44 +157,80 @@ def _dyadic(pv: float) -> tuple[int, int] | None:
 
 
 def _bernoulli(
-    rng: np.random.Generator, rows: int, cols: int, pv: float, out: np.ndarray | None = None
+    rng: np.random.Generator, rows: int, cols: int, pv: float,
+    out: np.ndarray | None = None, skip: int | None = None,
 ) -> np.ndarray:
     """(rows, cols) 0/1 uint8 matrix of independent Bernoulli(pv) coordinates,
     written into ``out`` (that shape and dtype, columns adjacent, rows at
-    any stride) when given.
+    any stride) when given. With ``skip``, ``out`` has cols + 1 columns and
+    the drawn ones fill all of them but column ``skip``, which keeps what
+    it held.
 
     Every coordinate is 1 with probability T / 2**53, T = ceil(pv * 2**53)
-    (pv * 2**53 is exact). Write T = k * 2**(53 - s) with k odd. When
-    s <= ``_PLANE_BITS`` the matrix is drawn from bit-planes, s raw words
-    per 64 coordinates of a row, in the layout ``_draw_planes`` gives.
-    Otherwise each coordinate takes one raw 64-bit Philox word, in
-    row-major order, and is 1 exactly when the word is below ``T << 11``.
-    numpy's double is ``(raw >> 11) * 2**-53``, so those bits are the ones
-    of ``rng.random((rows, cols)) < pv``, and the generator ends in the
-    state that ``random_raw`` of as many words leaves. At most
-    ``_RAW_WORDS`` raw words are drawn at a time, through numpy's
-    full-range bounded-integer fill, which returns each word as
-    ``next_uint64`` gives it, and compared straight into the output. That
-    fill and compare cost 2.66 ns per word (see the module docstring).
+    (pv * 2**53 is exact), by one of two rules that pv picks. Write
+    T = k * 2**(53 - s) with k odd.
+
+    - Bit-planes, when s <= ``_PLANE_BITS`` (p = 1/2 and the midpoints of
+      the first 32 bisection steps): each row takes G = ceil(cols / 64)
+      lane words per binary digit of an s-bit uniform V, so ``rows * G * s``
+      raw words in C order of shape (rows, G, s). Word (r, g, j) holds
+      digit j + 1 (the first is the most significant) of the V of each of
+      its 64 lanes, lane l being bit l of the word from the least
+      significant. Coordinate 64 g + l of row r is 1 exactly when V < k;
+      lanes past ``cols`` are dropped. s raw words serve 64 coordinates.
+    - Raw words otherwise: one raw word per coordinate, in row-major order,
+      is 1 exactly when it is below ``T << 11``. numpy's double is
+      ``(raw >> 11) * 2**-53`` of the same word, so these bits are the ones
+      of ``rng.random((rows, cols)) < pv``, and the generator ends in the
+      state that ``random_raw`` of as many words leaves.
+
+    Raw words come from numpy's full-range bounded-integer fill, which hands
+    out each word as ``next_uint64`` gives it. One loop draws them for both
+    rules, in pieces of whole rows, or of one row when a row alone is too
+    long, in the order of one draw of them all: at most ``_RAW_WORDS`` words
+    and 2**17 unpacked plane coordinates (128 KiB each) a piece. A rule
+    only turns a piece's words into what it writes, and writes that; raw
+    words are compared straight into the output. Sequential draws on one
+    generator concatenate exactly, so the piece size changes no drawn bit.
+    The raw-word fill and compare cost 2.66 ns per word at a (4096, 64)
+    block, against 2.77 ns through ``Generator.random(out=)`` and a floor
+    of 2.19 ns for ``random_raw(output=False)``, which only advances the
+    stream; at s = 11 the planes fill a (2184, 120) row block in 0.34 ms,
+    where raw words take 1.31 ms (best of 7, 2 cores, numpy 2.4.6).
     """
     if out is None:
-        out = np.empty((rows, cols), dtype=np.uint8)
+        out = np.empty((rows, cols + (skip is not None)), dtype=np.uint8)
     planes = _dyadic(pv)
-    if planes is not None:
-        _draw_planes(rng, *planes, out)
-        return out
-    below = np.uint64(math.ceil(pv * 2.0**53) << 11)
+    # each rule: coordinates and raw words per lane word, lane words per
+    # piece, what a piece's words become and how that is written
+    if planes is None:
+        below = np.uint64(math.ceil(pv * 2.0**53) << 11)
+        unit, depth, width = 1, 1, _RAW_WORDS
+
+        def take(words, count):
+            return words[:, :, 0]
+
+        def put(dest, words):
+            np.less(words, below, out=dest)
+    else:
+        unit, depth, width = 64, planes[1], max(1, _RAW_WORDS // max(planes[1], 8))
+        take = functools.partial(_unpack_below, planes[0])
+        put = np.copyto
+    groups = -(-cols // unit)
+    step = max(1, width // max(groups, 1))
+    span = unit * max(1, min(groups, width))
+    # every row range is cut into the same column pieces
+    pieces = [(min(span, cols - lo), _write_around(lo, min(lo + span, cols), skip))
+              for lo in range(0, cols, span)]
     bits = out.view(np.bool_)
-    if bits.flags.c_contiguous:
-        # one long row, drawn in whole blocks of _RAW_WORDS words
-        bits = bits.reshape(1, -1)
-    # back-to-back draws continue one stream, so only a block of words is
-    # held at a time, never the whole matrix of them
-    step = max(1, _RAW_WORDS // max(bits.shape[1], 1))
-    for r in range(0, bits.shape[0], step):
-        for c in range(0, bits.shape[1], _RAW_WORDS):
-            block = bits[r : r + step, c : c + _RAW_WORDS]
-            np.less(_raw_words(rng, block.shape), below, out=block)
+    for r in range(0, rows, step):
+        block = bits[r : r + step]
+        for count, parts in pieces:
+            piece = take(_raw_words(rng, (len(block), -(-count // unit), depth)), count)
+            for at, part in parts:
+                put(block[:, at], piece[:, part])
+            # one piece's words at a time: these go before the next are drawn
+            del piece
     return out
 
 
@@ -217,109 +239,68 @@ def _raw_words(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.integers(0, _WORD_MAX, size=shape, dtype=np.uint64, endpoint=True)
 
 
-def _draw_planes(
-    rng: np.random.Generator, k: int, s: int, out: np.ndarray, skip: int | None = None
-) -> None:
-    """Bernoulli(k / 2**s) coordinates, k odd and s >= 1, from bit-planes.
-
-    Each row of ``cols`` coordinates takes G = ceil(cols / 64) lane words.
-    ``rows * G * s`` raw words are drawn through the full-range fill in C
-    order of shape (rows, G, s). Word (r, g, j) holds binary digit j + 1
-    (the first is the most significant) of the s-bit uniform V of each of
-    its 64 lanes, lane l being bit l of the word from the least significant.
-    Coordinate 64 g + l of row r is 1 exactly when V < k; lanes past
-    ``cols`` are dropped. With ``skip``, ``out`` has cols + 1 columns and
-    the drawn ones fill all of them but column ``skip``, which is left as
-    it is.
+def _unpack_below(k: int, words: np.ndarray, count: int) -> np.ndarray:
+    """The (rows, count) coordinates V < k, as booleans, of (rows, G, s)
+    plane words.
 
     V >= k is reduced from the last digit up: it is the last plane itself
-    (k is odd), and each higher plane ANDs it in where k has a 1 and ORs
-    it in where k has a 0. The words are drawn in pieces of whole rows, or
-    of one row when a row alone is too long, in the order of one draw of
-    them all; each piece draws at most ``_RAW_WORDS`` words and unpacks at
-    most 2**17 coordinates (128 KiB). At s = 11 this fills a (2184, 120)
-    row block in 0.34 ms, where the raw-word rule takes 1.31 ms (best of 7,
-    2 cores, numpy 2.4.6).
+    (k is odd), and each higher plane ANDs it in where k has a 1 and ORs it
+    in where k has a 0.
     """
-    rows, cols = out.shape[0], out.shape[1] - (skip is not None)
-    groups = -(-cols // 64)
-    # lane words per piece: s of each drawn, 64 coordinates of each unpacked
-    width = max(1, _RAW_WORDS // max(s, 8))
-    piece_rows = max(1, width // max(groups, 1))
-    piece_groups = max(1, min(groups, width))
-    ops = [np.bitwise_and if (k >> (s - 1 - j)) & 1 else np.bitwise_or for j in range(s - 1)]
-    for r in range(0, rows, piece_rows):
-        for g in range(0, groups, piece_groups):
-            words = _raw_words(rng, (min(piece_rows, rows - r), min(piece_groups, groups - g), s))
-            # reduced into a contiguous copy: in place, every op would write
-            # through the plane stride
-            lanes = words[:, :, s - 1].copy()
-            for j in range(s - 2, -1, -1):
-                ops[j](words[:, :, j], lanes, out=lanes)
-            # the words go before the bits are unpacked, and the bits die
-            # with the call that writes them: one piece's arrays at a time
-            del words
-            lanes = np.invert(lanes, out=lanes).astype("<u8", copy=False)
-            count = min(64 * lanes.shape[1], cols - 64 * g)
-            _write_around(out[r : r + lanes.shape[0]], 64 * g, skip, np.unpackbits(
-                lanes.view(np.uint8), axis=1, count=count, bitorder="little"))
+    s = words.shape[2]
+    # reduced into a contiguous copy: in place, every op would write through
+    # the plane stride
+    lanes = words[:, :, s - 1].copy()
+    for j in range(s - 2, -1, -1):
+        op = np.bitwise_and if (k >> (s - 1 - j)) & 1 else np.bitwise_or
+        op(words[:, :, j], lanes, out=lanes)
+    lanes = np.invert(lanes, out=lanes).astype("<u8", copy=False)
+    bits = np.unpackbits(lanes.view(np.uint8), axis=1, count=count, bitorder="little")
+    return bits.view(np.bool_)
 
 
-def _write_around(block: np.ndarray, lo: int, skip: int | None, bits: np.ndarray) -> None:
-    """Drawn columns lo, lo + 1, ... of ``block``'s rows, one column further
-    right from column ``skip`` on."""
-    hi = lo + bits.shape[1]
+def _write_around(lo: int, hi: int, skip: int | None) -> tuple[tuple[slice, slice], ...]:
+    """(destination, piece) column slices that place drawn columns lo to
+    hi - 1 of a row, one column further right from column ``skip`` on."""
     if skip is None or hi <= skip:
-        block[:, lo:hi] = bits
-    elif lo >= skip:
-        block[:, lo + 1 : hi + 1] = bits
-    else:
-        block[:, lo:skip] = bits[:, : skip - lo]
-        block[:, skip + 1 : hi + 1] = bits[:, skip - lo :]
+        return ((slice(lo, hi), slice(None)),)
+    if lo >= skip:
+        return ((slice(lo + 1, hi + 1), slice(None)),)
+    return ((slice(lo, skip), slice(None, skip - lo)),
+            (slice(skip + 1, hi + 1), slice(skip - lo, None)))
 
 
 def _outputs(oracle: OracleFunction, bits: np.ndarray) -> np.ndarray:
     return np.asarray(oracle.evaluate_batch(bits), dtype=np.uint8)
 
 
-def _count_hits(oracle: OracleFunction, pv: float, count: int, rng: np.random.Generator) -> int:
+def _drawn_blocks(
+    oracle: OracleFunction, pv: float, count: int, rng: np.random.Generator,
+    skip: int | None = None,
+) -> Iterator[np.ndarray]:
+    """The row blocks of ``count`` rows of ``oracle``'s arity, drawn in turn
+    from ``rng`` into the rows of one buffer sized for the largest block;
+    with ``skip``, column ``skip`` is not drawn and keeps what it held.
+    Each block is overwritten by the next."""
     blocks = _blocks(oracle, count)
-    # the first block is the largest; every block is drawn into its rows
-    drawn = np.empty((blocks[0], oracle.n), dtype=np.uint8)
-    return sum(
-        int(_outputs(oracle, _bernoulli(rng, rows, oracle.n, pv, drawn[:rows])).sum())
-        for rows in blocks
-    )
+    rows_buffer = np.empty((max(blocks, default=0), oracle.n), dtype=np.uint8)
+    for rows in blocks:
+        yield _bernoulli(rng, rows, oracle.n - (skip is not None), pv, rows_buffer[:rows], skip)
+
+
+def _count_hits(oracle: OracleFunction, pv: float, count: int, rng: np.random.Generator) -> int:
+    return sum(int(_outputs(oracle, bits).sum()) for bits in _drawn_blocks(oracle, pv, count, rng))
 
 
 def _count_fiber_splits(
     oracle: OracleFunction, pv: float, i: int, count: int, rng: np.random.Generator
 ) -> int:
     hits = 0
-    n, col = oracle.n, i - 1
-    planes = _dyadic(pv)
-    blocks = _blocks(oracle, count)
-    # the first block is the largest; every block is drawn into its rows
-    completed = np.empty((blocks[0], n), dtype=np.uint8)
-    for rows in blocks:
-        full = completed[:rows]
-        if planes is not None:
-            # one plane draw of the (rows, n - 1) columns, around column col
-            _draw_planes(rng, *planes, full, skip=col)
-        else:
-            flat = full.reshape(-1)
-            # the drawn (rows, n - 1) bits, in row-major order, fill every
-            # position of the row block but column col: the first col
-            # positions, then rows - 1 runs of n - 1, each from just after
-            # column col of one row to just before it in the next, then the
-            # last row's tail
-            runs = flat[col + 1 : col + 1 + (rows - 1) * n].reshape(rows - 1, n)[:, : n - 1]
-            for part in (flat[None, :col], runs, flat[None, (rows - 1) * n + col + 1 :]):
-                if part.size:
-                    _bernoulli(rng, *part.shape, pv, part)
-        full[:, col] = 0
+    # the drawn n - 1 columns fill each row block around column i - 1
+    for full in _drawn_blocks(oracle, pv, count, rng, skip=i - 1):
+        full[:, i - 1] = 0
         low = _outputs(oracle, full)
-        full[:, col] = 1
+        full[:, i - 1] = 1
         hits += int((low != _outputs(oracle, full)).sum())
     return hits
 
@@ -482,14 +463,9 @@ def spot_check_monotone(
     pv = bias_value(p)
     rng = substream(seed, _TAG_SPOT)
     violations = 0
-    blocks = _blocks(oracle, pairs)
-    # x and y of every block are drawn into the rows of two buffers sized for
-    # the largest block, and their OR overwrites y
-    x_rows = np.empty((max(blocks, default=0), oracle.n), dtype=np.uint8)
-    y_rows = np.empty_like(x_rows)
-    for rows in blocks:
-        x = _bernoulli(rng, rows, oracle.n, pv, x_rows[:rows])
-        y = _bernoulli(rng, rows, oracle.n, pv, y_rows[:rows])
+    # x and y of each block are drawn in turn from the one stream, into two
+    # row buffers, and their OR overwrites y
+    for x, y in zip(_drawn_blocks(oracle, pv, pairs, rng), _drawn_blocks(oracle, pv, pairs, rng)):
         np.bitwise_or(x, y, out=y)
         violations += int((_outputs(oracle, x) > _outputs(oracle, y)).sum())
     return violations

@@ -538,6 +538,19 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    @pytest.mark.parametrize("name, argv", [
+        ("BIASCUBE_WORKERS", ("mc", "mu", "--family", "or", "--n", "8", "--p", "0.5",
+                              "--samples", "100")),
+        ("BIASCUBE_MAX_ARITY", ("analyze", "--family", "or", "--n", "4", "--p", "0.5")),
+    ], ids=["workers", "max-arity"])
+    def test_refused_environment_value_names_its_variable(self, capsys, monkeypatch,
+                                                          name, argv, value):
+        monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be a positive integer, got {value!r}\n"
+
 
 class TestFamilyParameters:
     """Values that name no function are refused on every path: dense,

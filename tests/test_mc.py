@@ -7,6 +7,7 @@ acceptance tests.
 
 import functools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -228,6 +229,18 @@ def test_worker_count_env(monkeypatch):
         worker_count()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", ""])
+def test_worker_count_env_refusal_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("BIASCUBE_WORKERS", value)
+    message = f"BIASCUBE_WORKERS must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        worker_count()
+    # a count passed in is never read from the environment
+    assert worker_count(2) == 2
+    with pytest.raises(ValueError, match="^worker count must be positive$"):
+        worker_count(0)
+
+
 # Seeded outputs of the current stream (RNG_ID above), at 1 and 2 workers.
 # Any change to streams, tags, chunk boundaries or draw order shows here;
 # a new sampler re-pins these under its new RNG_ID.
@@ -341,22 +354,24 @@ def test_influence_fiber_rows_are_one_draw_around_the_column(pv, i, split, monke
 
 
 def test_influence_raw_word_draw_skips_empty_parts(monkeypatch):
-    # at one row per block there are no runs between rows, and at i = 1 or
-    # i = n no part before or after the fiber column either: each row is
-    # drawn in one part there and in two at i = 7
+    # one draw of the n - 1 other columns per row block, around column
+    # i - 1, on either rule: at i = 1 and i = n that column is at an end of
+    # the row, and at i = 7 inside it
     _split_rows(monkeypatch, "1-row")
-    shapes = []
+    calls = []
     bernoulli = mc._bernoulli
 
-    def recording(rng, rows, cols, pv, out=None):
-        shapes.append((rows, cols))
-        return bernoulli(rng, rows, cols, pv, out)
+    def recording(rng, rows, cols, pv, out=None, skip=None):
+        calls.append((rows, cols, skip))
+        return bernoulli(rng, rows, cols, pv, out, skip)
 
     monkeypatch.setattr(mc, "_bernoulli", recording)
     oracle = family_oracle(family_spec("majority", n=101))
-    for i in (1, 7, 101):
-        estimate_influence(oracle, 0.3, i, 20, 0)
-    assert len(shapes) == 20 * 4 and all(rows * cols for rows, cols in shapes)
+    for pv in (0.3, 0.5):
+        calls.clear()
+        for i in (1, 7, 101):
+            estimate_influence(oracle, pv, i, 20, 0)
+        assert calls == [(1, 100, i - 1) for i in (1, 7, 101) for _ in range(20)]
 
 
 # The benchmark's level search: connectivity on 16 vertices at seed 7. Its
@@ -548,6 +563,27 @@ def test_bernoulli_into_strided_rows(monkeypatch):
             want = (reference.random((rows, cols)) < 0.19).view(np.uint8)
             assert np.array_equal(wide[:, 2 : 2 + cols], want)
             assert (wide[:, :2] == 7).all() and (wide[:, 2 + cols :] == 7).all()
+            assert _philox_state(rng) == _philox_state(reference)
+
+
+@pytest.mark.parametrize("pv", (0.5, 0.19091796875, 0.3), ids=("s=1", "s=11", "raw-words"))
+def test_bernoulli_draws_around_a_skipped_column(pv, monkeypatch):
+    # the drawn columns fill a strided (rows, cols + 1) view around column
+    # skip, which keeps its sentinel: np.insert of the draw without skip
+    # from the same stream, and the same generator state after it. Blocks
+    # of 1 to 64 raw words cut pieces that end next to, and straddle, the
+    # skipped column and the lane words on both sides of it
+    rows, cols = 9, 130
+    for raw_words in (1, 5, 7, 64, mc._RAW_WORDS):
+        monkeypatch.setattr(mc, "_RAW_WORDS", raw_words)
+        for skip in (0, 1, 63, 64, cols):
+            rng, reference = substream(3, 9), substream(3, 9)
+            wide = np.full((rows, cols + 4), 7, dtype=np.uint8)
+            out = wide[:, 2 : cols + 3]
+            assert mc._bernoulli(rng, rows, cols, pv, out, skip=skip) is out
+            want = np.insert(mc._bernoulli(reference, rows, cols, pv), skip, 7, axis=1)
+            assert np.array_equal(out, want)
+            assert (wide[:, :2] == 7).all() and (wide[:, cols + 3 :] == 7).all()
             assert _philox_state(rng) == _philox_state(reference)
 
 
