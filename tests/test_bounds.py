@@ -235,6 +235,26 @@ class TestInfluenceBounds:
             BooleanFunction(5, tables[7]), 0.25
         )
         assert single.passed
+        # every row of the scan, scanned alone, is the check on its table
+        # bit for bit, and so is the worst row of the whole batch: random
+        # tables of every density at n = 2..12, and every 97th n = 4 table
+        batches = [(n, (rng.random((24, 1 << n)) < rng.random((24, 1))).astype(np.uint8))
+                   for n in range(2, 13)]
+        codes = np.arange(0, 1 << 16, 97, dtype=np.uint64)
+        batches.append((4, ((codes[:, None] >> np.arange(16, dtype=np.uint64)) & 1)
+                        .astype(np.uint8)))
+        for n, tables in batches:
+            words = pack_tables(tables)
+            functions = [BooleanFunction(n, t) for t in tables]
+            for p in (1e-3, 0.1, 0.3, 0.5, 0.77, 0.999):
+                checks = [(c.lhs, c.rhs) for c in
+                          (max_influence_bound_check(f, p) for f in functions)]
+                rows = [(r.lhs, r.rhs) for r in
+                        (max_influence_bound_scan(words[t : t + 1], n, [p])[0]
+                         for t in range(len(tables)))]
+                assert rows == checks, (n, p)
+                [whole] = max_influence_bound_scan(words, n, [p])
+                assert (whole.lhs, whole.rhs) == checks[whole.context["worst_index"]]
 
     def test_scan_counts_once_for_all_biases(self, monkeypatch):
         rng = np.random.default_rng(5)
