@@ -36,7 +36,6 @@ from .measure import (
     dirichlet_energy,
     entropy,
     expectation_derivative,
-    influences,
     level_means,
     level_weights,
     variance,
@@ -405,31 +404,33 @@ def max_influence_bound_check(f: BooleanFunction, p, tol: float = 1e-12) -> Boun
     if f.n < 2:
         raise ValueError("influence bound needs arity at least 2")
     pv = bias_value(p)
-    infl = influences(f, pv)
+    [infl], [var], [rhs] = _influence_bound_sides(
+        f.pivotal_counts[None], f.level_counts[None], f.complement_counts[None], f.n, pv)
     lhs = float(infl.max())
-    var = variance(f, pv)
-    rate = rate_value(f.n)
-    rhs = var * rate.value / (f.n * pv * (1.0 - pv) * log_sobolev_constant(pv))
     pq = pv * (1.0 - pv)
-    return checked(
-        "max_influence_lower_bound",
-        lhs,
-        rhs,
-        "ge",
-        tol,
-        n=f.n,
-        p=pv,
-        variance=var,
-        rate=rate.value,
-        center_norm_sq_sum=pq * float(infl.sum()),
-        center_norm_sq_max=pq * lhs,
-    )
+    return checked("max_influence_lower_bound", lhs, float(rhs), "ge", tol, n=f.n, p=pv,
+                   variance=float(var), rate=rate_value(f.n).value,
+                   center_norm_sq_sum=pq * float(infl.sum()), center_norm_sq_max=pq * lhs)
 
 
-# Rows the influence scan counts at once. A batch is cut into blocks of this
-# many rows and any remainder joins the last block, so no block is shorter
-# unless the whole batch is: the level sums run as one matrix-vector product
-# per block, and a very short one can round a row's measure differently.
+def _influence_bound_sides(pivotal: np.ndarray, level: np.ndarray, complement: np.ndarray,
+                           n: int, pv: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Influences, variance and right-hand side of the max-influence bound,
+    one row per table, from stacked (T, n, n) pivotal counts and (T, n + 1)
+    level counts of the 1-set and the 0-set.
+
+    mu and 1 - mu are one dot per row each, as ``level_means`` takes them,
+    and the influences one matrix-vector product per table, so a row's
+    digits do not depend on the stack it sits in.
+    """
+    w = level_weights(n, pv)
+    var = np.vecdot(level, w) * np.vecdot(complement, w)  # Var f = mu (1 - mu) on 0/1 values
+    rhs = var * rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
+    return pivotal @ level_weights(n - 1, pv), var, rhs
+
+
+# Rows the influence scan counts at once: a block's pivotal and level counts
+# are held while every bias is checked on them, then dropped.
 _SCAN_ROWS = 4096
 
 
@@ -438,31 +439,28 @@ def max_influence_bound_scan(words, n: int, biases, tol: float = 1e-12) -> list[
 
     ``words`` is a (count, ceil(2**n / 64)) uint64 array of packed tables
     (``_kernels.pack_tables``). Each block of ``_SCAN_ROWS`` rows is counted
-    once (pivotal and level counts) for all of ``biases``, then dropped. One
-    report per bias: its lhs/rhs are the worst instance's (the first, on a
-    tie); the context counts failures.
+    once (pivotal and level counts) for all of ``biases``, then dropped.
+    Every row is ``max_influence_bound_check`` on its table, bit for bit.
+    One report per bias: its lhs/rhs are the worst instance's (the first,
+    on a tie); the context counts failures.
     """
     if n < 2:
         raise ValueError("influence bound needs arity at least 2")
     count = words.shape[0]
+    if not count:
+        raise ValueError("the influence scan needs at least one table")
     biases = [bias_value(p) for p in biases]
-    scales = [
-        rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv)) for pv in biases
-    ]
     # per bias: the worst slack with its lhs, rhs and row, and the failures
     worst = [None] * len(biases)
     failures = [0] * len(biases)
-    edges = [k * _SCAN_ROWS for k in range(max(count // _SCAN_ROWS, 1))] + [count]
-    for start, stop in zip(edges, edges[1:]):
-        block = words[start:stop]
+    for start in range(0, count, _SCAN_ROWS):
+        block = words[start : start + _SCAN_ROWS]
         pivotal = _kernels.pivotal_counts(block, n)
         level = _kernels.level_counts(block, n + 1)
-        # the 0-set's counts, so that 1 - mu is summed, not subtracted
-        empty = _binomials(n) - level
-        for j, (pv, scale) in enumerate(zip(biases, scales)):
-            lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
-            w = level_weights(n, pv)
-            rhs = (level @ w) * (empty @ w) * scale  # Var f = mu (1 - mu) on 0/1 values
+        complement = _binomials(n) - level
+        for j, pv in enumerate(biases):
+            infl, _, rhs = _influence_bound_sides(pivotal, level, complement, n, pv)
+            lhs = infl.max(axis=1)
             slack = lhs - rhs
             i = int(slack.argmin())
             if worst[j] is None or slack[i] < worst[j][0]:

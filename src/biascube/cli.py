@@ -198,11 +198,11 @@ def cmd_analyze(args, out) -> int:
     payload["derivative"] = expectation_derivative(f, p)
     payload["energy"] = dirichlet_energy(f, p)
     payload["entropy"] = entropy(f, p)
-    if f.n >= 2:
+    try:
         payload["max_influence_bound"] = bounds.max_influence_bound_check(f, p).to_dict()
-    else:
+    except ValueError as exc:
         payload["max_influence_bound"] = None
-        payload["bound_note"] = "influence bound needs arity at least 2"
+        payload["bound_note"] = str(exc)
     _emit_json(payload, out)
     return 0
 

@@ -189,33 +189,30 @@ def _bernoulli(
     rules, in pieces of whole rows, or of one row when a row alone is too
     long, in the order of one draw of them all: at most ``_RAW_WORDS`` words
     and 2**17 unpacked plane coordinates (128 KiB each) a piece. A rule
-    only turns a piece's words into what it writes, and writes that; raw
-    words are compared straight into the output. Sequential draws on one
-    generator concatenate exactly, so the piece size changes no drawn bit.
-    The raw-word fill and compare cost 2.66 ns per word at a (4096, 64)
-    block, against 2.77 ns through ``Generator.random(out=)`` and a floor
-    of 2.19 ns for ``random_raw(output=False)``, which only advances the
-    stream; at s = 11 the planes fill a (2184, 120) row block in 0.34 ms,
-    where raw words take 1.31 ms (best of 7, 2 cores, numpy 2.4.6).
+    only turns a piece's words into a contiguous boolean piece, and one
+    copy writes it around ``skip``. Sequential draws on one generator
+    concatenate exactly, so the piece size changes no drawn bit. The
+    raw-word fill, compare and copy cost 4.9-5.1 ns per word at a
+    (4096, 64) block, against 4.9-5.3 ns through ``Generator.random(out=)``
+    and a floor of 3.7-4.0 ns for ``random_raw(output=False)``, which only
+    advances the stream; at s = 11 the planes fill a (2184, 120) row block
+    in 0.36 ms, where raw words take 1.31 ms (best of 7, 2 loaded cores,
+    numpy 2.4.6).
     """
     if out is None:
         out = np.empty((rows, cols + (skip is not None)), dtype=np.uint8)
     planes = _dyadic(pv)
     # each rule: coordinates and raw words per lane word, lane words per
-    # piece, what a piece's words become and how that is written
+    # piece, and the (rows, count) booleans a piece's words become
     if planes is None:
         below = np.uint64(math.ceil(pv * 2.0**53) << 11)
         unit, depth, width = 1, 1, _RAW_WORDS
 
         def take(words, count):
-            return words[:, :, 0]
-
-        def put(dest, words):
-            np.less(words, below, out=dest)
+            return np.less(words[:, :, 0], below)
     else:
         unit, depth, width = 64, planes[1], max(1, _RAW_WORDS // max(planes[1], 8))
         take = functools.partial(_unpack_below, planes[0])
-        put = np.copyto
     groups = -(-cols // unit)
     step = max(1, width // max(groups, 1))
     span = unit * max(1, min(groups, width))
@@ -228,7 +225,7 @@ def _bernoulli(
         for count, parts in pieces:
             piece = take(_raw_words(rng, (len(block), -(-count // unit), depth)), count)
             for at, part in parts:
-                put(block[:, at], piece[:, part])
+                np.copyto(block[:, at], piece[:, part])
             # one piece's words at a time: these go before the next are drawn
             del piece
     return out

@@ -90,7 +90,7 @@ def _check_tol(tol: float) -> None:
         )
 
 
-def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int, float]:
+def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int]:
     lo, hi = tol, 1.0 - tol
     mu_lo, mu_hi = curve.mu(lo), curve.mu(hi)
     if not mu_lo <= alpha <= mu_hi:
@@ -106,13 +106,12 @@ def _bisect(curve: MuCurve, alpha: float, tol: float) -> tuple[float, int, float
         value = curve.mu(mid)
         iterations += 1
         if abs(value - alpha) <= tol:
-            return mid, iterations, abs(value - alpha)
+            return mid, iterations
         if value < alpha:
             lo = mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, iterations, abs(curve.mu(mid) - alpha)
+    return 0.5 * (lo + hi), iterations
 
 
 def bias_at_level(target, alpha: float, tol: float = DEFAULT_BISECTION_TOL) -> float:
@@ -121,8 +120,7 @@ def bias_at_level(target, alpha: float, tol: float = DEFAULT_BISECTION_TOL) -> f
         raise ValueError(f"level must lie in (0,1), got {alpha}")
     _check_tol(tol)
     curve = _curve(target)
-    p, _, _ = _bisect(curve, alpha, tol)
-    return p
+    return _bisect(curve, alpha, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def threshold_width(target, eps: float, tol: float = DEFAULT_BISECTION_TOL) -> T
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     _check_tol(tol)
     curve = _curve(target)
-    p_low, it_low, _ = _bisect(curve, eps, tol)
-    p_high, it_high, _ = _bisect(curve, 1.0 - eps, tol)
+    p_low, it_low = _bisect(curve, eps, tol)
+    p_high, it_high = _bisect(curve, 1.0 - eps, tol)
     return ThresholdResult(eps, p_low, p_high, p_high - p_low, (it_low, it_high))
 
 

@@ -275,6 +275,10 @@ class TestInfluenceBounds:
         with pytest.raises(ValueError):
             max_influence_bound_check(dictator(1, 1), 0.5)
 
+    def test_scan_refuses_an_empty_batch(self):
+        with pytest.raises(ValueError, match="at least one table"):
+            max_influence_bound_scan(np.empty((0, 1), dtype=np.uint64), 4, [0.5])
+
 
 # ---------------------------------------------------------------------------
 # The scans run in bounded blocks. Each reference below is the one-array form
@@ -292,8 +296,8 @@ def _whole_batch_scan(words, n, biases, tol=1e-12):
         pv = bounds.bias_value(p)
         lhs = (pivotal @ level_weights(n - 1, pv)).max(axis=1)
         w = level_weights(n, pv)
-        var = (level @ w) * (empty @ w)
-        rhs = var * (rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv)))
+        var = np.vecdot(level, w) * np.vecdot(empty, w)
+        rhs = var * rate_value(n).value / (n * pv * (1.0 - pv) * log_sobolev_constant(pv))
         slack = lhs - rhs
         worst = int(slack.argmin())
         failures = int((slack < -tol).sum())

@@ -71,7 +71,7 @@ class TestAnalyze:
             capsys, "analyze", "--family", "dictator", "--n", "1", "--p", "0.5"
         )
         assert payload["max_influence_bound"] is None
-        assert "bound_note" in payload
+        assert payload["bound_note"] == "influence bound needs arity at least 2"
 
     def test_family_and_table_conflict(self, capsys):
         code, _, err = run_cli(

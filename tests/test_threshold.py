@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biascube import threshold
 from biascube.booleans import (
     BooleanFunction,
     and_all,
@@ -138,6 +139,18 @@ class TestBisection:
         p = bias_at_level(MuCurve(mu=step), 0.5, tol=1e-16)
         assert abs(p - 0.7) <= math.ulp(0.7)
         assert len(calls) < 100
+
+    @pytest.mark.parametrize("alpha, tol", ((0.5, 1e-16), (0.5, 1e-12), (0.3, 1e-12)))
+    def test_evaluates_the_curve_twice_plus_once_per_iteration(self, alpha, tol):
+        # the bracket's two ends, then one point per step, at each exit: the
+        # step curve runs the bracket down to adjacent doubles (tol 1e-16)
+        # or to tol, the linear one lands within tol of the level
+        calls = []
+        for mu in (lambda p: 0.25 if p < 0.7 else 0.75, lambda p: p):
+            calls.clear()
+            iterations = threshold._bisect(
+                MuCurve(mu=lambda p: calls.append(p) or mu(p)), alpha, tol)[1]
+            assert len(calls) == 2 + iterations
 
 
 class TestWidth:
