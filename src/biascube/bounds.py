@@ -457,6 +457,7 @@ def max_influence_bound_scan(words, n: int, biases, tol: float = 1e-12) -> list[
         block = words[start : start + _SCAN_ROWS]
         pivotal = _kernels.pivotal_counts(block, n)
         level = _kernels.level_counts(block, n + 1)
+        # the 0-set's counts, so that 1 - mu is summed, not subtracted
         complement = _binomials(n) - level
         for j, pv in enumerate(biases):
             infl, _, rhs = _influence_bound_sides(pivotal, level, complement, n, pv)

@@ -29,13 +29,12 @@ CALLS = _calls_by_function(Path(bounds.__file__).read_text())
 
 def test_levels_are_weighed_only_in_the_shared_sides():
     assert "level_weights" in CALLS["_influence_bound_sides"]
-    assert {name: "level_weights" in CALLS[name] for name in ENTRY_POINTS} == dict.fromkeys(
-        ENTRY_POINTS, False)
+    assert [name for name in ENTRY_POINTS if "level_weights" in CALLS[name]] == []
 
 
 def test_both_entry_points_call_the_shared_sides():
-    assert {name: "_influence_bound_sides" in CALLS[name] for name in ENTRY_POINTS} == (
-        dict.fromkeys(ENTRY_POINTS, True))
+    assert [name for name in ENTRY_POINTS if "_influence_bound_sides" in CALLS[name]] == list(
+        ENTRY_POINTS)
 
 
 def test_the_scan_sees_nested_and_attribute_calls():
