@@ -91,17 +91,6 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def coordinate(x: int, i: int) -> int:
-    """Value of coordinate i (1-based) at point x."""
-    return (x >> (i - 1)) & 1
-
-
-def with_coordinate(x: int, i: int, value: int) -> int:
-    """Point x with coordinate i forced to value."""
-    bit = 1 << (i - 1)
-    return (x | bit) if value else (x & ~bit)
-
-
 class BooleanFunction:
     """A Boolean function on {0,1}^n, analysed through its integer counts.
 

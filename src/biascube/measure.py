@@ -332,6 +332,8 @@ def center_projection_sides(f, g, p, i: int) -> tuple[float, float]:
 
 def influence(f: BooleanFunction, p, i: int) -> float:
     """Probability, over the remaining coordinates, that coordinate i is pivotal."""
+    if not 1 <= i <= f.n:
+        raise ValueError(f"coordinate {i} out of range for arity {f.n}")
     return float(influences(f, p)[i - 1])
 
 

@@ -59,19 +59,6 @@ def _curve(target, invertible: bool = True) -> MuCurve:
                    derivative=lambda p: expectation_derivative(target, p))
 
 
-def dense_curve(f: BooleanFunction) -> MuCurve:
-    """Curve of a Boolean function, read off its level counts at O(n) per
-    bias; requires monotone and nontrivial."""
-    return _curve(f)
-
-
-def family_curve(spec: FamilySpec) -> MuCurve:
-    """The kind's closed-form curve (``booleans.family_closed_form``), at any
-    arity, when it has one; else its function's level counts, under the arity
-    cap: larger instances must go through the Monte Carlo estimators."""
-    return _curve(spec)
-
-
 def set_measure(target, p) -> float:
     """Measure of the set at bias p.
 
@@ -222,8 +209,6 @@ def width_from_derivative_check(
         locations = {alpha: bias_at_level(curve, alpha) for alpha in alphas}
         for ia, alpha in enumerate(alphas):
             for beta in alphas[ia:]:
-                if beta < alpha:
-                    continue
                 pairs += 1
                 p_a, p_b = locations[alpha], locations[beta]
                 sup_g = supremum_on_interval(g, p_a, p_b)

@@ -25,7 +25,6 @@ from biascube.booleans import (
     BooleanFunction,
     FamilySpec,
     build_family,
-    coordinate,
     cyclic_run,
     dictator,
     family_spec,
@@ -47,7 +46,6 @@ from biascube.booleans import (
     random_function,
     random_monotone_function,
     tribes,
-    with_coordinate,
 )
 from biascube.measure import random_cube_function
 from biascube.suites import _family_schedule
@@ -65,14 +63,11 @@ def test_popcounts_matches_bin():
 
 def test_coordinate_is_lsb_first():
     # x = 0b0110 has coordinates (0, 1, 1, 0) in order 1..4
-    assert [coordinate(6, i) for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
-    assert with_coordinate(6, 1, 1) == 7
-    assert with_coordinate(6, 2, 0) == 4
-
-
-@given(st.integers(0, 255), st.integers(1, 8), st.integers(0, 1))
-def test_with_coordinate_roundtrip(x, i, v):
-    assert coordinate(with_coordinate(x, i, v), i) == v
+    assert bits_of(6, 4) == [0, 1, 1, 0]
+    assert [dictator(4, i).table[6] for i in (1, 2, 3, 4)] == [0, 1, 1, 0]
+    # coordinate 1 is bit 0: dictator 1 is 1 on the odd points
+    assert np.flatnonzero(dictator(3, 1).table).tolist() == [1, 3, 5, 7]
+    assert np.flatnonzero(dictator(3, 3).table).tolist() == [4, 5, 6, 7]
 
 
 class TestFamilies:
@@ -85,7 +80,7 @@ class TestFamilies:
     def test_dictator_reads_one_bit(self):
         f = dictator(4, 3)
         for x in range(16):
-            assert f.table[x] == coordinate(x, 3)
+            assert f.table[x] == bits_of(x, 4)[2]
 
     def test_majority_by_weight(self):
         f = majority(5)

@@ -36,7 +36,7 @@ from biascube.booleans import (
     parse_family_string,
     tribes,
 )
-from biascube.threshold import family_curve, set_measure
+from biascube.threshold import _curve, bias_at_level, set_measure
 
 # the dense grid: every kind at small arities, edge values included
 DENSE_GRID = [
@@ -156,8 +156,8 @@ def _window_points(kind: str, n: int) -> np.ndarray:
 
 
 def _curve_values(spec) -> list[str]:
-    """mu and derivative of ``family_curve`` at every bias, as exact hex."""
-    curve = family_curve(spec)
+    """mu and derivative of the spec's measure curve at every bias, as exact hex."""
+    curve = _curve(spec)
     return [(float(curve.mu(p)).hex(), float(curve.derivative(p)).hex()) for p in BIASES]
 
 
@@ -753,7 +753,7 @@ ERRORS = [
     (lambda: build_family(family_spec("connectivity", m=8)),
      "arity 28 exceeds the dense-table cap 24; use a closed-form family or the "
      "Monte Carlo estimators"),
-    (lambda: family_curve(family_spec("parity", n=4)), "bisection requires a monotone set"),
+    (lambda: bias_at_level(family_spec("parity", n=4), 0.5), "bisection requires a monotone set"),
     (lambda: FamilySpec("or_all", (("n", 5.5),)),
      "family 'or_all' parameter n must be an int, got 5.5"),
     (lambda: FamilySpec("or_all", (("n", True),)),

@@ -9,17 +9,7 @@ from hypothesis import strategies as st
 
 from biascube import martingale
 from biascube.booleans import dictator, majority, or_all
-from biascube.martingale import (
-    MartingaleDecomposition,
-    check_contractions,
-    check_energy_decomposition,
-    check_increment_representation,
-    check_orthogonality,
-    check_pythagoras,
-    check_telescoping,
-    conditional_expectation,
-    decompose,
-)
+from biascube.martingale import MartingaleDecomposition, decompose
 from biascube.measure import (
     CubeFunction,
     _as_values,
@@ -39,33 +29,37 @@ def random_g(n, seed):
     return CubeFunction(n, rng.normal(size=1 << n))
 
 
+def conditioned(values, n, p, j):
+    """``martingale._condition`` into a fresh row: the average over
+    coordinates j+1..n."""
+    out = np.empty(1 << n)
+    martingale._condition(values, n, p, j, out)
+    return out
+
+
 class TestConditionalExpectation:
     def test_prefix_zero_is_mean(self):
         g, p = random_g(4, 1), 0.3
-        c0 = conditional_expectation(g, p, 0)
-        assert np.allclose(c0.values, expectation(g, p), atol=1e-14)
+        c0 = conditioned(g.values, 4, p, 0)
+        assert np.allclose(c0, expectation(g, p), atol=1e-14)
 
     def test_prefix_n_is_identity(self):
         g, p = random_g(4, 2), 0.3
-        cn = conditional_expectation(g, p, 4)
-        assert np.allclose(cn.values, g.values, atol=1e-14)
+        cn = conditioned(g.values, 4, p, 4)
+        assert np.allclose(cn, g.values, atol=1e-14)
 
     def test_depends_only_on_prefix(self):
         g, p, j = random_g(5, 3), 0.7, 2
-        c = conditional_expectation(g, p, j).values
+        c = conditioned(g.values, 5, p, j)
         # same low j bits, any high bits: equal values
         for x in range(1 << 5):
             assert math.isclose(c[x], c[x & 0b11], abs_tol=1e-14)
 
     def test_tower_property(self):
         g, p = random_g(5, 4), 0.4
-        outer = conditional_expectation(conditional_expectation(g, p, 4), p, 2)
-        direct = conditional_expectation(g, p, 2)
-        assert np.allclose(outer.values, direct.values, atol=1e-13)
-
-    def test_prefix_out_of_range(self):
-        with pytest.raises(ValueError):
-            conditional_expectation(random_g(3, 0), 0.5, 4)
+        outer = conditioned(conditioned(g.values, 5, p, 4), 5, p, 2)
+        direct = conditioned(g.values, 5, p, 2)
+        assert np.allclose(outer, direct, atol=1e-13)
 
 
 class TestDecomposition:
@@ -91,37 +85,29 @@ class TestDecomposition:
 
 
 class TestCheckers:
-    CHECKS = (
-        check_telescoping,
-        check_orthogonality,
-        check_pythagoras,
-        check_energy_decomposition,
-        check_increment_representation,
-        check_contractions,
-    )
-
-    @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+    # each check on a fresh decomposition, at the suite's tolerance
+    @pytest.mark.parametrize("check", martingale._CHECKS, ids=lambda c: "check" + c.__name__)
     def test_pass_on_random_functions(self, check):
         for seed, p in ((1, 0.2), (2, 0.5), (3, 0.8)):
-            rep = check(random_g(5, seed), p)
+            rep = check(decompose(random_g(5, seed), p), 1e-12)
             assert rep.passed, rep.to_dict()
 
-    @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("check", martingale._CHECKS, ids=lambda c: "check" + c.__name__)
     def test_pass_on_boolean_functions(self, check):
         for f in (or_all(4), majority(5), dictator(3, 2)):
-            rep = check(f, 0.35)
+            rep = check(decompose(f, 0.35), 1e-12)
             assert rep.passed, rep.to_dict()
 
 
 class TestIncrementSign:
     def test_positive_sign_matches(self):
-        rep = check_increment_representation(random_g(5, 11), 0.3)
+        rep = martingale._increment_representation(decompose(random_g(5, 11), 0.3), 1e-12)
         assert rep.passed
         assert rep.context["matched_sign"] == "plus"
 
     def test_negative_sign_fails_for_dictator(self):
         # f = x_1 gives V_1 = x_1 - p; the negated projection misses by 2|V_1|
-        rep = check_increment_representation(dictator(3, 1), 0.4)
+        rep = martingale._increment_representation(decompose(dictator(3, 1), 0.4), 1e-12)
         assert rep.context["matched_sign"] == "plus"
         assert rep.context["residual_minus"] > 0.1
         assert rep.context["residual_plus"] <= 1e-12
@@ -193,9 +179,7 @@ def _increment_representation(f, p, tol: float, dec: MartingaleDecomposition) ->
     residual_plus = 0.0
     residual_minus = 0.0
     for j in range(1, n + 1):
-        projected = conditional_expectation(
-            CubeFunction(n, _center(v, n, p, j)), p, j
-        ).values
+        projected = _conditional(_center(v, n, p, j), n, p, j)
         inc = dec.increments[j - 1].values
         residual_plus = max(residual_plus, float(np.max(np.abs(inc - projected))))
         residual_minus = max(residual_minus, float(np.max(np.abs(inc + projected))))
@@ -268,7 +252,7 @@ class TestStackedChecksAgreeWithLoops:
         for g, p in _agreement_cases():
             for tol in (1e-12, 0.0):
                 dec = decompose(g, p)
-                got, expected = stacked(g, p, tol, dec), reference(g, p, tol, dec)
+                got, expected = stacked(dec, tol), reference(g, p, tol, dec)
                 assert got.label == label
                 # repr also tells -0.0 from 0.0, which == does not
                 assert got == expected and repr(got) == repr(expected), (g.n, p, tol)
@@ -284,7 +268,7 @@ class TestStackedChecksAgreeWithLoops:
                 assert dec.stacked[j - 1].tobytes() == (conds[j] - conds[j - 1]).tobytes()
                 assert dec.increments[j - 1].values.tobytes() == dec.stacked[j - 1].tobytes()
             for j in range(n + 1):
-                assert conditional_expectation(g, p, j).values.tobytes() == conds[j].tobytes()
+                assert conditioned(v, n, p, j).tobytes() == conds[j].tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_increment_that_overflows_is_refused(self):
@@ -293,18 +277,15 @@ class TestStackedChecksAgreeWithLoops:
             decompose(CubeFunction(1, np.array([-1.7e308, 1.7e308])), 0.9)
 
     def test_one_coordinate_has_no_pairs(self):
-        rep = check_orthogonality(random_g(1, 3), 0.25)
+        rep = martingale._orthogonality(decompose(random_g(1, 3), 0.25), 1e-12)
         assert rep.context["max_cross"] == 0.0
         assert rep.context["max_cross_fiber_averaged"] == 0.0
 
     @pytest.mark.parametrize("label", sorted(LOOP_REFERENCES))
     def test_public_check_runs_the_stacked_body(self, label):
-        public = {"orthogonality": check_orthogonality,
-                  "pythagoras": check_pythagoras,
-                  "energy-decomposition": check_energy_decomposition,
-                  "increment-representation": check_increment_representation,
-                  "contractions": check_contractions}[label]
+        # the martingale suite's one entry, on one shared decomposition
         _, reference = LOOP_REFERENCES[label]
         for n in (2, 5, 8):
             g = random_g(n, 90 + n)
-            assert repr(public(g, 0.75)) == repr(reference(g, 0.75, 1e-12, decompose(g, 0.75)))
+            reports = {rep.label: rep for rep in martingale._all_checks(g, 0.75)}
+            assert repr(reports[label]) == repr(reference(g, 0.75, 1e-12, decompose(g, 0.75)))

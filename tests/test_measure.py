@@ -27,7 +27,6 @@ from biascube.booleans import (
     or_all,
     parity,
     random_monotone_function,
-    with_coordinate,
 )
 from biascube.measure import (
     Bias,
@@ -170,10 +169,11 @@ class TestOperators:
     def test_gradient_is_flip_difference(self):
         g = random_g(4, seed=5)
         for i in (1, 3):
+            bit = 1 << (i - 1)
             grad = coordinate_gradient(g, i)
             for x in range(16):
-                hi = g.values[with_coordinate(x, i, 1)]
-                lo = g.values[with_coordinate(x, i, 0)]
+                hi = g.values[x | bit]
+                lo = g.values[x & ~bit]
                 assert math.isclose(grad.values[x], hi - lo, abs_tol=1e-14)
 
     def test_center_is_g_minus_average(self):
@@ -182,10 +182,11 @@ class TestOperators:
         cen = coordinate_center(g, p, i)
         assert np.allclose(cen.values, g.values - avg.values, atol=1e-14)
         # the average must not depend on coordinate i
+        bit = 1 << (i - 1)
         for x in range(16):
             assert math.isclose(
-                avg.values[with_coordinate(x, i, 0)],
-                avg.values[with_coordinate(x, i, 1)],
+                avg.values[x & ~bit],
+                avg.values[x | bit],
                 abs_tol=1e-14,
             )
 
@@ -282,6 +283,12 @@ class TestInfluence:
         batch = influences(f, p)
         for i in range(1, 6):
             assert math.isclose(batch[i - 1], influence(f, p, i), abs_tol=1e-14)
+
+    @pytest.mark.parametrize("i", (0, -1, 4))
+    def test_coordinate_out_of_range_is_refused(self, i):
+        # index i - 1 would read coordinate 3 at i = 0 and coordinate 2 at i = -1
+        with pytest.raises(ValueError, match=f"coordinate {i} out of range for arity 3"):
+            influence(dictator(3, 3), 0.3, i)
 
 
 class TestDerivative:

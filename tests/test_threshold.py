@@ -22,8 +22,6 @@ from biascube.threshold import (
     MuCurve,
     bias_at_level,
     choose_tribe_count,
-    dense_curve,
-    family_curve,
     or_all_sharpness_ratio,
     set_measure,
     supremum_on_interval,
@@ -104,12 +102,12 @@ class TestBisection:
             )
 
     def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            dense_curve(parity(3))
+        with pytest.raises(ValueError, match="bisection requires a monotone set"):
+            bias_at_level(parity(3), 0.5)
 
     def test_rejects_constant(self):
-        with pytest.raises(ValueError):
-            dense_curve(BooleanFunction(2, np.zeros(4, dtype=np.uint8)))
+        with pytest.raises(ValueError, match="the set is trivial"):
+            bias_at_level(BooleanFunction(2, np.zeros(4, dtype=np.uint8)), 0.5)
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -202,29 +200,29 @@ class TestSupremum:
 
 class TestDerivativeWidthTransfer:
     def test_families_pass(self):
-        curve = family_curve(family_spec("or_all", n=8))
+        spec = family_spec("or_all", n=8)
         # a = inf of p q c(p) scaled derivative ... use a modest constant that
         # the union family satisfies on the grid, with g = 1
         rep = width_from_derivative_check(
-            curve, 0.5, lambda p: 1.0, alpha_grid=(0.1, 0.3, 0.5, 0.7, 0.9)
+            spec, 0.5, lambda p: 1.0, alpha_grid=(0.1, 0.3, 0.5, 0.7, 0.9)
         )
         assert rep.passed, rep.to_dict()
         assert rep.context["part_i_pass"]
         assert rep.context["pairs_checked"] == 15
 
     def test_part_ii_skipped_when_part_i_fails(self):
-        curve = family_curve(family_spec("dictator", n=4, i=1))
+        spec = family_spec("dictator", n=4, i=1)
         rep = width_from_derivative_check(
-            curve, 50.0, lambda p: 1.0, alpha_grid=(0.2, 0.8)
+            spec, 50.0, lambda p: 1.0, alpha_grid=(0.2, 0.8)
         )
         assert not rep.passed
         assert not rep.context["part_i_pass"]
         assert rep.context["pairs_checked"] == 0
 
     def test_rejects_bad_constant(self):
-        curve = family_curve(family_spec("or_all", n=4))
+        spec = family_spec("or_all", n=4)
         with pytest.raises(ValueError):
-            width_from_derivative_check(curve, 0.0, lambda p: 1.0, alpha_grid=(0.5,))
+            width_from_derivative_check(spec, 0.0, lambda p: 1.0, alpha_grid=(0.5,))
 
 
 class TestSharpnessDiagnostics:
