@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -121,6 +121,14 @@ def _rate_terms(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Points of n the rate scans evaluate at once (256 KiB per float64 term).
 _SCAN_POINTS = 1 << 15
 
+# The n from which the crossover scan expects the envelope term to stay
+# above 2 log log n; a scan that finds another n flags it, not fails.
+_EXPECTED_FIRST_N = 275
+
+# The interior points k / (_GRID_POINTS + 1) of (0,1) the constant scans read.
+_GRID_POINTS = 10001
+_GRID = np.arange(1, _GRID_POINTS + 1, dtype=np.float64) / (_GRID_POINTS + 1.0)
+
 
 def _rate_blocks(n_max: int):
     """``(ns, ln, envelope, double_log)`` over n = 2..n_max, in consecutive
@@ -152,17 +160,17 @@ def scan_rate_positive(n_max: int) -> BoundReport:
     )
 
 
-def scan_rate_crossover(n_max: int, expected_first_n: int = 275) -> tuple[int | None, BoundReport]:
+def scan_rate_crossover(n_max: int) -> tuple[int | None, BoundReport]:
     """Find where the envelope term takes over the max, scanning every n.
 
     Returns the smallest n from which envelope >= 2 log log n holds all the
-    way to n_max, plus a report comparing it against ``expected_first_n``.
+    way to n_max, plus a report comparing it against ``_EXPECTED_FIRST_N``.
     A mismatch is flagged in the context, not failed: the report passes iff
     a stable crossover exists at all. Monotonicity of the difference is not
     assumed anywhere; the scan is exhaustive, one block of n at a time.
     """
-    if n_max < 275:
-        raise ValueError("crossover scan needs n_max >= 275")
+    if n_max < _EXPECTED_FIRST_N:
+        raise ValueError(f"crossover scan needs n_max >= {_EXPECTED_FIRST_N}")
     # the last failing n of each test (0 while none has failed), the first
     # n that holds, min(diff) after the last failure, and max(diff)
     last_fail = last_fail_constant_free = 0
@@ -199,19 +207,19 @@ def scan_rate_crossover(n_max: int, expected_first_n: int = 275) -> tuple[int | 
         tol=0.0,
         context={
             "n_max": int(n_max),
-            "expected_first_n": int(expected_first_n),
+            "expected_first_n": _EXPECTED_FIRST_N,
             "first_stable_n": stable_n,
             "first_true_n": first_true,
-            "matches_expected": stable_n == expected_first_n,
+            "matches_expected": stable_n == _EXPECTED_FIRST_N,
             "constant_free_first_n": constant_free,
         },
     )
     return stable_n, report
 
 
-def scan_constant_floor(points: int = 10001) -> BoundReport:
-    """log-Sobolev constant >= 2 on an interior grid of (0,1)."""
-    grid = np.arange(1, points + 1, dtype=np.float64) / (points + 1.0)
+def scan_constant_floor() -> BoundReport:
+    """log-Sobolev constant >= 2 on the interior grid of (0,1)."""
+    grid = _GRID
     vals = _constant_grid(grid)
     worst = int(vals.argmin())
     return BoundReport(
@@ -221,15 +229,16 @@ def scan_constant_floor(points: int = 10001) -> BoundReport:
         passed=bool(vals[worst] >= 2.0),
         orientation="ge",
         tol=0.0,
-        context={"points": int(points), "argmin_p": float(grid[worst])},
+        context={"points": _GRID_POINTS, "argmin_p": float(grid[worst])},
     )
 
 
-@lru_cache(maxsize=8)
-def scan_scaled_constant_cap(points: int = 10001) -> BoundReport:
-    """p(1-p) c(p) <= 1/2 on the grid, equality only at p = 1/2, strictly
-    increasing up to 1/2 and strictly decreasing after it."""
-    grid = np.arange(1, points + 1, dtype=np.float64) / (points + 1.0)
+@cache
+def scan_scaled_constant_cap() -> BoundReport:
+    """p(1-p) c(p) <= 1/2 on the interior grid, equality only at p = 1/2,
+    strictly increasing up to 1/2 and strictly decreasing after it. Made
+    once, and shared by every width check."""
+    grid = _GRID
     vals = grid * (1.0 - grid) * _constant_grid(grid)
     worst = int(vals.argmax())
     eq = grid[np.abs(vals - 0.5) <= 1e-12]
@@ -247,7 +256,7 @@ def scan_scaled_constant_cap(points: int = 10001) -> BoundReport:
         orientation="le",
         tol=1e-12,
         context={
-            "points": int(points),
+            "points": _GRID_POINTS,
             "argmax_p": float(grid[worst]),
             "equality_points": [float(x) for x in eq],
             "increasing_to_half": increasing_to_half,
@@ -314,11 +323,10 @@ def _poincare_report(n: int, pv: float, var: float, energy: float, tol: float) -
 # functions are the stacked forms on a batch of one.
 
 
-def _log_sobolev_checks(values: np.ndarray, n: int, pv: float,
-                        tol: float = 1e-12) -> list[BoundReport]:
+def _log_sobolev_checks(values: np.ndarray, n: int, pv: float) -> list[BoundReport]:
     c = log_sobolev_constant(pv)
     return [
-        _log_sobolev_report(n, pv, c, lhs, energy, tol)
+        _log_sobolev_report(n, pv, c, lhs, energy, 1e-12)
         for lhs, energy in zip(_entropies(values * values, n, pv), _energies(values, n, pv))
     ]
 
@@ -332,10 +340,9 @@ def _log_sobolev_literal_records(values: np.ndarray, n: int, pv: float) -> list[
     ]
 
 
-def _poincare_checks(values: np.ndarray, n: int, pv: float,
-                     tol: float = 1e-12) -> list[BoundReport]:
+def _poincare_checks(values: np.ndarray, n: int, pv: float) -> list[BoundReport]:
     return [
-        _poincare_report(n, pv, var, energy, tol)
+        _poincare_report(n, pv, var, energy, 1e-12)
         for var, energy in zip(_variances(values, n, pv), _energies(values, n, pv))
     ]
 

@@ -157,16 +157,23 @@ def _build_target(args):
 
 
 def _parse_grid(text: str) -> list[float]:
+    malformed = f"malformed grid {text!r}, expected start:stop:step"
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"malformed grid {text!r}, expected start:stop:step")
+        raise UsageError(malformed)
     try:
         start, stop, step = (float(t) for t in parts)
     except ValueError:
-        raise UsageError(f"malformed grid {text!r}, expected start:stop:step")
+        raise UsageError(malformed)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(malformed)
     if step <= 0.0 or stop < start:
         raise UsageError("grid needs stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    # a step too small for the span has no finite point count
+    if not math.isfinite(span):
+        raise UsageError(malformed)
+    count = int(math.floor(span + 1e-9)) + 1
     points = [start + k * step for k in range(count)]
     if points[0] <= 0.0 or points[-1] >= 1.0:
         raise UsageError("grid points must lie strictly inside (0,1)")

@@ -90,10 +90,11 @@ def decompose(f, p) -> MartingaleDecomposition:
     return MartingaleDecomposition(n, p, float(cond[0, 0]), variance(f, p), increments, v)
 
 
-def _all_checks(f, p, tol: float = 1e-12) -> list[BoundReport]:
-    """The six checks below, in order, on one shared decomposition."""
+def _all_checks(f, p) -> list[BoundReport]:
+    """The six checks below, in order, on one shared decomposition, at
+    tolerance 1e-12."""
     dec = decompose(f, p)
-    return [check(dec, tol) for check in _CHECKS]
+    return [check(dec, 1e-12) for check in _CHECKS]
 
 
 def _telescoping(dec: MartingaleDecomposition, tol: float) -> BoundReport:

@@ -53,7 +53,6 @@ _TAG_MU = 0
 _TAG_INFLUENCE = 1
 _TAG_BISECT = 2
 _TAG_FINAL = 3
-_TAG_SPOT = 4
 
 # coordinates per row block of a chunk: a 256 KiB 0/1 matrix
 _BLOCK_SCALARS = 1 << 18
@@ -90,8 +89,7 @@ class OracleFunction:
 
     ``evaluate_batch`` maps a (count, n) matrix of 0/1 coordinates (column
     j is coordinate j+1) to a length-count 0/1 vector. ``monotone_declared``
-    is the caller's promise, spot-checkable but never assumed silently
-    proven.
+    is the caller's promise: the level search trusts it and checks nothing.
     """
 
     n: int
@@ -447,22 +445,3 @@ def mc_p_of_alpha(
                                    seed, _TAG_FINAL, 0), samples_per_step, nworkers)
     evaluations += samples_per_step
     return LevelSearchResult(p_hat, alpha, final, flagged, steps, evaluations, seed)
-
-
-def spot_check_monotone(
-    oracle: OracleFunction, p, pairs: int = 10_000, seed: int = 0
-) -> int:
-    """Count violations of f(x) <= f(y) over sampled comparable pairs x <= y.
-
-    Returns the violation count; zero is the only acceptable value for an
-    oracle that declared itself monotone.
-    """
-    pv = bias_value(p)
-    rng = substream(seed, _TAG_SPOT)
-    violations = 0
-    # x and y of each block are drawn in turn from the one stream, into two
-    # row buffers, and their OR overwrites y
-    for x, y in zip(_drawn_blocks(oracle, pv, pairs, rng), _drawn_blocks(oracle, pv, pairs, rng)):
-        np.bitwise_or(x, y, out=y)
-        violations += int((_outputs(oracle, x) > _outputs(oracle, y)).sum())
-    return violations

@@ -378,13 +378,14 @@ def energy_derivative_sides(f: BooleanFunction, p) -> tuple[float, float]:
     return lhs, energy / (p * (1.0 - p))
 
 
-def random_cube_function(n: int, rng: np.random.Generator, positive: bool = False) -> CubeFunction:
-    """Seeded random real function; lognormal values when positive is set."""
+def random_cube_function(n: int, rng: np.random.Generator) -> CubeFunction:
+    """Seeded random real function with standard normal values."""
     _check_arity(n)
-    return CubeFunction(n, _random_values(n, rng, positive))
+    return CubeFunction(n, _random_values(n, rng))
 
 
 def _random_values(n: int, rng: np.random.Generator, positive: bool = False) -> np.ndarray:
-    """The 2**n values ``random_cube_function`` draws, without the wrapper."""
+    """The 2**n values ``random_cube_function`` draws, without the wrapper;
+    their exponentials (lognormal values) when positive is set."""
     values = rng.normal(size=1 << n)
     return np.exp(values) if positive else values

@@ -42,7 +42,7 @@ from .reports import BoundReport, checked
 
 CHECK_BIASES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-# substream tags; must stay clear of the 0..4 range of mc's own tags
+# substream tags; must stay clear of the 0..3 range of mc's own tags
 _TAG_BASE = 100
 
 
@@ -448,7 +448,7 @@ def suite_sn_claims(seed: int, n_max: int = 1_000_000) -> dict:
         bounds.scan_scaled_constant_cap(),
         bounds.scan_rate_positive(n_max),
     ]
-    first_n, crossover = bounds.scan_rate_crossover(max(n_max, 275))
+    first_n, crossover = bounds.scan_rate_crossover(max(n_max, bounds._EXPECTED_FIRST_N))
     checks.append(crossover)
     # Ratio of the rate to log n over the decade grid. A full monotone climb
     # over all four decades is what one would expect from the asymptotic

@@ -208,6 +208,15 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
+    # 1e-320 is a finite step whose point count overflows
+    @pytest.mark.parametrize(
+        "grid", ["0.1:inf:0.1", "0.1:0.9:1e-320", "nan:0.5:0.1", "0.1:0.9:nan"]
+    )
+    def test_non_finite_grids_are_malformed(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--func", "cls", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed grid {grid!r}, expected start:stop:step\n"
+
     def test_arity_one_leaves_bound_columns_empty(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--family", "or", "--n", "1", "--grid", "0.1:0.3:0.1"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from biascube import mc
-from biascube.booleans import family_spec, parity, parse_family_string
+from biascube.booleans import family_spec, parse_family_string
 from biascube.mc import (
     OracleFunction,
     RNG_ID,
@@ -23,7 +23,6 @@ from biascube.mc import (
     estimate_mu,
     family_oracle,
     mc_p_of_alpha,
-    spot_check_monotone,
     substream,
     wilson_estimate,
     worker_count,
@@ -194,32 +193,6 @@ class TestLevelSearch:
         assert result.flagged
 
 
-class TestSpotCheck:
-    def test_monotone_family_clean(self):
-        oracle = family_oracle(family_spec("tribes", k=3, m=10))
-        assert spot_check_monotone(oracle, 0.3, 2000, seed=4) == 0
-
-    def test_non_monotone_caught(self):
-        table = parity(8).table
-
-        def eval_batch(points):
-            codes = points.astype(np.int64) @ (1 << np.arange(8))
-            return table[codes]
-
-        oracle = OracleFunction(8, eval_batch, monotone_declared=True, name="mislabel")
-        assert spot_check_monotone(oracle, 0.5, 500, seed=4) > 0
-
-    @pytest.mark.parametrize("pairs, violations", [(100_000, 24_914), (200_000, 49_814)])
-    def test_counts_keep_their_block_split(self, pairs, violations):
-        # x and y are drawn in turn per row block, so another block size
-        # moves the count (25,056 at 100,000 pairs with 2**22-coordinate
-        # blocks)
-        table = parity(8).table
-        mislabel = OracleFunction(
-            8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
-        assert spot_check_monotone(mislabel, 0.5, pairs, seed=0) == violations
-
-
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("BIASCUBE_WORKERS", "3")
     assert worker_count() == 3
@@ -256,7 +229,6 @@ PINNED = {
                                "ci_hi": 0.47577137872329667},
                   "flagged": False, "steps": 5, "evaluations": 120000, "seed": 0,
                   "rng": "philox4x64:seedseq-path:dyadic-planes"},
-        "spot_mislabel": 983,
     },
     1: {
         "mu": {"mean": 0.47105, "stderr": 0.0024958059695216694, "samples": 40000,
@@ -269,7 +241,6 @@ PINNED = {
                                "ci_hi": 0.4703172976610783},
                   "flagged": False, "steps": 5, "evaluations": 120000, "seed": 1,
                   "rng": "philox4x64:seedseq-path:dyadic-planes"},
-        "spot_mislabel": 1004,
     },
 }
 
@@ -302,13 +273,6 @@ class TestPinnedStream:
         result = mc_p_of_alpha(oracle, 0.5, 20_000, 1 / 32, seed, workers=workers)
         assert result.to_dict() == PINNED[seed]["level"]
 
-    def test_spot_check_tribes(self, seed):
-        oracle = family_oracle(family_spec("tribes", k=3, m=10))
-        assert spot_check_monotone(oracle, 0.3, 40_000, seed=seed) == 0
-        table = parity(8).table
-        mislabel = OracleFunction(
-            8, lambda pts: table[pts.astype(np.int64) @ (1 << np.arange(8))], True, "mislabel")
-        assert spot_check_monotone(mislabel, 0.5, 4000, seed=seed) == PINNED[seed]["spot_mislabel"]
 
 
 # Seeded hit counts of estimate_influence over 40,000 samples, at seeds 0
@@ -621,25 +585,13 @@ def test_or_estimate_peak_memory():
     assert peak < 3 << 18
 
 
-def test_spot_check_peak_memory():
-    # 100,000 pairs on or n=64 are two row blocks of 65,536 x 64 coordinates;
-    # holding x, y and their OR at once peaked at 10.2 MiB, two reused row
-    # buffers with the OR written into y read 8.2 MiB
-    oracle = family_oracle(family_spec("or_all", n=64))
-    peak = _traced_peak(lambda: spot_check_monotone(oracle, 0.0138, 100_000, seed=0))
-    assert peak < 9 << 20
-
-
-@pytest.mark.parametrize("family, pv", [
-    ("or_all:n=64", 0.0138), ("or_all:n=64", 0.5),
-    ("connectivity:m=16", 0.19), ("connectivity:m=16", 0.5),
-])
-def test_spot_check_row_block_peak_memory(family, pv):
-    # x and y are drawn in the 2**18-coordinate row blocks of the estimates:
-    # 0.6-0.8 MiB on or n=64 and 0.8 MiB on connectivity m=16, where 2**22-
-    # coordinate blocks peaked at 8.2 and 13.0 MiB
+@pytest.mark.parametrize("family", ["or_all:n=64", "connectivity:m=16"])
+def test_bit_plane_estimate_peak_memory(family):
+    # at p = 1/2 the 2**18-coordinate row blocks are drawn from bit-planes:
+    # 0.42 MiB on or n=64 and 0.58 MiB on connectivity m=16, where 2**22-
+    # coordinate blocks peaked at 1.2 and 4.2 MiB
     oracle = family_oracle(parse_family_string(family))
-    peak = _traced_peak(lambda: spot_check_monotone(oracle, pv, 100_000, seed=0))
+    peak = _traced_peak(lambda: estimate_mu(oracle, 0.5, 100_000, 0, workers=1))
     assert peak < 1 << 20
 
 

@@ -14,6 +14,7 @@ from biascube._kernels import pack_tables
 from biascube.booleans import BooleanFunction, random_monotone_function
 from biascube.measure import (
     CubeFunction,
+    _random_values,
     dirichlet_energy,
     expectation,
     influences,
@@ -143,7 +144,7 @@ def _reference_lsi(seed, trials, n_max):
             if not rep.passed:
                 violations += 1
                 failures.append({"p": p, "trial": t, "n": n, "lhs": rep.lhs, "rhs": rep.rhs})
-            pos = random_cube_function(n, rng, positive=True)
+            pos = CubeFunction(n, _random_values(n, rng, positive=True))
             record = bounds.log_sobolev_literal_record(pos, p)
             total += 1
             holds += int(record["holds"])
